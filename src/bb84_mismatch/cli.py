@@ -18,6 +18,7 @@ from . import __version__
 from .decoy import ChannelModel, DecoyConfig, decoy_keyrate, simulate_observations, theoretical_limit
 from .errors import ConfigError, FeasibilityError, NoKeyError
 from .keyrates import (
+    _require_f_ec,
     keyrate_balanced,
     keyrate_discard_optimized,
     keyrate_fung1,
@@ -127,6 +128,17 @@ def _require_ranges(**named):
             raise UsageError(f"--{flag} = {value} outside the valid range")
 
 
+def _resolve_f_ec(args) -> float:
+    """--f-ec, rejected up front unless finite and >= 0.
+
+    The rate functions check it too, but ``rate`` would report their error
+    as infeasible inputs and ``sweep`` would print nan rows.
+    """
+    f_ec = _resolve(args, "f-ec", 1.0)
+    _require_f_ec(f_ec)
+    return f_ec
+
+
 def _add_shared(parser: _Parser):
     parser.add_argument("--eta", type=float, help="normalized mismatch in (0, 1]")
     parser.add_argument("--eta0", type=float, help="efficiency of detector 0")
@@ -135,7 +147,7 @@ def _add_shared(parser: _Parser):
     parser.add_argument("--qx", type=float, help="x-basis error statistic")
     parser.add_argument("--t", type=float, help="channel transparency (default 1)")
     parser.add_argument("--p-pass", type=float, help="sifting pass probability")
-    parser.add_argument("--f-ec", type=float, help="error-correction inefficiency (default 1)")
+    parser.add_argument("--f-ec", type=float, help="error-correction inefficiency, finite and >= 0 (default 1)")
     parser.add_argument("--out", type=str, help="output path or 'stdout' (default)")
     parser.add_argument("--config", type=str, help="key=value config file; flags win on conflict")
 
@@ -219,7 +231,7 @@ def cmd_rate(args) -> int:
         raise UsageError("rate requires --qz and --qx")
     t = _resolve(args, "t", 1.0)
     p_pass = _resolve(args, "p-pass", None)
-    f_ec = _resolve(args, "f-ec", 1.0)
+    f_ec = _resolve_f_ec(args)
     _require_ranges(qz=q_z, qx=q_x, eta=eta, t=t, p_pass=p_pass)
     try:
         if p_pass is None:
@@ -345,7 +357,7 @@ def cmd_sweep(args) -> int:
         "q_x": _resolve(args, "qx", 0.0),
         "eta": eta,
         "t": _resolve(args, "t", 1.0),
-        "f_ec": _resolve(args, "f-ec", 1.0),
+        "f_ec": _resolve_f_ec(args),
     }
     p_pass = _resolve(args, "p-pass", None)
     if p_pass is not None:
@@ -392,7 +404,7 @@ def cmd_decoy_sim(args) -> int:
     l_steps = _resolve(args, "l-steps", 13, int)
     if l_steps < 2 or not l_min < l_max:
         raise ConfigError("decoy-sim requires l-min < l-max and l-steps >= 2")
-    f_ec = _resolve(args, "f-ec", 1.0)
+    f_ec = _resolve_f_ec(args)
     model0, cfg0 = _channel_from_args(args, 0.0)
     lines = [
         f"# bb84-mismatch {__version__} decoy-sim",

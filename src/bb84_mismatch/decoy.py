@@ -11,12 +11,12 @@ outcomes 0 and 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .keyrates import KeyRateResult
+from .keyrates import KeyRateResult, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -39,16 +39,17 @@ class DecoyConfig:
     i_max: int = 25
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigError(f"signal intensity mu = {self.mu} must be positive")
+        # Checks are written so that nan fails them.
+        if not 0.0 < self.mu < math.inf:
+            raise ConfigError(f"signal intensity mu = {self.mu} must be positive and finite")
         if not 0.0 <= self.nu2 < self.nu1:
             raise ConfigError(f"decoy intensities must satisfy 0 <= nu2 < nu1, got {self.nu1}, {self.nu2}")
         if self.nu1 + self.nu2 >= self.mu:
             raise ConfigError(
                 f"decoy intensities must satisfy nu1 + nu2 < mu, got {self.nu1} + {self.nu2} >= {self.mu}"
             )
-        if self.i_max < 10:
-            raise ConfigError(f"i_max = {self.i_max} below the minimum of 10")
+        if not (isinstance(self.i_max, (int, np.integer)) and self.i_max >= 10):
+            raise ConfigError(f"i_max = {self.i_max} must be an integer of at least 10")
 
     def intensity(self, v: str) -> float:
         return {"s": self.mu, "d1": self.nu1, "d2": self.nu2}[v]
@@ -97,11 +98,15 @@ class ChannelModel:
     dark: tuple[float, float]
 
     def __post_init__(self):
-        if self.length_km < 0.0 or self.bob_loss_db < 0.0 or self.alpha_db_per_km < 0.0:
-            raise ValueError("losses and distance must be non-negative")
-        for p in (self.e_det, self.eta0, self.eta1, *self.dark):
+        # Checks are written so that nan fails them.
+        for x in (self.alpha_db_per_km, self.length_km, self.bob_loss_db):
+            if not 0.0 <= x < math.inf:
+                raise ValueError(f"losses and distance must be finite and non-negative, got {x}")
+        for p in (self.e_det, *self.dark):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
+        if not (0.0 < self.eta0 <= 1.0 and 0.0 < self.eta1 <= 1.0):
+            raise ValueError(f"detector efficiencies {self.eta0}, {self.eta1} outside (0, 1]")
 
     @property
     def eta(self) -> float:
@@ -116,6 +121,18 @@ def transmittance(model: ChannelModel) -> float:
     return 10.0 ** (-(model.alpha_db_per_km * model.length_km + model.bob_loss_db) / 10.0)
 
 
+def _photon_yields(model: ChannelModel, i, beta: int):
+    """Yield Y_i and error-weighted yield e_i * Y_i on detector beta, for a
+    photon number ``i`` or an integer array of them; dark counts are errors
+    half the time. Formulas in ``simulate_yield`` and ``simulate_error``.
+    """
+    arrived = i * transmittance(model)
+    eff = model.efficiency(beta)
+    y = np.minimum(model.dark[beta] + arrived * eff / 2.0, 1.0)
+    ey = (model.dark[beta] + arrived * model.e_det * eff) / 2.0
+    return y, ey
+
+
 def simulate_yield(model: ChannelModel, i: int, b: str, beta: int) -> float:
     """Detection probability of an i-photon pulse on detector beta.
 
@@ -127,16 +144,7 @@ def simulate_yield(model: ChannelModel, i: int, b: str, beta: int) -> float:
         raise ValueError("photon number must be non-negative")
     if b not in BASES:
         raise ValueError(f"unknown basis {b!r}")
-    y = model.dark[beta] + i * transmittance(model) * model.efficiency(beta) / 2.0
-    return min(y, 1.0)
-
-
-def _error_weighted_yield(model: ChannelModel, i: int, beta: int) -> float:
-    """The product e_i * Y_i: dark counts are errors half the time."""
-    return (
-        model.dark[beta]
-        + i * transmittance(model) * model.e_det * model.efficiency(beta)
-    ) / 2.0
+    return float(_photon_yields(model, i, beta)[0])
 
 
 def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
@@ -148,7 +156,7 @@ def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
     y = simulate_yield(model, i, b, beta)
     if y <= 0.0:
         raise ValueError(f"yield vanishes for i = {i}, beta = {beta}; error rate undefined")
-    return _error_weighted_yield(model, i, beta) / y
+    return float(_photon_yields(model, i, beta)[1]) / y
 
 
 def poisson_pmf(i: int, mu: float) -> float:
@@ -158,18 +166,28 @@ def poisson_pmf(i: int, mu: float) -> float:
     return math.exp(i * math.log(mu) - mu - math.lgamma(i + 1))
 
 
+def _poisson_weights(mu: float, i_max: int) -> np.ndarray:
+    """Poisson weights for i = 0..i_max.
+
+    Raises:
+        TruncationError: if the Poisson tail mass beyond i_max is >= 1e-12.
+    """
+    weights = np.array([poisson_pmf(i, mu) for i in range(i_max + 1)])
+    tail = 1.0 - float(weights.sum())
+    if tail >= 1e-12:
+        raise TruncationError(
+            f"Poisson tail mass {tail:.3e} beyond i_max = {i_max} exceeds 1e-12"
+        )
+    return weights
+
+
 def poisson_gain(yields, mu_v: float, i_max: int) -> float:
     """Gain sum_i Y_i * Poisson(i; mu_v) truncated at i_max.
 
     Raises:
         TruncationError: if the Poisson tail mass beyond i_max is >= 1e-12.
     """
-    weights = np.array([poisson_pmf(i, mu_v) for i in range(i_max + 1)])
-    tail = 1.0 - float(weights.sum())
-    if tail >= 1e-12:
-        raise TruncationError(
-            f"Poisson tail mass {tail:.3e} beyond i_max = {i_max} exceeds 1e-12"
-        )
+    weights = _poisson_weights(mu_v, i_max)
     y = np.asarray(list(yields), dtype=float)[: i_max + 1]
     if y.size < i_max + 1:
         raise ValueError("need yields up to i_max")
@@ -177,22 +195,26 @@ def poisson_gain(yields, mu_v: float, i_max: int) -> float:
 
 
 def simulate_observations(model: ChannelModel, cfg: DecoyConfig) -> DecoyObservations:
-    """Observed gains and error rates for all intensities, bases and outcomes."""
+    """Observed gains and error rates for all intensities, bases and outcomes.
+
+    The yields and error-weighted yields are arrays over photon number, built
+    once per outcome; the Poisson weights once per intensity. Each gain is one
+    dot product over i = 0..i_max. The model is basis-independent, so both
+    bases get the same values.
+
+    Raises:
+        TruncationError: if an intensity leaves Poisson tail mass >= 1e-12
+            beyond ``cfg.i_max``.
+    """
+    per_outcome = [_photon_yields(model, np.arange(cfg.i_max + 1), beta) for beta in (0, 1)]
     gains = np.zeros((3, 2, 2))
     errors = np.zeros((3, 2, 2))
     for vi, v in enumerate(INTENSITIES):
-        mu_v = cfg.intensity(v)
-        for bi, b in enumerate(BASES):
-            for beta in (0, 1):
-                ys = [simulate_yield(model, i, b, beta) for i in range(cfg.i_max + 1)]
-                q = poisson_gain(ys, mu_v, cfg.i_max)
-                eq = poisson_gain(
-                    [_error_weighted_yield(model, i, beta) for i in range(cfg.i_max + 1)],
-                    mu_v,
-                    cfg.i_max,
-                )
-                gains[vi, bi, beta] = q
-                errors[vi, bi, beta] = eq / q if q > 0.0 else 0.0
+        weights = _poisson_weights(cfg.intensity(v), cfg.i_max)
+        for beta, (y, ey) in enumerate(per_outcome):
+            q = float(np.dot(y, weights))
+            gains[vi, :, beta] = q
+            errors[vi, :, beta] = float(np.dot(ey, weights)) / q if q > 0.0 else 0.0
     return DecoyObservations(gains=gains, error_rates=errors)
 
 
@@ -258,30 +280,32 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
     return max(q, 0.0) * eta
 
 
-def _singles_rate(
-    q1_0: float, q1_1: float, q: float, eta: float, ec_term: float
-) -> tuple[float, float] | None:
+def _singles_rate(q1_0, q1_1, q: float, eta: float, ec_term: float):
     """Key rate from single-photon gains (q1_0, q1_1) and error parameter q.
 
-    Returns (rate, lambda_of_q), or None when the pair is infeasible (the
-    phase-error argument would be negative). ``ec_term`` is the full
-    error-correction leakage, already multiplied by its gain.
+    Elementwise over scalars or broadcastable arrays of gains. Returns
+    (rate, lambda_of_q), both nan where the point is infeasible: no
+    detections, or a phase-error argument below -1e-15. ``ec_term`` is the
+    full error-correction leakage, already multiplied by its gain.
     """
     p_pass = q1_0 + q1_1
-    if p_pass <= 0.0:
-        return None
     t = q1_0 + q1_1 / eta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_t, lam_q = (
+            0.5 - np.sqrt((q1_0 - q1_1) ** 2 + eta * (t - 2.0 * x) ** 2) / (2.0 * p_pass)
+            for x in (t / 2.0, q)
+        )
+    ok = (p_pass > 0.0) & (lam_q >= -1e-15)
+    # Infeasible points get entropy arguments of 0, so h() sees no nan.
+    lam_q = _where(ok, np.maximum(lam_q, 0.0), 0.0)
+    rate = p_pass * (binary_entropy(_where(ok, lam_t, 0.0)) - binary_entropy(lam_q)) - ec_term
+    return _where(ok, rate, np.nan), _where(ok, lam_q, np.nan)
 
-    def lam(x: float) -> float:
-        r = math.sqrt((q1_0 - q1_1) ** 2 + eta * (t - 2.0 * x) ** 2)
-        return 0.5 - r / (2.0 * p_pass)
 
-    lam_q = lam(q)
-    if lam_q < -1e-15:
-        return None
-    lam_q = max(lam_q, 0.0)
-    rate = p_pass * (binary_entropy(lam(t / 2.0)) - binary_entropy(lam_q)) - ec_term
-    return rate, lam_q
+def _where(ok, x, fill):
+    """``np.where(ok, x, fill)``; a scalar ``ok`` (the refine's single points)
+    picks without it, as ``np.where`` costs more than the formula itself."""
+    return np.where(ok, x, fill) if isinstance(ok, np.ndarray) else (x if ok else fill)
 
 
 def _golden_min(fn, a: float, b: float, tol: float = 1e-10) -> float:
@@ -301,11 +325,27 @@ def _golden_min(fn, a: float, b: float, tol: float = 1e-10) -> float:
 
 
 def _ec_term(obs: DecoyObservations, f_ec: float) -> float:
+    _require_f_ec(f_ec)
     q_total = obs.gain("s", "z", 0) + obs.gain("s", "z", 1)
     if q_total <= 0.0:
         return 0.0
     e_total = (obs.error_gain("s", "z", 0) + obs.error_gain("s", "z", 1)) / q_total
     return f_ec * q_total * binary_entropy(min(e_total, 1.0))
+
+
+def _box_result(a: float, b: float, q: float, eta: float, ec: float, method: str) -> KeyRateResult:
+    """The rate at single-photon gains (a, b), as a result with argmin (a, b)."""
+    rate, lam_q = _singles_rate(a, b, q, eta, ec)
+    if math.isnan(rate):
+        return KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method=method)
+    return KeyRateResult(
+        rate=float(rate),
+        feasible=True,
+        delta=detection_imbalance(a + b, a + b / eta, eta),
+        lam=float(lam_q),
+        method=method,
+        argmin=(a, b),
+    )
 
 
 def decoy_keyrate(
@@ -316,65 +356,45 @@ def decoy_keyrate(
     The rate is minimized over Q_1^{s z beta} between the decoy lower bound
     and the trivial upper bound for each outcome, with the error parameter
     fixed at its upper bound (the rate decreases monotonically in it). A
-    64x64 grid scan is refined by coordinate descent. The result records the
-    argmin and whether it sits at the lower-bound corner.
+    64x64 grid over the box is evaluated as one array; its first minimum in
+    row-major order (outcome-0 gain outer), the point a strict-< scan keeps,
+    seeds a coordinate-descent refine. The result records the argmin and
+    whether it sits at the lower-bound corner.
     """
     lo0, up0 = bound_Q1(obs, cfg, 0)
     lo1, up1 = bound_Q1(obs, cfg, 1)
     q = gamma2_upper(obs, cfg, eta) / eta
     ec = _ec_term(obs, f_ec)
 
-    def rate_at(a: float, b: float) -> float | None:
-        out = _singles_rate(a, b, q, eta, ec)
-        return None if out is None else out[0]
-
     def rate_or_inf(a: float, b: float) -> float:
-        r = rate_at(a, b)
-        return math.inf if r is None else r
+        rate = _singles_rate(a, b, q, eta, ec)[0]
+        return math.inf if math.isnan(rate) else float(rate)
 
     grid0 = np.linspace(lo0, up0, 64)
     grid1 = np.linspace(lo1, up1, 64)
-    best, arg = None, None
-    for a in grid0:
-        for b in grid1:
-            r = rate_at(float(a), float(b))
-            if r is not None and (best is None or r < best):
-                best, arg = r, (float(a), float(b))
-    if best is None:
-        return KeyRateResult(
-            rate=None, feasible=False, delta=None, lam=None, method="decoy"
-        )
+    rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
+    if np.isnan(rates).all():
+        return KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy")
+    k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
+    best, arg = float(rates[k0, k1]), (float(grid0[k0]), float(grid1[k1]))
 
     a, b = arg
     for _ in range(40):
         prev = best
         a = _golden_min(lambda x: rate_or_inf(x, b), lo0, up0)
         b = _golden_min(lambda y: rate_or_inf(a, y), lo1, up1)
-        candidate = rate_at(a, b)
-        if candidate is None or candidate > best:
-            a, b = arg
+        candidate = rate_or_inf(a, b)
+        if candidate > best:
             break
         best, arg = candidate, (a, b)
         if prev - best < 1e-12:
             break
 
     a, b = arg
-    out = _singles_rate(a, b, q, eta, ec)
-    rate, lam_q = out
-    t = a + b / eta
-    p_pass = a + b
-    delta = (
-        (2.0 * p_pass - t * (1.0 + eta)) / (t * (1.0 - eta)) if eta < 1.0 else 0.0
-    )
     atol0 = 1e-7 * max(up0 - lo0, 1e-300)
     atol1 = 1e-7 * max(up1 - lo1, 1e-300)
-    return KeyRateResult(
-        rate=rate,
-        feasible=True,
-        delta=delta,
-        lam=lam_q,
-        method="decoy",
-        argmin=(a, b),
+    return replace(
+        _box_result(a, b, q, eta, ec, "decoy"),
         at_lower_corner=bool(abs(a - lo0) <= atol0 and abs(b - lo1) <= atol1),
     )
 
@@ -393,26 +413,6 @@ def theoretical_limit(
     w1 = poisson_pmf(1, cfg.mu)
     q1 = [simulate_yield(model, 1, "z", beta) * w1 for beta in (0, 1)]
     e1 = [simulate_error(model, 1, "x", beta) for beta in (0, 1)]
-    gamma2_actual = eta * e1[0] * q1[0] + e1[1] * q1[1]
-    q_actual = gamma2_actual / eta
-    obs = simulate_observations(model, cfg)
-    ec = _ec_term(obs, f_ec)
-    out = _singles_rate(q1[0], q1[1], q_actual, eta, ec)
-    if out is None:
-        return KeyRateResult(
-            rate=None, feasible=False, delta=None, lam=None, method="theoretical_limit"
-        )
-    rate, lam_q = out
-    t = q1[0] + q1[1] / eta
-    p_pass = q1[0] + q1[1]
-    delta = (
-        (2.0 * p_pass - t * (1.0 + eta)) / (t * (1.0 - eta)) if eta < 1.0 else 0.0
-    )
-    return KeyRateResult(
-        rate=rate,
-        feasible=True,
-        delta=delta,
-        lam=lam_q,
-        method="theoretical_limit",
-        argmin=(q1[0], q1[1]),
-    )
+    q_actual = (eta * e1[0] * q1[0] + e1[1] * q1[1]) / eta
+    ec = _ec_term(simulate_observations(model, cfg), f_ec)
+    return _box_result(q1[0], q1[1], q_actual, eta, ec, "theoretical_limit")

@@ -10,20 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoKeyError
+from .errors import ConfigError, NoKeyError
 from .linalg import binary_entropy
-
-# Valid method tags for KeyRateResult.
-METHODS = (
-    "general",
-    "balanced",
-    "discard_optimized",
-    "fung1",
-    "fung2",
-    "ideal",
-    "decoy",
-    "theoretical_limit",
-)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -66,6 +54,16 @@ def _check_ranges(q_z: float, q_x: float, eta: float, t: float, p_pass: float):
         raise ValueError(f"t = {t} outside (0, 1]")
     if not 0.0 < p_pass <= 1.0:
         raise ValueError(f"p_pass = {p_pass} outside (0, 1]")
+
+
+def _require_f_ec(f_ec: float) -> None:
+    """Reject an error-correction inefficiency that is nan, infinite or negative.
+
+    Raises:
+        ConfigError: unless 0 <= f_ec < inf.
+    """
+    if not 0.0 <= f_ec < math.inf:
+        raise ConfigError(f"f_ec = {f_ec} must be finite and non-negative")
 
 
 def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
@@ -126,9 +124,11 @@ def keyrate_general(
 
     Returns an infeasible result (rate None) when no PSD state matches the
     observations. Raises ValueError if t*(1+delta)/(2*p_pass) falls outside
-    [0, 1] beyond rounding, which signals inconsistent observations.
+    [0, 1] beyond rounding, which signals inconsistent observations, and
+    ConfigError unless f_ec is finite and non-negative.
     """
     _check_ranges(q_z, q_x, eta, t, p_pass)
+    _require_f_ec(f_ec)
     delta = detection_imbalance(p_pass, t, eta)
     if not feasible(q_x, delta):
         return KeyRateResult(

@@ -60,17 +60,34 @@ def psd_project(H: np.ndarray) -> np.ndarray:
     return (P + P.conj().T) / 2
 
 
-def binary_entropy(p: float) -> float:
+def binary_entropy(p):
     """Binary entropy h(p) in bits, with h(0) = h(1) = 0.
 
+    A numpy array gives an array of the same shape, entry by entry equal to
+    the scalar result; any other input gives a float.
+
     Raises:
-        ValueError: if p lies outside [0, 1].
+        ValueError: if p (or any entry of it) lies outside [0, 1] or is nan.
     """
+    # Testing for a plain float first keeps the common scalar call as fast
+    # as it was before arrays were accepted.
+    if type(p) is not float and isinstance(p, np.ndarray):
+        return _binary_entropy_array(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary_entropy argument {p} outside [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
+    p = p.astype(float, copy=False)
+    inside = (p >= 0.0) & (p <= 1.0)
+    if not inside.all():
+        raise ValueError(f"binary_entropy argument {p[~inside].flat[0]} outside [0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
 
 
 def _validate_psd(H: np.ndarray, name: str) -> np.ndarray:

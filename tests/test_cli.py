@@ -1,4 +1,7 @@
 import math
+from pathlib import Path
+
+import pytest
 
 from bb84_mismatch import keyrate_balanced, mismatch_penalty_ratio
 from bb84_mismatch.cli import main
@@ -217,3 +220,51 @@ def test_malformed_config_exits_one(capsys, tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("qz 0.05\n")
     assert run(capsys, "rate", "--config", str(config))[0] == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("decoy_sim_0_120_25.csv", ["decoy-sim", "--l-min", "0", "--l-max", "120", "--l-steps", "25"]),
+        (
+            "sweep_distance_decoy_limit.csv",
+            ["sweep", "--variable", "distance_km", "--start", "0", "--stop", "120", "--steps", "13",
+             "--methods", "decoy,theoretical_limit"],
+        ),
+    ],
+)
+def test_decoy_outputs_match_golden_bytes(capsys, name, argv):
+    # Captured from the scalar-loop implementation of the decoy path; the
+    # array implementation must print the same bytes.
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("f_ec", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--qz", "0.05", "--qx", "0.05"],
+        ["rate", "--qz", "0.05", "--qx", "0.05", "--p-pass", "0.9"],
+        ["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1", "--steps", "3", "--qz", "0.05",
+         "--qx", "0.05", "--methods", "balanced,discard_optimized"],
+        ["sweep", "--variable", "distance_km", "--start", "0", "--stop", "50", "--steps", "2",
+         "--methods", "decoy"],
+        ["decoy-sim", "--l-steps", "2"],
+    ],
+)
+def test_bad_f_ec_exits_one(capsys, argv, f_ec):
+    code, out, err = run(capsys, *argv, f"--f-ec={f_ec}")
+    assert code == 1
+    assert out == ""
+    assert "f_ec" in err
+
+
+def test_zero_f_ec_accepted(capsys):
+    code, out, _ = run(capsys, "rate", "--qz", "0.05", "--qx", "0.05", "--f-ec", "0")
+    assert code == 0
+    assert float(parse_report(out)["K"]) > keyrate_balanced(0.05, 0.05, 1.0).rate

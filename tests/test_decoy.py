@@ -333,3 +333,81 @@ def test_gain_decomposition_reconstructs_observations():
 
 def test_transmittance():
     assert math.isclose(transmittance(benchmark_model(50.0)), 10 ** (-1.5), rel_tol=1e-12)
+
+
+def test_simulate_observations_truncation_error():
+    with pytest.raises(TruncationError):
+        simulate_observations(benchmark_model(20.0), DecoyConfig(mu=8.0, nu1=0.1, nu2=0.0, i_max=10))
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [(f, v) for f in ("mu", "nu1", "nu2", "i_max") for v in (math.nan, math.inf, -math.inf)] + [("i_max", 12.5)],
+)
+def test_config_rejects_bad_values(field, bad):
+    kwargs = {"mu": 0.5, "nu1": 0.1, "nu2": 0.0, field: bad}
+    with pytest.raises(ConfigError):
+        DecoyConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field,bad",
+    [
+        (f, v)
+        for f in ("alpha_db_per_km", "length_km", "bob_loss_db")
+        for v in (math.nan, math.inf, -1.0)
+    ]
+    + [(f, v) for f in ("eta0", "eta1") for v in (math.nan, 0.0, -0.1, 1.1)]
+    + [(f, v) for f in ("e_det", "dark") for v in (math.nan, -0.1, 1.1)],
+)
+def test_channel_model_rejects_bad_parameters(field, bad):
+    kwargs = dict(
+        alpha_db_per_km=0.2, length_km=20.0, bob_loss_db=5.0, e_det=0.01, eta0=0.1, eta1=0.07, dark=(1e-6, 1e-6)
+    )
+    kwargs[field] = (bad, 1e-6) if field == "dark" else bad
+    with pytest.raises(ValueError):
+        ChannelModel(**kwargs)
+
+
+@pytest.mark.parametrize("f_ec", [math.nan, math.inf, -1.0])
+def test_decoy_rates_reject_bad_f_ec(f_ec):
+    model = benchmark_model(20.0)
+    obs = simulate_observations(model, BENCHMARK_CFG)
+    with pytest.raises(ConfigError):
+        decoy_keyrate(obs, BENCHMARK_CFG, model.eta, f_ec=f_ec)
+    with pytest.raises(ConfigError):
+        theoretical_limit(model, BENCHMARK_CFG, f_ec=f_ec)
+
+
+def test_singles_rate_array_matches_scalar_loop():
+    # The grid scan evaluates the box as one array; each entry must agree with
+    # a point-by-point evaluation, nan exactly where that one is infeasible.
+    from bb84_mismatch.decoy import _ec_term, _singles_rate
+
+    model = benchmark_model(60.0)
+    obs = simulate_observations(model, BENCHMARK_CFG)
+    eta = model.eta
+    q = gamma2_upper(obs, BENCHMARK_CFG, eta) / eta
+    ec = _ec_term(obs, 1.0)
+    up0 = bound_Q1(obs, BENCHMARK_CFG, 0)[1]
+    up1 = bound_Q1(obs, BENCHMARK_CFG, 1)[1]
+    # From zero gains (infeasible) past the box, so both kinds of point occur.
+    grid0 = np.linspace(0.0, up0, 40)
+    grid1 = np.linspace(0.0, up1, 40)
+    rates, lams = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)
+    assert rates.shape == lams.shape == (40, 40)
+    best, loop_argmin = math.inf, None
+    for i, a in enumerate(grid0):
+        for j, b in enumerate(grid1):
+            rate, lam = _singles_rate(float(a), float(b), q, eta, ec)
+            if np.isnan(rate):
+                assert np.isnan(rates[i, j]) and np.isnan(lams[i, j]) and np.isnan(lam)
+                continue
+            assert math.isclose(rates[i, j], rate, rel_tol=1e-12, abs_tol=1e-18)
+            assert math.isclose(lams[i, j], lam, rel_tol=1e-12, abs_tol=1e-18)
+            if rate < best:
+                best, loop_argmin = rate, (i, j)
+    assert np.isnan(rates).any() and not np.isnan(rates).all()
+    # decoy_keyrate's argmin rule: the first minimum in row-major order.
+    assert np.unravel_index(np.nanargmin(rates), rates.shape) == loop_argmin
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bb84_mismatch import (
+    ConfigError,
     NoKeyError,
     binary_entropy,
     detection_imbalance,
@@ -250,3 +251,16 @@ def test_negative_rates_returned_unclamped():
     res = keyrate_balanced(0.3, 0.3, 0.5)
     assert res.rate < 0.0
     assert res.operational_rate == 0.0
+
+
+@pytest.mark.parametrize("f_ec", [math.nan, math.inf, -1.0, -1e-300])
+def test_general_rate_rejects_bad_f_ec(f_ec):
+    with pytest.raises(ConfigError):
+        keyrate_general(0.05, 0.05, 0.7, 1.0, 0.85, f_ec=f_ec)
+    with pytest.raises(ConfigError):
+        keyrate_balanced(0.05, 0.05, 0.7, f_ec=f_ec)
+
+
+def test_general_rate_accepts_zero_f_ec():
+    res = keyrate_general(0.05, 0.05, 0.7, 1.0, 0.85, f_ec=0.0)
+    assert res.feasible and res.rate > keyrate_general(0.05, 0.05, 0.7, 1.0, 0.85).rate

@@ -158,3 +158,22 @@ def test_binary_entropy_domain():
 def test_binary_entropy_symmetry():
     for p in np.linspace(0.0, 1.0, 1001):
         assert abs(binary_entropy(p) - binary_entropy(1.0 - p)) <= 1e-14
+
+
+def test_binary_entropy_array_matches_scalar_path():
+    rng = np.random.default_rng(7)
+    p = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 1e-16], rng.random(2000), 10.0 ** rng.uniform(-300, 0, 500)])
+    h = binary_entropy(p.reshape(5, -1))
+    assert isinstance(h, np.ndarray) and h.shape == (5, p.size // 5)
+    scalar = np.array([binary_entropy(float(x)) for x in p])
+    assert np.array_equal(h.ravel(), scalar)
+    assert h.ravel()[0] == 0.0 and h.ravel()[1] == 0.0
+    assert isinstance(binary_entropy(0.25), float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1, -math.inf, math.inf])
+def test_binary_entropy_array_rejects_bad_entries(bad):
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.2, bad, 0.5]))
+    with pytest.raises(ValueError):
+        binary_entropy(np.array(bad))
