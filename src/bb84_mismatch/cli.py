@@ -18,11 +18,9 @@ from . import __version__
 from .decoy import ChannelModel, DecoyConfig, decoy_keyrate, simulate_observations, theoretical_limit
 from .errors import ConfigError, FeasibilityError, NoKeyError
 from .keyrates import (
+    _method_rate,
     _require_f_ec,
     keyrate_balanced,
-    keyrate_discard_optimized,
-    keyrate_fung1,
-    keyrate_fung2,
     keyrate_general,
     mismatch_penalty_ratio,
 )
@@ -216,6 +214,7 @@ def _effective_eta(args) -> tuple[float, float]:
     if eta0 is not None and eta1 is not None:
         if eta is not None:
             raise UsageError("give either --eta or the pair --eta0/--eta1, not both")
+        _require_ranges(eta0=eta0, eta1=eta1)
         scale = max(eta0, eta1)
         return min(eta0, eta1) / scale, scale
     if (eta0 is None) != (eta1 is None):
@@ -307,21 +306,13 @@ def _sweep_value(method: str, x: float, spec: SweepSpec) -> float | None:
     t = p["t"]
     f_ec = p["f_ec"]
     try:
-        if method == "balanced":
-            return keyrate_balanced(q_z, q_x, eta, t, f_ec=f_ec).rate
-        if method == "discard_optimized":
-            return keyrate_discard_optimized(q_z, q_x, eta, t, f_ec=f_ec).rate
-        if method == "fung1":
-            return keyrate_fung1(q_z, q_x, eta, t * (1.0 + eta) / 2.0).rate
-        if method == "fung2":
-            return keyrate_fung2(q_z, q_x, eta, t * (1.0 + eta) / 2.0).rate
         if method == "general":
             return keyrate_general(q_z, q_x, eta, t, p["p_pass"], f_ec=f_ec).rate
         if method == "penalty_ratio":
             return mismatch_penalty_ratio(q_x, eta)
+        return _method_rate(method, q_z, q_x, eta, t, f_ec).rate
     except (NoKeyError, FeasibilityError, ValueError):
         return None
-    raise ConfigError(f"unhandled method {method!r}")
 
 
 def _channel_from_args(args, length_km: float) -> tuple[ChannelModel, DecoyConfig]:
@@ -360,6 +351,7 @@ def cmd_sweep(args) -> int:
         "f_ec": _resolve_f_ec(args),
     }
     p_pass = _resolve(args, "p-pass", None)
+    _require_ranges(qz=fixed["q_z"], qx=fixed["q_x"], eta=eta, t=fixed["t"], p_pass=p_pass)
     if p_pass is not None:
         fixed["p_pass"] = p_pass
     spec = SweepSpec(

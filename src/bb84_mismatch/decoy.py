@@ -16,13 +16,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .keyrates import KeyRateResult, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _golden_min, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
 BASES = ("z", "x")
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -306,22 +304,6 @@ def _where(ok, x, fill):
     """``np.where(ok, x, fill)``; a scalar ``ok`` (the refine's single points)
     picks without it, as ``np.where`` costs more than the formula itself."""
     return np.where(ok, x, fill) if isinstance(ok, np.ndarray) else (x if ok else fill)
-
-
-def _golden_min(fn, a: float, b: float, tol: float = 1e-10) -> float:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-    return (a + b) / 2.0
 
 
 def _ec_term(obs: DecoyObservations, f_ec: float) -> float:

@@ -8,7 +8,7 @@ inefficiency factor ``f_ec`` (default 1, the Shannon limit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, NoKeyError
 from .linalg import binary_entropy
@@ -74,7 +74,8 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
     consistent observation is p_pass = t, for which 0 is returned.
 
     Raises:
-        ValueError: if eta = 1 but p_pass differs from t beyond 1e-12.
+        ValueError: if eta = 1 but p_pass differs from t beyond 1e-12, or
+            t*(1-eta) underflows to 0.
     """
     if eta == 1.0:
         if abs(p_pass - t) <= 1e-12:
@@ -82,7 +83,10 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
         raise ValueError(
             f"eta = 1 requires p_pass = t, got p_pass = {p_pass}, t = {t}"
         )
-    return (2.0 * p_pass - t * (1.0 + eta)) / (t * (1.0 - eta))
+    try:
+        return (2.0 * p_pass - t * (1.0 + eta)) / (t * (1.0 - eta))
+    except ZeroDivisionError:
+        raise ValueError(f"t*(1-eta) underflows to 0 at t = {t}, eta = {eta}") from None
 
 
 def feasible(q_x: float, delta: float) -> bool:
@@ -156,16 +160,10 @@ def keyrate_balanced(
     p_pass * [h(1/(1+eta)) - h(lambda(q_x, eta)) - f_ec*h(q_z)].
     """
     p_pass = t * (1.0 + eta) / 2.0
-    # The balanced premise is asserted, not assumed.
-    assert abs(detection_imbalance(p_pass, t, eta)) < 1e-12
-    res = keyrate_general(q_z, q_x, eta, t, p_pass, f_ec=f_ec)
-    return KeyRateResult(
-        rate=res.rate,
-        feasible=res.feasible,
-        delta=res.delta,
-        lam=res.lam,
-        method="balanced",
-    )
+    # The balanced premise is checked, not assumed; nan and rounding at tiny t fail it.
+    if not abs(detection_imbalance(p_pass, t, eta)) < 1e-12:
+        raise ValueError(f"no balanced pass rate at t = {t}, eta = {eta}")
+    return replace(keyrate_general(q_z, q_x, eta, t, p_pass, f_ec=f_ec), method="balanced")
 
 
 def _discarded_rate(
@@ -182,7 +180,13 @@ def _discarded_rate(
     m0, m1 = eta1 * t * q_x / 2.0, eta * t * q_x / 2.0
     t_eff = r0 + r1 / eta2
     p_eff = r0 + r1
-    q_x_eff = (m1 + eta2 * m0) / (t_eff * eta2)
+    try:
+        q_x_eff = (m1 + eta2 * m0) / (t_eff * eta2)
+    except ZeroDivisionError:
+        raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}") from None
+    # q_x_eff equals q_x up to rounding, which can lift it above 1 at q_x = 1.
+    if q_x_eff > 1.0:
+        q_x_eff = 1.0
     return keyrate_general(q_z, q_x_eff, eta2, t_eff, p_eff, f_ec=f_ec)
 
 
@@ -199,51 +203,42 @@ def keyrate_discard_optimized(
     _check_ranges(q_z, q_x, eta, t, t * (1.0 + eta) / 2.0)
     if eta == 1.0:
         base = keyrate_balanced(q_z, q_x, eta, t, f_ec=f_ec)
-        return KeyRateResult(
-            rate=base.rate,
-            feasible=base.feasible,
-            delta=base.delta,
-            lam=base.lam,
-            method="discard_optimized",
-            optimizer_args=(1.0, 1.0),
-        )
+        return replace(base, method="discard_optimized", optimizer_args=(1.0, 1.0))
 
-    def value(eta1: float) -> float:
+    def loss(eta1: float) -> float:
         res = _discarded_rate(q_z, q_x, eta, t, eta1, f_ec)
-        return res.rate if res.feasible else -math.inf
+        return -res.rate if res.feasible else math.inf
 
     lo, hi = eta, 1.0
     grid = [lo + (hi - lo) * k / 63.0 for k in range(64)]
-    vals = [value(x) for x in grid]
-    ibest = max(range(64), key=lambda k: vals[k])
-    a = grid[max(ibest - 1, 0)]
-    b = grid[min(ibest + 1, 63)]
+    losses = [loss(x) for x in grid]
+    ibest = min(range(64), key=losses.__getitem__)
+    eta1_best = _golden_min(loss, grid[max(ibest - 1, 0)], grid[min(ibest + 1, 63)])
+    # min keeps the first of equal losses, so ties go to the earlier candidate.
+    eta1_star = min([eta1_best, grid[ibest], eta, 1.0], key=loss)
+    best = _discarded_rate(q_z, q_x, eta, t, eta1_star, f_ec)
+    return replace(best, method="discard_optimized", optimizer_args=(eta1_star, eta / eta1_star))
 
-    # Golden-section maximization on [a, b] to absolute tolerance 1e-10.
+
+def _golden_min(fn, a: float, b: float) -> float:
+    """Golden-section minimizer of ``fn`` on [a, b], to absolute tolerance 1e-10.
+
+    Returns the midpoint of the final bracket. Ties move the bracket's upper
+    end down, so of two equal values the lower point is kept.
+    """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = value(x1), value(x2)
+    f1, f2 = fn(x1), fn(x2)
     while b - a > 1e-10:
-        if f1 < f2:
+        if f1 > f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = value(x2)
+            f2 = fn(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = value(x1)
-    eta1_best = (a + b) / 2.0
-    candidates = [eta1_best, grid[ibest], eta, 1.0]
-    eta1_star = max(candidates, key=value)
-    best = _discarded_rate(q_z, q_x, eta, t, eta1_star, f_ec)
-    return KeyRateResult(
-        rate=best.rate,
-        feasible=best.feasible,
-        delta=best.delta,
-        lam=best.lam,
-        method="discard_optimized",
-        optimizer_args=(eta1_star, eta / eta1_star),
-    )
+            f1 = fn(x1)
+    return (a + b) / 2.0
 
 
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
@@ -285,26 +280,27 @@ def keyrate_two_detectors(
     if not 0.0 < eta0 <= 1.0 or not 0.0 < eta1 <= 1.0:
         raise ValueError("detector efficiencies must lie in (0, 1]")
     scale = max(eta0, eta1)
-    eta = min(eta0, eta1) / scale
+    base = _method_rate(method, q_z, q_x, min(eta0, eta1) / scale, t, f_ec)
+    return replace(base, rate=scale * base.rate if base.rate is not None else None)
+
+
+def _method_rate(
+    method: str, q_z: float, q_x: float, eta: float, t: float, f_ec: float
+) -> KeyRateResult:
+    """The rate of a named method at mismatch eta and transparency t.
+
+    The Fung et al. rates take no f_ec and are evaluated at the balanced
+    pass rate t*(1+eta)/2.
+    """
     if method == "balanced":
-        base = keyrate_balanced(q_z, q_x, eta, t, f_ec=f_ec)
-    elif method == "discard_optimized":
-        base = keyrate_discard_optimized(q_z, q_x, eta, t, f_ec=f_ec)
-    elif method == "fung1":
-        base = keyrate_fung1(q_z, q_x, eta, t * (1.0 + eta) / 2.0)
-    elif method == "fung2":
-        base = keyrate_fung2(q_z, q_x, eta, t * (1.0 + eta) / 2.0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    rate = scale * base.rate if base.rate is not None else None
-    return KeyRateResult(
-        rate=rate,
-        feasible=base.feasible,
-        delta=base.delta,
-        lam=base.lam,
-        method=base.method,
-        optimizer_args=base.optimizer_args,
-    )
+        return keyrate_balanced(q_z, q_x, eta, t, f_ec=f_ec)
+    if method == "discard_optimized":
+        return keyrate_discard_optimized(q_z, q_x, eta, t, f_ec=f_ec)
+    if method == "fung1":
+        return keyrate_fung1(q_z, q_x, eta, t * (1.0 + eta) / 2.0)
+    if method == "fung2":
+        return keyrate_fung2(q_z, q_x, eta, t * (1.0 + eta) / 2.0)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def mismatch_penalty_ratio(q: float, eta: float) -> float:

@@ -102,7 +102,9 @@ def relative_entropy(sigma: np.ndarray, tau: np.ndarray) -> float:
     """Quantum relative entropy Tr sigma log sigma - Tr sigma log tau, in bits.
 
     Both arguments must be PSD and sigma's support must lie inside tau's;
-    kernel eigenvalues follow the 0*log(0) = 0 rule.
+    kernel eigenvalues follow the 0*log(0) = 0 rule. Validates its inputs,
+    then evaluates the unvalidated kernel ``_relative_entropy``, which the
+    verifier's objective shares.
 
     Raises:
         SupportError: if sigma carries weight >= 1e-8 outside tau's support
@@ -112,7 +114,11 @@ def relative_entropy(sigma: np.ndarray, tau: np.ndarray) -> float:
     tau = _validate_psd(tau, "tau")
     if sigma.shape != tau.shape:
         raise ValueError("sigma and tau must share dimensions")
+    return _relative_entropy(sigma, tau)
 
+
+def _relative_entropy(sigma: np.ndarray, tau: np.ndarray) -> float:
+    """``relative_entropy`` on trusted complex Hermitian PSD input of equal shape."""
     ws = np.linalg.eigvalsh(sigma)
     cut_s = SUPPORT_CUTOFF * max(float(ws[-1]), 1e-300)
     pos = ws[ws > cut_s]

@@ -62,30 +62,6 @@ class MismatchScenario:
 
 
 @dataclass(frozen=True)
-class ObservedRates:
-    """Channel statistics entering the constraint equations.
-
-    t: transparency (trace of the photon block), q_x: x-basis error
-    statistic, q_z: key-basis QBER, p_pass: sifting pass probability.
-    """
-
-    t: float
-    q_x: float
-    q_z: float
-    p_pass: float
-
-    def __post_init__(self):
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"t = {self.t} outside (0, 1]")
-        if not 0.0 < self.p_pass <= 1.0:
-            raise ValueError(f"p_pass = {self.p_pass} outside (0, 1]")
-        for name in ("q_x", "q_z"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-
-
-@dataclass(frozen=True)
 class GammaSet:
     """The three 4x4 constraint operators on the photon block.
 
@@ -142,13 +118,6 @@ def build_gamma_set(eta: float) -> GammaSet:
     return GammaSet(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3)
 
 
-def constraint_values(obs: ObservedRates, eta: float) -> tuple[float, float, float]:
-    """Right-hand sides (t*eta, t*eta*q_x, p_pass) of the three constraints."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
-    return (obs.t * eta, obs.t * eta * obs.q_x, obs.p_pass)
-
-
 def photon_block(rho: np.ndarray) -> np.ndarray:
     """The 4x4 single-photon block of a 6x6 state (identity on 4x4 input)."""
     rho = np.asarray(rho, dtype=complex)
@@ -186,10 +155,14 @@ def depolarizing_state(q: float, t: float) -> np.ndarray:
         raise ValueError(f"q = {q} outside [0, 1/2]")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"t = {t} outside (0, 1]")
+    return _embed(t * _depolarized_bell(q), t)
+
+
+def _depolarized_bell(q: float) -> np.ndarray:
+    """The Bell state (|00> + |11>)/sqrt(2) through a depolarizing channel of QBER q."""
     bell = np.zeros((4, 4))
     bell[np.ix_([0, 3], [0, 3])] = 0.5
-    block = (1.0 - 2.0 * q) * bell + 2.0 * q * np.eye(4) / 4.0
-    return _embed(t * block, t)
+    return (1.0 - 2.0 * q) * bell + 2.0 * q * np.eye(4) / 4.0
 
 
 def attack_block(q_z: float, q_x: float, delta: float, t: float = 1.0) -> np.ndarray:

@@ -6,6 +6,10 @@ projected-gradient method, so the closed-form rate can be checked against an
 independent optimizer. Also hosts the spectral, stationarity and
 error-correction consistency checks.
 
+The objective and the minimizer share one relative-entropy kernel,
+``linalg._relative_entropy``, and one gradient, ``_gradient_block``; the
+public ``objective`` and ``gradient`` validate their input and then call them.
+
 The objective only depends on the 4x4 photon block (vacuum components drop
 out of the post-selection map), so the minimizer works on that block; 6x6
 inputs are accepted everywhere and reduced.
@@ -21,25 +25,16 @@ from .errors import FeasibilityError
 from .keyrates import detection_imbalance, effective_phase_error
 from .keyrates import feasible as _feasible
 from .linalg import (
-    SUPPORT_CUTOFF,
+    _relative_entropy,
     binary_entropy,
     psd_project,
     relative_entropy,
     require_hermitian,
     support_log2,
 )
-from .protocol import ALICE_BITS, BOB_BITS, GammaSet, photon_block
+from .protocol import ALICE_BITS, BOB_BITS, GammaSet, _depolarized_bell, photon_block
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
-
-
-@dataclass(frozen=True)
-class ObjectiveEvaluation:
-    """Objective value in bits, its gradient, and the support dimension of G(rho)."""
-
-    value: float
-    gradient: np.ndarray
-    support_dim: int
 
 
 @dataclass(frozen=True)
@@ -75,17 +70,6 @@ def channel_G(rho: np.ndarray, eta: float) -> np.ndarray:
     return _weights(eta) * block
 
 
-def channel_G_adjoint(C: np.ndarray, eta: float, dim: int = 4) -> np.ndarray:
-    """Dual of the post-selection map: same entrywise weights, zero vacuum part."""
-    C = np.asarray(C, dtype=complex)
-    weighted = _weights(eta) * C
-    if dim == 4:
-        return weighted
-    out = np.zeros((dim, dim), dtype=complex)
-    out[:4, :4] = weighted
-    return out
-
-
 def pinch_Z(M: np.ndarray) -> np.ndarray:
     """Dephase the key register: zero every entry whose Alice indices differ."""
     M = np.asarray(M, dtype=complex)
@@ -108,20 +92,12 @@ def objective(rho: np.ndarray, eta: float) -> float:
 def _objective_block(block: np.ndarray, eta: float) -> float:
     """Objective on a trusted photon block, skipping input validation."""
     g = _weights(eta) * block
-    ws = np.linalg.eigvalsh(g)
-    cut = SUPPORT_CUTOFF * max(float(ws[-1]), 1e-300)
-    pos = ws[ws > cut]
-    term1 = float(np.sum(pos * np.log2(pos)))
-    zg = pinch_Z(g)
-    wt, Vt = np.linalg.eigh(zg)
-    cut_t = SUPPORT_CUTOFF * max(float(wt[-1]), 1e-300)
-    s_in_t = np.real(np.einsum("ji,jk,ki->i", Vt.conj(), g, Vt))
-    on = wt > cut_t
-    term2 = float(np.sum(s_in_t[on] * np.log2(wt[on])))
-    return max(term1 - term2, 0.0)
+    return max(_relative_entropy(g, pinch_Z(g)), 0.0)
 
 
 def _gradient_block(block: np.ndarray, eta: float) -> np.ndarray:
+    """Gradient on a trusted photon block: the post-selection weights applied
+    to log G(rho) - log Z(G(rho)), each log taken on its support."""
     g = _weights(eta) * block
     L = support_log2(g) - support_log2(pinch_Z(g))
     return _weights(eta) * L
@@ -136,23 +112,9 @@ def gradient(rho: np.ndarray, eta: float) -> np.ndarray:
     the same dimension as rho, with vanishing vacuum components.
     """
     rho = require_hermitian(rho)
-    g = channel_G(rho, eta)
-    L = support_log2(g) - support_log2(pinch_Z(g))
-    return channel_G_adjoint(L, eta, dim=rho.shape[0])
-
-
-def evaluate(rho: np.ndarray, eta: float) -> ObjectiveEvaluation:
-    """Objective value and gradient together, plus the support dimension of G(rho)."""
-    rho = require_hermitian(rho)
-    block = photon_block(rho)
-    g = _weights(eta) * block
-    ws = np.linalg.eigvalsh(g)
-    support = int(np.sum(ws > SUPPORT_CUTOFF * max(float(ws[-1]), 1e-300)))
-    return ObjectiveEvaluation(
-        value=_objective_block(block, eta),
-        gradient=gradient(rho, eta),
-        support_dim=support,
-    )
+    out = np.zeros(rho.shape, dtype=complex)
+    out[:4, :4] = _gradient_block(photon_block(rho), eta)
+    return out
 
 
 def tangent_directions() -> list[np.ndarray]:
@@ -261,6 +223,11 @@ def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
     return joint - marg
 
 
+def _gram(ops: list[np.ndarray]) -> np.ndarray:
+    """Real Gram matrix Re Tr(a b) of a list of Hermitian operators."""
+    return np.array([[float(np.real(np.trace(a @ b))) for b in ops] for a in ops])
+
+
 def _face_kkt_residual(
     x: np.ndarray, eta: float, gammas: GammaSet, cutoff: float = 1e-7
 ) -> float:
@@ -279,10 +246,7 @@ def _face_kkt_residual(
     grad4 = _gradient_block(x, eta)
     Mg = U.conj().T @ grad4 @ U
     Cs = [U.conj().T @ G @ U for G in gammas.as_list()]
-    gram = np.array(
-        [[float(np.real(np.trace(a @ b))) for b in Cs] for a in Cs]
-    )
-    coef = np.linalg.pinv(gram, rcond=1e-12) @ np.array(
+    coef = np.linalg.pinv(_gram(Cs), rcond=1e-12) @ np.array(
         [float(np.real(np.trace(c @ Mg))) for c in Cs]
     )
     residual = Mg - sum(c * C for c, C in zip(coef, Cs))
@@ -295,14 +259,8 @@ class _ConstraintProjector:
     def __init__(self, gammas: GammaSet, values: np.ndarray):
         self.gammas = gammas.as_list()
         self.values = np.asarray(values, dtype=float)
-        gram = np.array(
-            [
-                [float(np.real(np.trace(a @ b))) for b in self.gammas]
-                for a in self.gammas
-            ]
-        )
         # Pseudoinverse: at eta = 1 the first and third operators coincide.
-        self.gram_pinv = np.linalg.pinv(gram, rcond=1e-12)
+        self.gram_pinv = np.linalg.pinv(_gram(self.gammas), rcond=1e-12)
 
     def residuals(self, X: np.ndarray) -> np.ndarray:
         return (
@@ -341,10 +299,7 @@ def _default_init(gammas: GammaSet, values: np.ndarray, eta: float) -> np.ndarra
     """
     t = float(values[0]) / eta
     q = min(max(float(values[1]) / float(values[0]), 0.0), 0.5) if values[0] > 0 else 0.0
-    bell = np.zeros((4, 4))
-    bell[np.ix_([0, 3], [0, 3])] = 0.5
-    block = (1.0 - 2.0 * q) * bell + 2.0 * q * np.eye(4) / 4.0
-    return t * block.astype(complex)
+    return t * _depolarized_bell(q).astype(complex)
 
 
 def minimize(

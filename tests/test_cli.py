@@ -234,11 +234,33 @@ GOLDEN = Path(__file__).parent / "golden"
             ["sweep", "--variable", "distance_km", "--start", "0", "--stop", "120", "--steps", "13",
              "--methods", "decoy,theoretical_limit"],
         ),
+        ("rate_qz005_eta07.txt", ["rate", "--qz", "0.05", "--qx", "0.05", "--eta", "0.7"]),
+        (
+            "rate_qz002_eta0_01_eta1_007.txt",
+            ["rate", "--qz", "0.02", "--qx", "0.02", "--eta0", "0.1", "--eta1", "0.07"],
+        ),
+        (
+            "sweep_eta_four_methods.csv",
+            ["sweep", "--variable", "eta", "--start", "0.02", "--stop", "1.0", "--steps", "99",
+             "--qz", "0.05", "--qx", "0.05", "--methods", "balanced,discard_optimized,fung1,fung2"],
+        ),
+        (
+            "sweep_eta_penalty_ratio.csv",
+            ["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "51",
+             "--qz", "0.09", "--qx", "0.09", "--methods", "penalty_ratio"],
+        ),
+        (
+            "sweep_q_all_methods.csv",
+            ["sweep", "--variable", "q", "--start", "0", "--stop", "0.2", "--steps", "41", "--eta", "0.6",
+             "--p-pass", "0.8", "--methods", "balanced,discard_optimized,fung1,fung2,general,penalty_ratio"],
+        ),
     ],
 )
 def test_decoy_outputs_match_golden_bytes(capsys, name, argv):
-    # Captured from the scalar-loop implementation of the decoy path; the
-    # array implementation must print the same bytes.
+    # The decoy cases were captured from the scalar-loop implementation of the
+    # decoy path, the rate and eta/q sweep cases from the implementation with
+    # separate dispatchers and golden-section searches in keyrates and cli.
+    # Refactors of either must print the same bytes.
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / name).read_text()
@@ -268,3 +290,35 @@ def test_zero_f_ec_accepted(capsys):
     code, out, _ = run(capsys, "rate", "--qz", "0.05", "--qx", "0.05", "--f-ec", "0")
     assert code == 0
     assert float(parse_report(out)["K"]) > keyrate_balanced(0.05, 0.05, 1.0).rate
+
+
+@pytest.mark.parametrize(
+    "pair,flag",
+    [(("0.5", "nan"), "--eta1"), (("0.5", "1.5"), "--eta1"), (("-0.5", "-1"), "--eta0"), (("0", "0.5"), "--eta0")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--qz", "0.05", "--qx", "0.05"],
+        ["sweep", "--variable", "q", "--start", "0", "--stop", "0.1", "--steps", "2", "--methods", "balanced"],
+    ],
+)
+def test_bad_detector_efficiency_exits_one(capsys, argv, pair, flag):
+    code, out, err = run(capsys, *argv, "--eta0", pair[0], "--eta1", pair[1])
+    assert code == 1
+    assert out == ""
+    assert f"{flag} = " in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--qz", "nan"), ("--qx", "-0.1"), ("--eta", "nan"), ("--t", "1.5"), ("--p-pass", "nan")],
+)
+def test_sweep_rejects_out_of_range_fixed_flags(capsys, flag, value):
+    code, out, err = run(
+        capsys, "sweep", "--variable", "eta", "--start", "0.5", "--stop", "1", "--steps", "2",
+        "--qz", "0.05", "--qx", "0.05", "--methods", "balanced", flag, value,
+    )
+    assert code == 1
+    assert out == ""
+    assert f"{flag} = {value}" in err

@@ -264,3 +264,29 @@ def test_general_rate_rejects_bad_f_ec(f_ec):
 def test_general_rate_accepts_zero_f_ec():
     res = keyrate_general(0.05, 0.05, 0.7, 1.0, 0.85, f_ec=0.0)
     assert res.feasible and res.rate > keyrate_general(0.05, 0.05, 0.7, 1.0, 0.85).rate
+
+
+@pytest.mark.parametrize("q_z,eta,t", [(0.05, 0.5, 1.0), (0.05, 0.3, 0.7)])
+def test_discard_optimized_at_full_x_error(q_z, eta, t):
+    # The remapped x-error rate equals q_x up to rounding, which used to lift
+    # it just above 1 and raise; it is clamped, giving the balanced rate here.
+    res = keyrate_discard_optimized(q_z, 1.0, eta, t)
+    assert res.rate >= keyrate_balanced(q_z, 1.0, eta, t).rate - 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: detection_imbalance(2.5e-324, 5e-324, 0.5),
+        lambda: keyrate_general(0.05, 0.05, 0.5, 5e-324, 0.5),
+        lambda: keyrate_balanced(0.05, 0.05, 0.25, 5e-324),
+        lambda: keyrate_balanced(0.05, 0.05, math.nan),
+        lambda: keyrate_discard_optimized(0.0, 0.0, 5.8e-274, 5.8e-274),
+    ],
+    ids=["imbalance", "general", "balanced_tiny_t", "balanced_nan_eta", "discard_optimized"],
+)
+def test_underflow_and_nan_raise_value_error(call):
+    # Underflowing products and nan raise ValueError, not ZeroDivisionError
+    # or AssertionError.
+    with pytest.raises(ValueError):
+        call()

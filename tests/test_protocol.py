@@ -4,10 +4,8 @@ import pytest
 from bb84_mismatch import (
     FeasibilityError,
     MismatchScenario,
-    ObservedRates,
     build_bob_povm,
     build_gamma_set,
-    constraint_values,
     depolarizing_state,
     gamma_expectations,
     optimal_attack_state,
@@ -70,21 +68,6 @@ def test_gamma2_vanishes_on_error_free_state():
         rho = optimal_attack_state(0.0, 0.0, 0.0, 1.0)
         values = gamma_expectations(rho, gammas)
         assert abs(values[1]) <= 1e-14
-
-
-@pytest.mark.parametrize(
-    "obs,eta,expected",
-    [
-        (ObservedRates(t=1.0, q_x=0.0, q_z=0.0, p_pass=1.0), 1.0, (1.0, 0.0, 1.0)),
-        (
-            ObservedRates(t=1.0, q_x=0.05, q_z=0.0, p_pass=0.75),
-            0.5,
-            (0.5, 0.025, 0.75),
-        ),
-    ],
-)
-def test_constraint_values(obs, eta, expected):
-    assert constraint_values(obs, eta) == pytest.approx(expected, abs=1e-15)
 
 
 def test_constraint_values_match_depolarizing_state():

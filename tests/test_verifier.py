@@ -11,7 +11,6 @@ from bb84_mismatch import (
     depolarizing_state,
     eigenvalues_check,
     error_correction_leak,
-    evaluate,
     gamma_expectations,
     gradient,
     ignorance_term,
@@ -165,13 +164,19 @@ def test_gradient_zero_on_pinching_invariant_directions():
         assert abs(float(np.real(np.trace(grad @ direction)))) <= 1e-10
 
 
-def test_evaluate_bundles_value_and_gradient():
+def test_objective_and_gradient_shapes_on_full_and_photon_states():
     rho = optimal_attack_state(0.05, 0.05, 0.0, 1.0)
-    ev = evaluate(rho, 0.5)
-    assert ev.value >= 0.0
-    assert ev.gradient.shape == (6, 6)
-    assert np.linalg.norm(ev.gradient - ev.gradient.conj().T) <= 1e-10
-    assert ev.support_dim == 4
+    assert objective(rho, 0.5) >= 0.0
+    # G(rho) has full support on the photon block.
+    assert np.linalg.eigvalsh(channel_G(rho, 0.5)).min() > 1e-10
+    grad = gradient(rho, 0.5)
+    assert grad.shape == (6, 6)
+    assert np.linalg.norm(grad - grad.conj().T) <= 1e-10
+    # Vacuum components drop out of the post-selection map.
+    assert not grad[4:, :].any() and not grad[:, 4:].any()
+    grad4 = gradient(photon_block(rho), 0.5)
+    assert grad4.shape == (4, 4)
+    np.testing.assert_array_equal(grad4, grad[:4, :4])
 
 
 def test_minimize_matches_analytic_value():
