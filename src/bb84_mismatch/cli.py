@@ -36,16 +36,18 @@ from .verifier import (
     objective,
 )
 
-SWEEP_METHODS = (
-    "balanced",
-    "discard_optimized",
-    "fung1",
-    "fung2",
-    "general",
-    "penalty_ratio",
-    "decoy",
-    "theoretical_limit",
-)
+# Each sweep method and the fixed parameters it reads; the header lists those.
+SWEEP_METHODS = {
+    "balanced": ("q_z", "q_x", "eta", "t", "f_ec"),
+    "discard_optimized": ("q_z", "q_x", "eta", "t", "f_ec"),
+    "fung1": ("q_z", "q_x", "eta", "t"),
+    "fung2": ("q_z", "q_x", "eta", "t"),
+    "general": ("q_z", "q_x", "eta", "t", "p_pass", "f_ec"),
+    "penalty_ratio": ("q_x", "eta"),
+    "decoy": ("f_ec",),
+    "theoretical_limit": ("f_ec",),
+}
+_SWEPT = {"eta": ("eta",), "q": ("q_z", "q_x"), "distance_km": ()}
 
 _BENCHMARK_DEFAULTS = {
     "mu": 0.5,
@@ -363,10 +365,11 @@ def cmd_sweep(args) -> int:
         methods=methods,
     )
 
+    read = {k for m in methods for k in SWEEP_METHODS[m]} - set(_SWEPT[variable])
     lines = [
         f"# bb84-mismatch {__version__} sweep",
         f"# variable = {variable}; fixed: "
-        + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()) if isinstance(v, float)),
+        + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()) if k in read),
     ]
     header = [variable] + list(methods)
     lines.append(",".join(header))
@@ -384,7 +387,9 @@ def cmd_sweep(args) -> int:
         else:
             for method in methods:
                 value = _sweep_value(method, float(x), spec)
-                row.append(_fmt(None if value is None else scale * value))
+                # A ratio of two rates cancels the common-loss factor.
+                factor = 1.0 if method == "penalty_ratio" else scale
+                row.append(_fmt(None if value is None else factor * value))
         lines.append(",".join(row))
     _emit(args, lines)
     return 0

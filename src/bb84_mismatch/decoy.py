@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .keyrates import KeyRateResult, _golden_min, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _entropy_args, _golden_min, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -279,24 +279,19 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
 
 
 def _singles_rate(q1_0, q1_1, q: float, eta: float, ec_term: float):
-    """Key rate from single-photon gains (q1_0, q1_1) and error parameter q.
+    """Key rate from single-photon gains (q1_0, q1_1) and x-error gain q: the
+    closed form ``keyrates._entropy_args``, elementwise over scalars or arrays.
 
-    Elementwise over scalars or broadcastable arrays of gains. Returns
-    (rate, lambda_of_q), both nan where the point is infeasible: no
+    Returns (rate, lambda_of_q), both nan where the point is infeasible: no
     detections, or a phase-error argument below -1e-15. ``ec_term`` is the
     full error-correction leakage, already multiplied by its gain.
     """
-    p_pass = q1_0 + q1_1
-    t = q1_0 + q1_1 / eta
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam_t, lam_q = (
-            0.5 - np.sqrt((q1_0 - q1_1) ** 2 + eta * (t - 2.0 * x) ** 2) / (2.0 * p_pass)
-            for x in (t / 2.0, q)
-        )
+        p_pass, arg, lam_q = _entropy_args(q1_0, q1_1, q1_0 + q1_1 / eta, q, eta)
     ok = (p_pass > 0.0) & (lam_q >= -1e-15)
     # Infeasible points get entropy arguments of 0, so h() sees no nan.
     lam_q = _where(ok, np.maximum(lam_q, 0.0), 0.0)
-    rate = p_pass * (binary_entropy(_where(ok, lam_t, 0.0)) - binary_entropy(lam_q)) - ec_term
+    rate = p_pass * (binary_entropy(_where(ok, arg, 0.0)) - binary_entropy(lam_q)) - ec_term
     return _where(ok, rate, np.nan), _where(ok, lam_q, np.nan)
 
 

@@ -1,5 +1,12 @@
 """Closed-form secret-key rates for BB84 with detection-efficiency mismatch.
 
+Every tight rate here is one formula in gain coordinates (``_entropy_args``).
+With outcome gains a, b, pass rate p = a + b, transparency t = a + b/eta and
+x-basis error gain x, it is p*[h(a/p) - h(lambda)] - f_ec*p*h(q_z), where
+lambda = 1/2 - sqrt((a-b)^2 + eta*(t-2x)^2) / (2p). ``keyrate_general`` takes
+a = t*(1+delta)/2, b = p - a, x = t*q_x; the discard-optimized rate is the
+same form at gains (eta1*t/2, eta*t/2), x = eta1*t*q_x and mismatch eta/eta1.
+
 Rates are in bits per channel use and may be negative; callers decide
 whether to clamp. The error-correction term h(q_z) can be scaled by an
 inefficiency factor ``f_ec`` (default 1, the Shannon limit).
@@ -9,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, NoKeyError
 from .linalg import binary_entropy
@@ -99,29 +108,34 @@ def feasible(q_x: float, delta: float) -> bool:
     return 2.0 * q_x >= 1.0 - math.sqrt(1.0 - delta**2)
 
 
-def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
-    """The argument of the phase-error entropy term, in [0, 1/2].
+def _entropy_args(a, b, t, x, eta):
+    """(p, a/p, lambda) of the module docstring's formula, unclamped and
+    elementwise; p = 0 gives nan or inf, never ZeroDivisionError. The root is
+    a ``hypot``, so gains far below 1e-154 do not underflow when squared."""
+    p = a + b
+    return p, np.divide(a, p), 0.5 - np.hypot(a - b, np.sqrt(eta) * (t - 2.0 * x)) / (2.0 * p)
 
-    Computes 1/2 - t/(4*p_pass) * sqrt([1-eta+delta*(1+eta)]^2 +
-    4*eta*(1-2q)^2) with delta the detection imbalance of (p_pass, t, eta).
+
+def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float):
+    """(h argument, lambda) at pass rate p_pass and imbalance delta: the kernel at
+    gains a = t*(1+delta)/2, b = p_pass - a and x-error gain t*q_x. lambda is
+    clamped at 0; below -1e-12 it raises ValueError (inconsistent observations).
     """
-    delta = detection_imbalance(p_pass, t, eta)
-    s = math.sqrt((1.0 - eta + delta * (1.0 + eta)) ** 2 + 4.0 * eta * (1.0 - 2.0 * q) ** 2)
-    lam = 0.5 - t * s / (4.0 * p_pass)
+    a = t * (1.0 + delta) / 2.0
+    _, arg, lam = _entropy_args(a, p_pass - a, t, t * q_x, eta)
     if lam < -1e-12:
-        raise ValueError(
-            f"phase-error argument {lam} is negative: observations are inconsistent"
-        )
-    return max(lam, 0.0)
+        raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
+    return float(arg), max(float(lam), 0.0)
+
+
+def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
+    """The phase-error argument lambda of the closed form, in [0, 1/2], at
+    pass rate p_pass and x-basis error rate q."""
+    return _general_args(q, eta, t, p_pass, detection_imbalance(p_pass, t, eta))[1]
 
 
 def keyrate_general(
-    q_z: float,
-    q_x: float,
-    eta: float,
-    t: float,
-    p_pass: float,
-    f_ec: float = 1.0,
+    q_z: float, q_x: float, eta: float, t: float, p_pass: float, f_ec: float = 1.0
 ) -> KeyRateResult:
     """Tight key rate for arbitrary pass rate:
     p_pass * [h(t*(1+delta)/(2*p_pass)) - h(lambda) - f_ec*h(q_z)].
@@ -135,22 +149,13 @@ def keyrate_general(
     _require_f_ec(f_ec)
     delta = detection_imbalance(p_pass, t, eta)
     if not feasible(q_x, delta):
-        return KeyRateResult(
-            rate=None, feasible=False, delta=delta, lam=None, method="general"
-        )
-    arg = t * (1.0 + delta) / (2.0 * p_pass)
+        return KeyRateResult(rate=None, feasible=False, delta=delta, lam=None, method="general")
+    arg, lam = _general_args(q_x, eta, t, p_pass, delta)
     if arg < -1e-12 or arg > 1.0 + 1e-12:
-        raise ValueError(
-            f"entropy argument {arg} outside [0, 1]: observations are inconsistent"
-        )
+        raise ValueError(f"entropy argument {arg} outside [0, 1]: observations are inconsistent")
     arg = min(max(arg, 0.0), 1.0)
-    lam = effective_phase_error(q_x, eta, t, p_pass)
-    rate = p_pass * (
-        binary_entropy(arg) - binary_entropy(lam) - f_ec * binary_entropy(q_z)
-    )
-    return KeyRateResult(
-        rate=rate, feasible=True, delta=delta, lam=lam, method="general"
-    )
+    rate = p_pass * (binary_entropy(arg) - binary_entropy(lam) - f_ec * binary_entropy(q_z))
+    return KeyRateResult(rate=rate, feasible=True, delta=delta, lam=lam, method="general")
 
 
 def keyrate_balanced(
@@ -166,28 +171,18 @@ def keyrate_balanced(
     return replace(keyrate_general(q_z, q_x, eta, t, p_pass, f_ec=f_ec), method="balanced")
 
 
-def _discarded_rate(
-    q_z: float, q_x: float, eta: float, t: float, eta1: float, f_ec: float
-) -> KeyRateResult:
-    """Balanced rate after discarding zero outcomes with probability 1 - eta1.
+def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
+    """Rate and lambda after discarding zero outcomes with probability 1 - eta1.
 
-    Discarding rescales the zero-outcome detection and error rates by eta1,
-    leaving an effective mismatch eta2 = eta/eta1; the observed values are
-    remapped accordingly before re-applying the balanced formula.
+    The closed form at gains (eta1*t/2, eta*t/2), transparency eta1*t, x-error
+    gain eta1*t*q_x and mismatch eta/eta1; it is balanced for every eta1.
+    ``ec`` is f_ec*h(q_z). Elementwise over a scalar or an array ``eta1``.
     """
-    eta2 = eta / eta1
-    r0, r1 = eta1 * t / 2.0, t * eta / 2.0
-    m0, m1 = eta1 * t * q_x / 2.0, eta * t * q_x / 2.0
-    t_eff = r0 + r1 / eta2
-    p_eff = r0 + r1
-    try:
-        q_x_eff = (m1 + eta2 * m0) / (t_eff * eta2)
-    except ZeroDivisionError:
-        raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}") from None
-    # q_x_eff equals q_x up to rounding, which can lift it above 1 at q_x = 1.
-    if q_x_eff > 1.0:
-        q_x_eff = 1.0
-    return keyrate_general(q_z, q_x_eff, eta2, t_eff, p_eff, f_ec=f_ec)
+    t_eff = eta1 * t
+    p, arg, lam = _entropy_args(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
+    # lambda >= 0 holds exactly here; the clamp only absorbs rounding.
+    lam = np.maximum(lam, 0.0)
+    return p * (binary_entropy(arg) - binary_entropy(lam) - ec), lam
 
 
 def keyrate_discard_optimized(
@@ -198,26 +193,31 @@ def keyrate_discard_optimized(
     Searches eta1 in [eta, 1] (probability 1 - eta1 of dropping each zero
     outcome); eta1 = 1 reproduces the plain balanced rate and eta1 = eta
     the pure discarding rate. Golden-section search seeded by a 64-point
-    scan guards against non-unimodality.
+    scan, evaluated as one array, guards against non-unimodality.
+
+    Raises:
+        ValueError: if an input is out of range or t*eta underflows to 0.
+        ConfigError: unless f_ec is finite and non-negative.
     """
     _check_ranges(q_z, q_x, eta, t, t * (1.0 + eta) / 2.0)
-    if eta == 1.0:
-        base = keyrate_balanced(q_z, q_x, eta, t, f_ec=f_ec)
-        return replace(base, method="discard_optimized", optimizer_args=(1.0, 1.0))
+    _require_f_ec(f_ec)
+    if not eta * t / 2.0 > 0.0:
+        raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}")
+    ec = f_ec * binary_entropy(q_z)
 
-    def loss(eta1: float) -> float:
-        res = _discarded_rate(q_z, q_x, eta, t, eta1, f_ec)
-        return -res.rate if res.feasible else math.inf
+    def loss(eta1):
+        return -_discarded_rate(q_x, eta, t, eta1, ec)[0]
 
-    lo, hi = eta, 1.0
-    grid = [lo + (hi - lo) * k / 63.0 for k in range(64)]
-    losses = [loss(x) for x in grid]
-    ibest = min(range(64), key=losses.__getitem__)
-    eta1_best = _golden_min(loss, grid[max(ibest - 1, 0)], grid[min(ibest + 1, 63)])
+    grid = eta + (1.0 - eta) * np.arange(64) / 63.0
+    ibest = int(np.argmin(loss(grid)))
+    eta1_best = _golden_min(loss, float(grid[max(ibest - 1, 0)]), float(grid[min(ibest + 1, 63)]))
     # min keeps the first of equal losses, so ties go to the earlier candidate.
-    eta1_star = min([eta1_best, grid[ibest], eta, 1.0], key=loss)
-    best = _discarded_rate(q_z, q_x, eta, t, eta1_star, f_ec)
-    return replace(best, method="discard_optimized", optimizer_args=(eta1_star, eta / eta1_star))
+    eta1_star = min([eta1_best, float(grid[ibest]), eta, 1.0], key=loss)
+    rate, lam = _discarded_rate(q_x, eta, t, eta1_star, ec)
+    return KeyRateResult(
+        rate=float(rate), feasible=True, delta=0.0, lam=float(lam),
+        method="discard_optimized", optimizer_args=(eta1_star, eta / eta1_star),
+    )
 
 
 def _golden_min(fn, a: float, b: float) -> float:

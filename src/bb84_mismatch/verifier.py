@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError
-from .keyrates import detection_imbalance, effective_phase_error
+from .keyrates import _general_args, detection_imbalance, effective_phase_error
 from .keyrates import feasible as _feasible
 from .linalg import (
     _relative_entropy,
@@ -395,7 +395,5 @@ def ignorance_term(q_x: float, eta: float, t: float, p_pass: float) -> float:
 
     This is the analytic value the minimizer is verified against.
     """
-    delta = detection_imbalance(p_pass, t, eta)
-    lam = effective_phase_error(q_x, eta, t, p_pass)
-    arg = min(max(t * (1.0 + delta) / (2.0 * p_pass), 0.0), 1.0)
-    return p_pass * (binary_entropy(arg) - binary_entropy(lam))
+    arg, lam = _general_args(q_x, eta, t, p_pass, detection_imbalance(p_pass, t, eta))
+    return p_pass * (binary_entropy(min(max(arg, 0.0), 1.0)) - binary_entropy(lam))

@@ -132,6 +132,36 @@ def test_sweep_ratio_mode(capsys):
     assert math.isclose(data[0][1], mismatch_penalty_ratio(0.09, 0.7), rel_tol=1e-10)
 
 
+def test_sweep_ratio_ignores_common_loss(capsys):
+    # A ratio of two rates cancels the common-loss factor max(eta0, eta1), and
+    # an eta sweep overrides the mismatch, so the detector pair changes nothing.
+    argv = ["sweep", "--variable", "eta", "--start", "0.7", "--stop", "1", "--steps", "2",
+            "--qz", "0.09", "--qx", "0.09", "--methods", "penalty_ratio"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and plain.splitlines()[-1] == "1,1"
+    code, paired, _ = run(capsys, *argv, "--eta0", "0.9", "--eta1", "0.5")
+    assert code == 0 and paired == plain
+
+
+@pytest.mark.parametrize(
+    "argv,fixed",
+    [
+        (["--variable", "eta", "--qz", "0.1", "--qx", "0.2", "--methods", "balanced,fung1"],
+         "f_ec=1 q_x=0.2 q_z=0.1 t=1"),
+        (["--variable", "eta", "--qz", "0.1", "--qx", "0.2", "--methods", "fung2"],
+         "q_x=0.2 q_z=0.1 t=1"),
+        (["--variable", "q", "--eta", "0.5", "--methods", "penalty_ratio"], "eta=0.5"),
+        (["--variable", "q", "--eta", "0.5", "--methods", "discard_optimized"],
+         "eta=0.5 f_ec=1 t=1"),
+    ],
+    ids=["eta_balanced_fung1", "eta_fung2", "q_penalty_ratio", "q_discard"],
+)
+def test_sweep_header_lists_only_read_fixed_parameters(capsys, argv, fixed):
+    code, out, _ = run(capsys, "sweep", "--start", "0.1", "--stop", "0.2", "--steps", "2", *argv)
+    assert code == 0
+    assert out.splitlines()[1].split("fixed: ")[1] == fixed
+
+
 def test_sweep_rejects_bad_method_combinations(capsys):
     code, _, err = run(
         capsys, "sweep", "--variable", "eta", "--start", "0.1", "--stop", "1.0",

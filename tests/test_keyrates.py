@@ -268,10 +268,49 @@ def test_general_rate_accepts_zero_f_ec():
 
 @pytest.mark.parametrize("q_z,eta,t", [(0.05, 0.5, 1.0), (0.05, 0.3, 0.7)])
 def test_discard_optimized_at_full_x_error(q_z, eta, t):
-    # The remapped x-error rate equals q_x up to rounding, which used to lift
-    # it just above 1 and raise; it is clamped, giving the balanced rate here.
+    # At q_x = 1 the x-error gain equals the discarded transparency, so lambda
+    # is 0 up to rounding for every eta1. A remapped x-error rate used to round
+    # just above 1 here and raise.
     res = keyrate_discard_optimized(q_z, 1.0, eta, t)
     assert res.rate >= keyrate_balanced(q_z, 1.0, eta, t).rate - 1e-12
+
+
+def _pinned_discard_points():
+    # The point where remapping the inputs overstated the pure-discarding rate
+    # by 7.2e-12, then seeded points whose optimum sits at eta1 = eta.
+    points = [(0.14271318066333735, 0.08378534408647496, 0.8701133810445539, 0.7397536541964851)]
+    rng = np.random.default_rng(2018)
+    for _ in range(300):
+        q_z, q_x = rng.uniform(0.0, 0.2, 2)
+        eta, t = rng.uniform(0.01, 1.0, 2)
+        res = keyrate_discard_optimized(q_z, q_x, eta, t)
+        if abs(res.optimizer_args[0] - eta) <= 1e-8:
+            points.append((q_z, q_x, eta, t))
+    return points
+
+
+def test_discard_optimized_at_pure_discarding_is_a_lower_bound():
+    # At eta1 = eta the discard-optimized rate is the pure-discarding rate,
+    # which fung2 gives exactly; a reported rate must not exceed it.
+    points = _pinned_discard_points()
+    assert len(points) > 50
+    for q_z, q_x, eta, t in points:
+        res = keyrate_discard_optimized(q_z, q_x, eta, t)
+        assert res.rate <= keyrate_fung2(q_z, q_x, eta, t * (1 + eta) / 2).rate + 1e-14
+        assert res.delta == 0
+
+
+@pytest.mark.parametrize("t", [1e-200, 1e-300])
+def test_rates_scale_with_transparency_down_to_tiny_t(t):
+    # Each rate is t times a function of (q_z, q_x, eta, p_pass/t). The gains
+    # scale with t, and squaring gains below about 1e-154 underflows.
+    rates = (
+        lambda s: keyrate_balanced(0.05, 0.05, 0.5, s),
+        lambda s: keyrate_general(0.05, 0.05, 0.5, s, 0.8 * s),
+        lambda s: keyrate_discard_optimized(0.05, 0.05, 0.5, s),
+    )
+    for rate in rates:
+        assert math.isclose(rate(t).rate / t, rate(1.0).rate, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(
