@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .decoy import ChannelModel, DecoyConfig, decoy_keyrate, simulate_observations, theoretical_limit
+from .decoy import ChannelModel, DecoyConfig, _decoy_keyrates, simulate_observations, theoretical_limit
 from .errors import ConfigError, FeasibilityError, NoKeyError
 from .keyrates import (
     _method_rate,
     _require_f_ec,
+    feasible,
     keyrate_balanced,
     keyrate_general,
     mismatch_penalty_ratio,
@@ -317,19 +318,36 @@ def _sweep_value(method: str, x: float, spec: SweepSpec) -> float | None:
         return None
 
 
-def _channel_from_args(args, length_km: float) -> tuple[ChannelModel, DecoyConfig]:
-    d = {k: _resolve(args, k.replace("_", "-"), v) for k, v in _BENCHMARK_DEFAULTS.items()}
-    model = ChannelModel(
-        alpha_db_per_km=d["alpha_db_km"],
-        length_km=length_km,
-        bob_loss_db=d["bob_loss_db"],
-        e_det=d["e_det"],
-        eta0=d["eta0"],
-        eta1=d["eta1"],
-        dark=(d["dark0"], d["dark1"]),
-    )
-    cfg = DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
-    return model, cfg
+def _decoy_flags(args) -> dict:
+    """The channel and intensity flags of a decoy run, as given."""
+    return {k: _resolve(args, k.replace("_", "-"), v) for k, v in _BENCHMARK_DEFAULTS.items()}
+
+
+def _channels(d: dict, lengths) -> tuple[list[ChannelModel], DecoyConfig]:
+    """The channel at each of ``lengths``, and the intensities, from the flags ``d``.
+
+    The estimator needs outcome 1 to be the less efficient detector's, so a
+    pair with eta0 < eta1 is relabelled: swapping the outcomes' efficiencies
+    and dark counts together is a symmetry of BB84.
+    """
+    # Checked before relabelling, so that an error names the flag as given.
+    _require_ranges(eta0=d["eta0"], eta1=d["eta1"])
+    eta, dark = (d["eta0"], d["eta1"]), (d["dark0"], d["dark1"])
+    if eta[0] < eta[1]:
+        eta, dark = eta[::-1], dark[::-1]
+    models = [
+        ChannelModel(
+            alpha_db_per_km=d["alpha_db_km"],
+            length_km=float(length),
+            bob_loss_db=d["bob_loss_db"],
+            e_det=d["e_det"],
+            eta0=eta[0],
+            eta1=eta[1],
+            dark=dark,
+        )
+        for length in lengths
+    ]
+    return models, DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
 
 
 def cmd_sweep(args) -> int:
@@ -373,16 +391,19 @@ def cmd_sweep(args) -> int:
     ]
     header = [variable] + list(methods)
     lines.append(",".join(header))
-    for x in spec.grid():
+    if variable == "distance_km":
+        models, cfg = _channels(_decoy_flags(args), spec.grid())
+        observations = [simulate_observations(model, cfg) for model in models]
+        if "decoy" in methods:
+            decoys = _decoy_keyrates(observations, cfg, models[0].eta, fixed["f_ec"])
+    for i, x in enumerate(spec.grid()):
         row = [_fmt(float(x))]
         if variable == "distance_km":
-            model, cfg = _channel_from_args(args, float(x))
             for method in methods:
                 if method == "decoy":
-                    obs = simulate_observations(model, cfg)
-                    res = decoy_keyrate(obs, cfg, model.eta, f_ec=fixed["f_ec"])
+                    res = decoys[i]
                 else:
-                    res = theoretical_limit(model, cfg, f_ec=fixed["f_ec"])
+                    res = theoretical_limit(models[i], observations[i], cfg, f_ec=fixed["f_ec"])
                 row.append(_fmt(res.rate))
         else:
             for method in methods:
@@ -402,31 +423,25 @@ def cmd_decoy_sim(args) -> int:
     if l_steps < 2 or not l_min < l_max:
         raise ConfigError("decoy-sim requires l-min < l-max and l-steps >= 2")
     f_ec = _resolve_f_ec(args)
-    model0, cfg0 = _channel_from_args(args, 0.0)
+    d = _decoy_flags(args)
+    lengths = np.linspace(l_min, l_max, l_steps)
+    models, cfg = _channels(d, lengths)
+    observations = [simulate_observations(model, cfg) for model in models]
+    decoys = _decoy_keyrates(observations, cfg, models[0].eta, f_ec)
+    # The header repeats the flags as given, before any relabelling.
     lines = [
         f"# bb84-mismatch {__version__} decoy-sim",
-        f"# mu={_fmt(cfg0.mu)} nu1={_fmt(cfg0.nu1)} nu2={_fmt(cfg0.nu2)} "
-        f"alpha_db_km={_fmt(model0.alpha_db_per_km)} bob_loss_db={_fmt(model0.bob_loss_db)} "
-        f"e_det={_fmt(model0.e_det)} eta0={_fmt(model0.eta0)} eta1={_fmt(model0.eta1)} "
-        f"dark0={_fmt(model0.dark[0])} dark1={_fmt(model0.dark[1])} f_ec={_fmt(f_ec)}",
+        f"# mu={_fmt(d['mu'])} nu1={_fmt(d['nu1'])} nu2={_fmt(d['nu2'])} "
+        f"alpha_db_km={_fmt(d['alpha_db_km'])} bob_loss_db={_fmt(d['bob_loss_db'])} "
+        f"e_det={_fmt(d['e_det'])} eta0={_fmt(d['eta0'])} eta1={_fmt(d['eta1'])} "
+        f"dark0={_fmt(d['dark0'])} dark1={_fmt(d['dark1'])} f_ec={_fmt(f_ec)}",
         "distance_km,decoy,theoretical_limit,no_mismatch_limit",
     ]
-    for length in np.linspace(l_min, l_max, l_steps):
-        model, cfg = _channel_from_args(args, float(length))
-        obs = simulate_observations(model, cfg)
-        res_decoy = decoy_keyrate(obs, cfg, model.eta, f_ec=f_ec)
-        res_limit = theoretical_limit(model, cfg, f_ec=f_ec)
+    for length, model, obs, res_decoy in zip(lengths, models, observations, decoys):
+        res_limit = theoretical_limit(model, obs, cfg, f_ec=f_ec)
         avg = (model.eta0 + model.eta1) / 2.0
-        matched = ChannelModel(
-            alpha_db_per_km=model.alpha_db_per_km,
-            length_km=model.length_km,
-            bob_loss_db=model.bob_loss_db,
-            e_det=model.e_det,
-            eta0=avg,
-            eta1=avg,
-            dark=model.dark,
-        )
-        res_matched = theoretical_limit(matched, cfg, f_ec=f_ec)
+        matched = replace(model, eta0=avg, eta1=avg)
+        res_matched = theoretical_limit(matched, simulate_observations(matched, cfg), cfg, f_ec=f_ec)
         lines.append(
             ",".join(
                 [
@@ -451,7 +466,7 @@ def _verify_checks(etas, qx_grid, deltas, perturb: float | None):
             for d in deltas:
                 if eta == 1.0 and d != 0.0:
                     continue
-                if 2.0 * qx < 1.0 - np.sqrt(1.0 - d * d):
+                if not feasible(qx, d):
                     continue
                 t = 1.0
                 p_pass = t * ((1.0 + eta) / 2.0 + d * (1.0 - eta) / 2.0)

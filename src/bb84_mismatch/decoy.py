@@ -5,18 +5,22 @@ intensities, single-photon yield and error bounds, the worst-case key rate
 over the estimated box, and the fiber-channel model used to simulate the
 observations. Detector-efficiency mismatch makes the statistics
 outcome-dependent, so every quantity is tracked separately for Bob's
-outcomes 0 and 1.
+outcomes 0 and 1. Outcome 1 is the less efficient detector's: the
+single-photon transparency a + b/eta and ``gamma2_upper`` divide its gains by
+the mismatch eta <= 1, so a channel whose outcome 0 is the weaker one must be
+relabelled (swap the outcomes, a symmetry of BB84) before estimation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, TruncationError
-from .keyrates import KeyRateResult, _entropy_args, _golden_min, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _entropy_args, _golden_steps, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -85,7 +89,11 @@ class DecoyObservations:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Fiber link with lossy detectors, dark counts and a fixed optical error."""
+    """Fiber link with lossy detectors, dark counts and a fixed optical error.
+
+    Requires eta0 >= eta1: outcome 1 is the less efficient detector's (see
+    the module docstring).
+    """
 
     alpha_db_per_km: float
     length_km: float
@@ -105,10 +113,15 @@ class ChannelModel:
                 raise ValueError(f"probability {p} outside [0, 1]")
         if not (0.0 < self.eta0 <= 1.0 and 0.0 < self.eta1 <= 1.0):
             raise ValueError(f"detector efficiencies {self.eta0}, {self.eta1} outside (0, 1]")
+        if self.eta0 < self.eta1:
+            raise ValueError(
+                f"eta0 = {self.eta0} < eta1 = {self.eta1}: outcome 1 must be the less efficient "
+                "detector; relabel the outcomes by swapping eta0/eta1 and the dark counts"
+            )
 
     @property
     def eta(self) -> float:
-        return min(self.eta0, self.eta1) / max(self.eta0, self.eta1)
+        return self.eta1 / self.eta0
 
     def efficiency(self, beta: int) -> float:
         return (self.eta0, self.eta1)[beta]
@@ -164,8 +177,10 @@ def poisson_pmf(i: int, mu: float) -> float:
     return math.exp(i * math.log(mu) - mu - math.lgamma(i + 1))
 
 
+@functools.lru_cache(maxsize=64)
 def _poisson_weights(mu: float, i_max: int) -> np.ndarray:
-    """Poisson weights for i = 0..i_max.
+    """Poisson weights for i = 0..i_max, read-only, as they are cached and
+    shared by every caller with the same (mu, i_max).
 
     Raises:
         TruncationError: if the Poisson tail mass beyond i_max is >= 1e-12.
@@ -176,6 +191,7 @@ def _poisson_weights(mu: float, i_max: int) -> np.ndarray:
         raise TruncationError(
             f"Poisson tail mass {tail:.3e} beyond i_max = {i_max} exceeds 1e-12"
         )
+    weights.flags.writeable = False
     return weights
 
 
@@ -265,7 +281,11 @@ def bound_e1q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
 
 
 def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
-    """Upper bound q*eta on the weighted x-basis error-rate constraint value."""
+    """Upper bound q*eta on the weighted x-basis error-rate constraint value.
+
+    Outcome 1's error gains are divided by eta: it is the less efficient
+    detector's.
+    """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta = {eta} outside (0, 1]")
     nu1, nu2 = cfg.nu1, cfg.nu2
@@ -338,52 +358,115 @@ def decoy_keyrate(
     seeds a coordinate-descent refine. The result records the argmin and
     whether it sits at the lower-bound corner.
     """
-    lo0, up0 = bound_Q1(obs, cfg, 0)
-    lo1, up1 = bound_Q1(obs, cfg, 1)
-    q = gamma2_upper(obs, cfg, eta) / eta
-    ec = _ec_term(obs, f_ec)
+    return _decoy_keyrates([obs], cfg, eta, f_ec)[0]
 
-    def rate_or_inf(a: float, b: float) -> float:
-        rate = _singles_rate(a, b, q, eta, ec)[0]
-        return math.inf if math.isnan(rate) else float(rate)
 
-    grid0 = np.linspace(lo0, up0, 64)
-    grid1 = np.linspace(lo1, up1, 64)
-    rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
-    if np.isnan(rates).all():
-        return KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy")
-    k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
-    best, arg = float(rates[k0, k1]), (float(grid0[k0]), float(grid1[k1]))
+def _decoy_keyrates(observations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
+    """``decoy_keyrate`` of each of ``observations``, with every box's refine
+    run in lockstep: each step evaluates the pending point of every unfinished
+    refine in one ``_singles_rate`` call. A box sees the same points in the
+    same order as it would alone, and the formula is elementwise, so each
+    result equals ``decoy_keyrate``'s bit for bit.
+    """
+    bounds, terms = [], []
+    for obs in observations:
+        bounds.append((*bound_Q1(obs, cfg, 0), *bound_Q1(obs, cfg, 1)))
+        terms.append((gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec)))
 
+    argmins = [None] * len(bounds)
+    pending = {}  # box index -> (its refine, the point it waits on)
+    for k, ((lo0, up0, lo1, up1), (q, ec)) in enumerate(zip(bounds, terms)):
+        grid0 = np.linspace(lo0, up0, 64)
+        grid1 = np.linspace(lo1, up1, 64)
+        rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
+        if np.isnan(rates).all():
+            continue
+        k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
+        refine = _descend(lo0, up0, lo1, up1, float(rates[k0, k1]), (float(grid0[k0]), float(grid1[k1])))
+        pending[k] = (refine, next(refine))
+
+    while pending:
+        ks = list(pending)
+        if len(ks) == 1:
+            # A lone refine (one box, or the last to finish) goes by scalars:
+            # numpy's per-call cost makes a small array call about seven
+            # times as dear as a scalar one.
+            (a, b), (q, ec) = pending[ks[0]][1], terms[ks[0]]
+            rates = [float(_singles_rate(a, b, q, eta, ec)[0])]
+        else:
+            a, b = np.array([pending[k][1] for k in ks]).T
+            q, ec = np.array([terms[k] for k in ks]).T
+            rates = _singles_rate(a, b, q, eta, ec)[0].tolist()
+        for k, rate in zip(ks, rates):
+            refine = pending[k][0]
+            try:
+                pending[k] = (refine, refine.send(math.inf if math.isnan(rate) else rate))
+            except StopIteration as stop:
+                argmins[k] = stop.value
+                del pending[k]
+
+    results = []
+    for (lo0, up0, lo1, up1), (q, ec), arg in zip(bounds, terms, argmins):
+        if arg is None:
+            results.append(KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy"))
+            continue
+        a, b = arg
+        atol0 = 1e-7 * max(up0 - lo0, 1e-300)
+        atol1 = 1e-7 * max(up1 - lo1, 1e-300)
+        corner = abs(a - lo0) <= atol0 and abs(b - lo1) <= atol1
+        results.append(replace(_box_result(a, b, q, eta, ec, "decoy"), at_lower_corner=bool(corner)))
+    return results
+
+
+def _descend(lo0: float, up0: float, lo1: float, up1: float, best: float, arg: tuple):
+    """Coordinate descent over the box from ``arg``, whose rate is ``best``.
+
+    A generator: it yields each point (a, b) to evaluate, receives its rate
+    (inf where infeasible) and returns the final argmin. Each round runs a
+    golden-section search over the outcome-0 gain, then the outcome-1 gain;
+    it stops after 40 rounds, or when a round's point is worse or gains less
+    than 1e-12.
+    """
     a, b = arg
     for _ in range(40):
         prev = best
-        a = _golden_min(lambda x: rate_or_inf(x, b), lo0, up0)
-        b = _golden_min(lambda y: rate_or_inf(a, y), lo1, up1)
-        candidate = rate_or_inf(a, b)
+        a = yield from _along(_golden_steps(lo0, up0), lambda x: (x, b))
+        b = yield from _along(_golden_steps(lo1, up1), lambda y: (a, y))
+        candidate = yield a, b
         if candidate > best:
             break
         best, arg = candidate, (a, b)
         if prev - best < 1e-12:
             break
+    return arg
 
-    a, b = arg
-    atol0 = 1e-7 * max(up0 - lo0, 1e-300)
-    atol1 = 1e-7 * max(up1 - lo1, 1e-300)
-    return replace(
-        _box_result(a, b, q, eta, ec, "decoy"),
-        at_lower_corner=bool(abs(a - lo0) <= atol0 and abs(b - lo1) <= atol1),
-    )
+
+def _along(steps, point):
+    """Run the golden-section search ``steps`` inside ``_descend``: yield
+    ``point(x)`` for each of its points x, pass the value back, return its result."""
+    x = next(steps)
+    while True:
+        value = yield point(x)
+        try:
+            x = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
 
 
 def theoretical_limit(
-    model: ChannelModel, cfg: DecoyConfig, eta: float | None = None, f_ec: float = 1.0
+    model: ChannelModel,
+    obs: DecoyObservations,
+    cfg: DecoyConfig,
+    eta: float | None = None,
+    f_ec: float = 1.0,
 ) -> KeyRateResult:
     """Rate evaluated at the channel's actual single-photon values, no estimation.
 
     Uses the true single-photon gains and the true weighted error parameter
     from the simulation model; the gap to ``decoy_keyrate`` measures the
-    estimation penalty.
+    estimation penalty. ``obs`` are the channel's observations,
+    ``simulate_observations(model, cfg)``; they supply the error-correction
+    term, so that a channel is simulated once for both rates.
     """
     if eta is None:
         eta = model.eta
@@ -391,5 +474,4 @@ def theoretical_limit(
     q1 = [simulate_yield(model, 1, "z", beta) * w1 for beta in (0, 1)]
     e1 = [simulate_error(model, 1, "x", beta) for beta in (0, 1)]
     q_actual = (eta * e1[0] * q1[0] + e1[1] * q1[1]) / eta
-    ec = _ec_term(simulate_observations(model, cfg), f_ec)
-    return _box_result(q1[0], q1[1], q_actual, eta, ec, "theoretical_limit")
+    return _box_result(q1[0], q1[1], q_actual, eta, _ec_term(obs, f_ec), "theoretical_limit")

@@ -101,11 +101,13 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
 def feasible(q_x: float, delta: float) -> bool:
     """Whether a PSD state compatible with (q_x, delta) exists.
 
-    True iff 2*q_x >= 1 - sqrt(1 - delta^2); |delta| > 1 is always infeasible.
+    True iff 1 - sqrt(1 - delta^2) <= 2*q_x <= 1 + sqrt(1 - delta^2); |delta| > 1
+    is always infeasible.
     """
     if abs(delta) > 1.0:
         return False
-    return 2.0 * q_x >= 1.0 - math.sqrt(1.0 - delta**2)
+    root = math.sqrt(1.0 - delta**2)
+    return 1.0 - root <= 2.0 * q_x <= 1.0 + root
 
 
 def _entropy_args(a, b, t, x, eta):
@@ -220,25 +222,40 @@ def keyrate_discard_optimized(
     )
 
 
-def _golden_min(fn, a: float, b: float) -> float:
-    """Golden-section minimizer of ``fn`` on [a, b], to absolute tolerance 1e-10.
-
-    Returns the midpoint of the final bracket. Ties move the bracket's upper
-    end down, so of two equal values the lower point is kept.
+def _golden_steps(a: float, b: float):
+    """Golden-section search on [a, b], to absolute tolerance 1e-10, as a
+    generator: it yields each point to evaluate, receives that point's value
+    through ``send`` and returns the midpoint of the final bracket. Ties move
+    the bracket's upper end down, so of two equal values the lower point is
+    kept. ``_golden_min`` drives it with one function; ``decoy`` drives many
+    searches in lockstep.
     """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    f1 = yield x1
+    f2 = yield x2
     while b - a > 1e-10:
         if f1 > f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
+            f2 = yield x2
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
+            f1 = yield x1
     return (a + b) / 2.0
+
+
+def _golden_min(fn, a: float, b: float) -> float:
+    """Golden-section minimizer of ``fn`` on [a, b]; see ``_golden_steps``."""
+    steps = _golden_steps(a, b)
+    x = next(steps)
+    while True:
+        value = fn(x)
+        try:
+            x = steps.send(value)
+        except StopIteration as stop:
+            return stop.value
 
 
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:

@@ -291,7 +291,7 @@ def test_criterion_9_decoy_soundness():
             sandwich_ok and gamma2_upper(obs, BENCHMARK_CFG, model.eta) >= gamma2_actual - 1e-12
         )
         res = decoy_keyrate(obs, BENCHMARK_CFG, model.eta)
-        limit = theoretical_limit(model, BENCHMARK_CFG)
+        limit = theoretical_limit(model, obs, BENCHMARK_CFG)
         dominance_ok = dominance_ok and res.rate <= limit.rate + 1e-10
         if res.rate > 0.0:
             corner_ok = corner_ok and res.at_lower_corner

@@ -70,6 +70,17 @@ def test_rate_infeasible_exit_code(capsys):
     assert code == 2
 
 
+def test_rate_infeasible_above_half_x_error_reports(capsys):
+    # 2*q_x = 1.8 exceeds 1 + sqrt(1 - delta^2) = 1.6 at delta = 0.8.
+    code, out, err = run(
+        capsys, "rate", "--qz", "0.02", "--qx", "0.9", "--eta", "0.6", "--t", "0.75", "--p-pass", "0.72"
+    )
+    assert code == 2 and err == ""
+    report = parse_report(out)
+    assert report["feasible"] == "false"
+    assert report["K"] == "nan" and report["operational_rate"] == "0"
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "rate")[0] == 1
     assert run(capsys, "rate", "--bogus", "1")[0] == 1
@@ -190,6 +201,22 @@ def test_decoy_sim_matched_detectors_coincide(capsys):
     _, data = parse_csv(out)
     for row in data:
         assert abs(row[2] - row[3]) <= 1e-10
+
+
+def test_decoy_sim_relabels_swapped_detectors(capsys):
+    # eta0 < eta1 names the less efficient detector 0; the run relabels the
+    # outcomes and prints the rows of the run with the flags swapped back.
+    code, out, err = run(
+        capsys, "decoy-sim", "--eta0", "0.07", "--eta1", "0.1", "--l-min", "0", "--l-max", "120",
+        "--l-steps", "25",
+    )
+    assert code == 0 and err == ""
+    golden = (GOLDEN / "decoy_sim_0_120_25.csv").read_text().splitlines()
+    lines = out.splitlines()
+    assert lines[2:] == golden[2:]
+    # The header repeats the flags as given.
+    assert "eta0=0.07 eta1=0.1 " in lines[1]
+    assert lines[1].replace("eta0=0.07 eta1=0.1", "eta0=0.1 eta1=0.07") == golden[1]
 
 
 def test_verify_passes_on_default_grid(capsys):
@@ -331,6 +358,7 @@ def test_zero_f_ec_accepted(capsys):
     [
         ["rate", "--qz", "0.05", "--qx", "0.05"],
         ["sweep", "--variable", "q", "--start", "0", "--stop", "0.1", "--steps", "2", "--methods", "balanced"],
+        ["decoy-sim", "--l-steps", "2"],
     ],
 )
 def test_bad_detector_efficiency_exits_one(capsys, argv, pair, flag):

@@ -21,7 +21,7 @@ from bb84_mismatch import (
     theoretical_limit,
     transmittance,
 )
-from bb84_mismatch.decoy import poisson_pmf
+from bb84_mismatch.decoy import DecoyObservations, _decoy_keyrates, _poisson_weights, poisson_pmf
 
 h = binary_entropy
 
@@ -227,7 +227,7 @@ def test_decoy_rate_positive_and_close_to_limit_at_20km():
     model = benchmark_model(20.0)
     obs = simulate_observations(model, BENCHMARK_CFG)
     res = decoy_keyrate(obs, BENCHMARK_CFG, model.eta)
-    limit = theoretical_limit(model, BENCHMARK_CFG)
+    limit = theoretical_limit(model, obs, BENCHMARK_CFG)
     assert res.feasible and res.rate > 0.0
     assert 0.9 * limit.rate <= res.rate <= limit.rate
 
@@ -249,7 +249,7 @@ def test_decoy_rate_never_exceeds_theoretical_limit():
         model = benchmark_model(float(length))
         obs = simulate_observations(model, BENCHMARK_CFG)
         res = decoy_keyrate(obs, BENCHMARK_CFG, model.eta)
-        limit = theoretical_limit(model, BENCHMARK_CFG)
+        limit = theoretical_limit(model, obs, BENCHMARK_CFG)
         assert res.rate <= limit.rate + 1e-10
 
 
@@ -297,14 +297,15 @@ def test_theoretical_limit_best_channel_bounded_by_poisson_weight():
         eta1=1.0,
         dark=(0.0, 0.0),
     )
-    res = theoretical_limit(model, BENCHMARK_CFG)
+    res = theoretical_limit(model, simulate_observations(model, BENCHMARK_CFG), BENCHMARK_CFG)
     assert 0.0 < res.rate <= 0.5 * math.exp(-0.5)
 
 
 def test_theoretical_limit_decreases_with_distance():
     rates = []
     for length in np.linspace(0.0, 180.0, 19):
-        res = theoretical_limit(benchmark_model(float(length)), BENCHMARK_CFG)
+        model = benchmark_model(float(length))
+        res = theoretical_limit(model, simulate_observations(model, BENCHMARK_CFG), BENCHMARK_CFG)
         rates.append(res.rate)
     assert all(a >= b for a, b in zip(rates, rates[1:]))
     assert rates[0] > 0.0
@@ -312,8 +313,10 @@ def test_theoretical_limit_decreases_with_distance():
 
 
 def test_no_mismatch_limit_slightly_higher():
-    mismatch = theoretical_limit(benchmark_model(20.0), BENCHMARK_CFG)
-    matched = theoretical_limit(benchmark_model(20.0, eta0=0.085, eta1=0.085), BENCHMARK_CFG)
+    mismatch, matched = (
+        theoretical_limit(model, simulate_observations(model, BENCHMARK_CFG), BENCHMARK_CFG)
+        for model in (benchmark_model(20.0), benchmark_model(20.0, eta0=0.085, eta1=0.085))
+    )
     assert matched.rate > mismatch.rate
     assert mismatch.rate > 0.9 * matched.rate
 
@@ -358,6 +361,8 @@ def test_config_rejects_bad_values(field, bad):
         for v in (math.nan, math.inf, -1.0)
     ]
     + [(f, v) for f in ("eta0", "eta1") for v in (math.nan, 0.0, -0.1, 1.1)]
+    # eta1 > eta0: outcome 1 must be the less efficient detector.
+    + [("eta1", 0.2)]
     + [(f, v) for f in ("e_det", "dark") for v in (math.nan, -0.1, 1.1)],
 )
 def test_channel_model_rejects_bad_parameters(field, bad):
@@ -376,7 +381,7 @@ def test_decoy_rates_reject_bad_f_ec(f_ec):
     with pytest.raises(ConfigError):
         decoy_keyrate(obs, BENCHMARK_CFG, model.eta, f_ec=f_ec)
     with pytest.raises(ConfigError):
-        theoretical_limit(model, BENCHMARK_CFG, f_ec=f_ec)
+        theoretical_limit(model, obs, BENCHMARK_CFG, f_ec=f_ec)
 
 
 def test_singles_rate_array_matches_scalar_loop():
@@ -411,3 +416,98 @@ def test_singles_rate_array_matches_scalar_loop():
     # decoy_keyrate's argmin rule: the first minimum in row-major order.
     assert np.unravel_index(np.nanargmin(rates), rates.shape) == loop_argmin
 
+
+
+def test_channel_model_asks_to_relabel_swapped_detectors():
+    with pytest.raises(ValueError, match="relabel"):
+        benchmark_model(20.0, eta0=0.07, eta1=0.1)
+
+
+def test_poisson_weights_are_cached_read_only():
+    weights = _poisson_weights(0.5, 25)
+    assert _poisson_weights(0.5, 25) is weights
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+
+
+def _seeded_boxes(seed, count):
+    """Observations of seeded channels, each also with its outcome axis swapped,
+    all under one config and mismatch as ``_decoy_keyrates`` takes them."""
+    rng = np.random.default_rng(seed)
+    mu = float(rng.uniform(0.3, 0.8))
+    cfg = DecoyConfig(mu=mu, nu1=0.2 * mu, nu2=float(rng.uniform(0.0, 0.05)) * mu)
+    eta0 = float(rng.uniform(0.05, 1.0))
+    eta1 = eta0 * float(rng.uniform(0.1, 1.0))
+    observations = []
+    for _ in range(count):
+        model = ChannelModel(
+            alpha_db_per_km=0.2,
+            length_km=float(rng.uniform(0.0, 150.0)),
+            bob_loss_db=float(rng.uniform(0.0, 6.0)),
+            e_det=float(rng.uniform(0.0, 0.08)),
+            eta0=eta0,
+            eta1=eta1,
+            dark=tuple(10.0 ** rng.uniform(-8.0, -4.0, 2)),
+        )
+        obs = simulate_observations(model, cfg)
+        # A swapped outcome axis is what a channel with eta0 < eta1 would
+        # give; its minima leave the lower corner, so refines run more rounds.
+        swapped = DecoyObservations(gains=obs.gains[..., ::-1], error_rates=obs.error_rates[..., ::-1])
+        observations += [obs, swapped]
+    return observations, cfg, eta1 / eta0
+
+
+def _decoy_argmin_loop(obs, cfg, eta, f_ec):
+    """decoy_keyrate's grid scan and coordinate descent as they were before the
+    refines ran in lockstep, one point at a time, kept as the reference."""
+    from bb84_mismatch.decoy import _ec_term, _singles_rate
+    from bb84_mismatch.keyrates import _golden_min
+
+    lo0, up0 = bound_Q1(obs, cfg, 0)
+    lo1, up1 = bound_Q1(obs, cfg, 1)
+    q = gamma2_upper(obs, cfg, eta) / eta
+    ec = _ec_term(obs, f_ec)
+
+    def rate_or_inf(a, b):
+        rate = _singles_rate(a, b, q, eta, ec)[0]
+        return math.inf if math.isnan(rate) else float(rate)
+
+    grid0 = np.linspace(lo0, up0, 64)
+    grid1 = np.linspace(lo1, up1, 64)
+    rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
+    if np.isnan(rates).all():
+        return None
+    k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
+    best, arg = float(rates[k0, k1]), (float(grid0[k0]), float(grid1[k1]))
+    a, b = arg
+    for _ in range(40):
+        prev = best
+        a = _golden_min(lambda x: rate_or_inf(x, b), lo0, up0)
+        b = _golden_min(lambda y: rate_or_inf(a, y), lo1, up1)
+        candidate = rate_or_inf(a, b)
+        if candidate > best:
+            break
+        best, arg = candidate, (a, b)
+        if prev - best < 1e-12:
+            break
+    return arg
+
+
+def test_lockstep_refines_match_one_box_at_a_time():
+    off_corner = 0
+    for seed in range(12):
+        observations, cfg, eta = _seeded_boxes(seed, 8)
+        f_ec = (1.0, 1.16, 0.0)[seed % 3]
+        together = _decoy_keyrates(observations, cfg, eta, f_ec)
+        assert len(together) == len(observations)
+        for obs, res in zip(observations, together):
+            alone = decoy_keyrate(obs, cfg, eta, f_ec)
+            assert (res.rate, res.lam, res.delta, res.argmin, res.at_lower_corner) == (
+                alone.rate, alone.lam, alone.delta, alone.argmin, alone.at_lower_corner
+            )
+            assert res.feasible == alone.feasible
+            assert alone.argmin == _decoy_argmin_loop(obs, cfg, eta, f_ec)
+            off_corner += res.at_lower_corner is False
+    # The multi-round refines (minima off the corner) are exercised too.
+    assert off_corner > 0
+    assert _decoy_keyrates([], BENCHMARK_CFG, 0.7, 1.0) == []

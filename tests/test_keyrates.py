@@ -18,6 +18,7 @@ from bb84_mismatch import (
     keyrate_two_detectors,
     mismatch_penalty_ratio,
 )
+from bb84_mismatch.keyrates import _GOLDEN, _golden_min
 
 h = binary_entropy
 
@@ -48,6 +49,11 @@ def test_feasible_conditions():
     assert feasible(0.1, 0.6)
     assert not feasible(0.0999999, 0.6)
     assert not feasible(0.3, 1.5)
+    # The q_x > 1/2 side: 2*q_x <= 1 + sqrt(1 - delta^2).
+    assert feasible(0.9, 0.6)
+    assert not feasible(0.9000001, 0.6)
+    assert not feasible(0.9, 0.8)
+    assert feasible(1.0, 0.0)
 
 
 def test_phase_error_reduces_to_qber_without_mismatch():
@@ -94,6 +100,15 @@ def test_general_rate_infeasible_inputs():
     res = keyrate_general(0.05, 0.0, 0.5, 1.0, 0.8)
     assert not res.feasible
     assert res.rate is None
+
+
+def test_general_rate_infeasible_above_half_x_error():
+    # delta = 0.8 and 2*q_x = 1.8 > 1 + sqrt(1 - delta^2) = 1.6: no PSD state,
+    # so an infeasible result, not a negative phase-error argument's ValueError.
+    res = keyrate_general(0.02, 0.9, 0.6, 0.75, 0.72)
+    assert not res.feasible
+    assert res.rate is None and res.lam is None
+    assert math.isclose(res.delta, 0.8, rel_tol=1e-12)
 
 
 def test_balanced_rate_perfect():
@@ -329,3 +344,42 @@ def test_underflow_and_nan_raise_value_error(call):
     # or AssertionError.
     with pytest.raises(ValueError):
         call()
+
+
+def _golden_min_loop(fn, a, b):
+    """The golden-section loop as it was before it became a generator, kept
+    verbatim as the reference for ``_golden_min``."""
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while b - a > 1e-10:
+        if f1 > f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = fn(x1)
+    return (a + b) / 2.0
+
+
+def test_golden_min_matches_the_plain_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a = float(rng.uniform(-2.0, 1.0))
+        b = a + float(rng.uniform(1e-9, 3.0))
+        c, w = float(rng.uniform(a - 0.5, b + 0.5)), float(rng.uniform(1.0, 40.0))
+        fns = [
+            lambda x: (x - c) ** 2,  # unimodal
+            lambda x: math.sin(w * x) + 0.1 * x,  # many local minima
+            lambda x: math.floor(4.0 * (x - c) ** 2),  # plateaus: ties
+            lambda x: 0.0,  # all ties
+            lambda x: math.inf if x > c else -x,  # inf beyond c
+        ]
+        for fn in fns:
+            calls, loop_calls = [], []
+            got = _golden_min(lambda x: calls.append(x) or fn(x), a, b)
+            want = _golden_min_loop(lambda x: loop_calls.append(x) or fn(x), a, b)
+            assert got == want
+            assert calls == loop_calls

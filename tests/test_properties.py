@@ -1,4 +1,9 @@
-"""Property tests of the key-rate method dispatcher and the rates behind it."""
+"""Property tests of the key-rate method dispatcher, the rates behind it, and
+`decoy-sim`."""
+
+import contextlib
+import io
+import math
 
 import pytest
 
@@ -8,6 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bb84_mismatch import keyrate_two_detectors  # noqa: E402
+from bb84_mismatch.cli import main  # noqa: E402
 from bb84_mismatch.keyrates import _method_rate  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
@@ -59,3 +65,35 @@ def test_discard_optimized_dominates_balanced_and_fung2(q_z, q_x, eta, t, f):
     # comparison needs all three rates.
     if all(isinstance(r, float) for r in (best, balanced, fung2)):
         assert best >= max(balanced, fung2) - 1e-12
+
+
+def _decoy_sim_rows(eta0, eta1, dark0, dark1, e_det, l_max):
+    """Exit code and data rows of a three-distance ``decoy-sim`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "decoy-sim", "--l-min", "0", "--l-max", repr(l_max), "--l-steps", "3", "--e-det", repr(e_det),
+            "--eta0", repr(eta0), "--eta1", repr(eta1), "--dark0", repr(dark0), "--dark1", repr(dark1),
+        ])
+    return code, [line for line in out.getvalue().splitlines() if not line.startswith("#")][1:]
+
+
+efficiency = st.floats(min_value=0.01, max_value=1.0)
+dark_count = st.floats(min_value=1e-8, max_value=1e-4)
+
+
+# Few examples: each makes two decoy-sim runs.
+@settings(max_examples=12, deadline=None)
+@given(efficiency, efficiency, dark_count, dark_count, st.floats(min_value=0.0, max_value=0.1),
+       st.floats(min_value=1.0, max_value=200.0))
+def test_decoy_sim_limit_is_finite_and_dominates_either_detector_order(eta0, eta1, dark0, dark1, e_det, l_max):
+    code, rows = _decoy_sim_rows(eta0, eta1, dark0, dark1, e_det, l_max)
+    assert code == 0
+    for row in rows:
+        _, decoy, limit, _ = (float(x) for x in row.split(","))
+        if math.isfinite(decoy):
+            assert math.isfinite(limit)
+            assert decoy <= limit + 1e-10
+    if eta0 != eta1:
+        # Relabelling the outcomes is a symmetry: swapped flags, same rows.
+        assert _decoy_sim_rows(eta1, eta0, dark1, dark0, e_det, l_max) == (code, rows)
