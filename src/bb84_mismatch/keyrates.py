@@ -92,10 +92,10 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
         raise ValueError(
             f"eta = 1 requires p_pass = t, got p_pass = {p_pass}, t = {t}"
         )
-    try:
-        return (2.0 * p_pass - t * (1.0 + eta)) / (t * (1.0 - eta))
-    except ZeroDivisionError:
-        raise ValueError(f"t*(1-eta) underflows to 0 at t = {t}, eta = {eta}") from None
+    denominator = t * (1.0 - eta)
+    if denominator == 0.0:
+        raise ValueError(f"t*(1-eta) underflows to 0 at t = {t}, eta = {eta}")
+    return (2.0 * p_pass - t * (1.0 + eta)) / denominator
 
 
 def feasible(q_x: float, delta: float) -> bool:

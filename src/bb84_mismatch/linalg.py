@@ -54,7 +54,13 @@ def eig_decompose(H: np.ndarray) -> SpectralDecomposition:
 
 def psd_project(H: np.ndarray) -> np.ndarray:
     """Frobenius-nearest positive semidefinite matrix (negative eigenvalues clipped)."""
-    w, V = eig_decompose(H)
+    return _psd_project(require_hermitian(H))
+
+
+def _psd_project(H: np.ndarray) -> np.ndarray:
+    """``psd_project`` on trusted complex Hermitian input; the output is
+    exactly Hermitian."""
+    w, V = np.linalg.eigh(H)
     w = np.maximum(w, 0.0)
     P = (V * w) @ V.conj().T
     return (P + P.conj().T) / 2

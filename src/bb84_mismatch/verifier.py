@@ -17,6 +17,7 @@ inputs are accepted everywhere and reduced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,9 @@ from .errors import FeasibilityError
 from .keyrates import _general_args, detection_imbalance, effective_phase_error
 from .keyrates import feasible as _feasible
 from .linalg import (
+    _psd_project,
     _relative_entropy,
     binary_entropy,
-    psd_project,
     relative_entropy,
     require_hermitian,
     support_log2,
@@ -44,6 +45,9 @@ class MinimizationReport:
     ``constraint_residuals`` are |Tr Gamma_i rho* - gamma_i|; ``kkt_residual``
     is the norm of the gradient projected onto the allowed directions at
     rho_star (restricted to the support face when rho_star is singular).
+    ``projection_sweeps`` counts the Dykstra sweeps of all feasible-set
+    projections of the run, and ``projection_cap_hits`` the projections that
+    stopped at their sweep cap instead of converging.
     """
 
     rho_star: np.ndarray
@@ -52,6 +56,8 @@ class MinimizationReport:
     converged: bool
     constraint_residuals: np.ndarray
     kkt_residual: float
+    projection_sweeps: int = 0
+    projection_cap_hits: int = 0
 
 
 def _weights(eta: float) -> np.ndarray:
@@ -254,40 +260,58 @@ def _face_kkt_residual(
 
 
 class _ConstraintProjector:
-    """Projection machinery for the affine set {Tr Gamma_i rho = gamma_i}."""
+    """Projection machinery for the affine set {Tr Gamma_i rho = gamma_i}.
+
+    Counts the Dykstra sweeps of every ``onto_feasible`` call, and the calls
+    that stopped at their sweep cap.
+    """
 
     def __init__(self, gammas: GammaSet, values: np.ndarray):
+        # The affine step subtracts the real operators: complex zeros could
+        # flip the sign of zero imaginary parts. The traces use one stack.
         self.gammas = gammas.as_list()
+        self.stacked = np.array(self.gammas, dtype=complex)
         self.values = np.asarray(values, dtype=float)
         # Pseudoinverse: at eta = 1 the first and third operators coincide.
         self.gram_pinv = np.linalg.pinv(_gram(self.gammas), rcond=1e-12)
+        self.sweeps = 0
+        self.cap_hits = 0
 
     def residuals(self, X: np.ndarray) -> np.ndarray:
-        return (
-            np.array([float(np.real(np.trace(g @ X))) for g in self.gammas])
-            - self.values
-        )
+        return (self.stacked @ X).trace(axis1=1, axis2=2).real - self.values
 
     def affine(self, X: np.ndarray) -> np.ndarray:
         coef = self.gram_pinv @ self.residuals(X)
-        out = X.astype(complex).copy()
+        out = X.astype(complex)
         for c, g in zip(coef, self.gammas):
             out -= c * g
         return out
 
     def onto_feasible(self, X: np.ndarray, cap: int = 500, tol: float = 1e-10):
-        """Dykstra alternating projections onto PSD intersect affine."""
+        """Dykstra alternating projections onto PSD intersect affine.
+
+        X must be complex Hermitian. Every iterate then stays exactly
+        Hermitian (the PSD step symmetrizes, the affine step subtracts real
+        multiples of the symmetric Gamma_i), so the PSD step skips validation.
+        """
         p = np.zeros_like(X, dtype=complex)
         q = np.zeros_like(X, dtype=complex)
         y = X.astype(complex)
-        for _ in range(cap):
-            a = self.affine(y + p)
-            p = y + p - a
-            b = psd_project(a + q)
-            q = a + q - b
+        for sweeps in range(1, cap + 1):
+            yp = y + p
+            a = self.affine(yp)
+            p = yp - a
+            aq = a + q
+            b = _psd_project(aq)
+            q = aq - b
             y = b
-            if np.linalg.norm(a - b) < tol:
+            # np.linalg.norm's Frobenius formula, without its dispatch.
+            d = (a - b).ravel()
+            if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < tol:
                 break
+        else:
+            self.cap_hits += 1
+        self.sweeps += sweeps
         return y
 
 
@@ -318,11 +342,24 @@ def minimize(
     point. Convergence requires the relative objective change over 10
     iterations below 1e-9 and a stationarity residual below ``tol``.
 
+    ``values`` are the three observed values gamma_i; ``init``, a 4x4 or 6x6
+    Hermitian starting state, defaults to a depolarized Bell state.
+
     Raises:
-        FeasibilityError: if the constraint values violate the existence
-            condition.
+        FeasibilityError: if ``values`` is not three finite numbers or
+            violates the existence condition.
+        ValueError: if ``init`` is not a finite Hermitian 4x4 or 6x6 matrix.
     """
-    values = np.asarray(values, dtype=float)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FeasibilityError(f"constraint values must be three numbers: {exc}") from None
+    if values.shape != (3,) or not np.all(np.isfinite(values)):
+        raise FeasibilityError(
+            f"constraint values must be three finite numbers, got {values.tolist()}"
+        )
+    if init is not None:
+        init = photon_block(require_hermitian(init))
     eta = float(np.real(gammas.gamma1[0, 0]))
     t = values[0] / eta
     qx_eff = values[1] / values[0] if values[0] > 0 else 0.0
@@ -338,7 +375,7 @@ def minimize(
     projector = _ConstraintProjector(gammas, values)
     if init is None:
         init = _default_init(gammas, values, eta)
-    x = projector.onto_feasible(np.asarray(init, dtype=complex))
+    x = projector.onto_feasible(init)
     if np.abs(projector.residuals(x)).max() > 1e-8:
         x = projector.onto_feasible(np.eye(4, dtype=complex) * t / 4.0, cap=2000)
 
@@ -386,6 +423,8 @@ def minimize(
         converged=converged and bool(residuals.max() <= 1e-8),
         constraint_residuals=residuals,
         kkt_residual=kkt,
+        projection_sweeps=projector.sweeps,
+        projection_cap_hits=projector.cap_hits,
     )
 
 

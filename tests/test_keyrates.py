@@ -332,16 +332,28 @@ def test_rates_scale_with_transparency_down_to_tiny_t(t):
     "call",
     [
         lambda: detection_imbalance(2.5e-324, 5e-324, 0.5),
+        lambda: detection_imbalance(np.float64(0.0), np.float64(0.0), 0.5),
+        lambda: detection_imbalance(np.float64(0.3), np.float64(5e-324), 0.5),
         lambda: keyrate_general(0.05, 0.05, 0.5, 5e-324, 0.5),
         lambda: keyrate_balanced(0.05, 0.05, 0.25, 5e-324),
         lambda: keyrate_balanced(0.05, 0.05, math.nan),
         lambda: keyrate_discard_optimized(0.0, 0.0, 5.8e-274, 5.8e-274),
     ],
-    ids=["imbalance", "general", "balanced_tiny_t", "balanced_nan_eta", "discard_optimized"],
+    ids=[
+        "imbalance",
+        "imbalance_numpy_zero",
+        "imbalance_numpy_underflow",
+        "general",
+        "balanced_tiny_t",
+        "balanced_nan_eta",
+        "discard_optimized",
+    ],
 )
+@pytest.mark.filterwarnings("error")
 def test_underflow_and_nan_raise_value_error(call):
     # Underflowing products and nan raise ValueError, not ZeroDivisionError
-    # or AssertionError.
+    # or AssertionError, and warn nothing on the way; numpy scalars divide
+    # by zero without raising, so they are covered apart from Python floats.
     with pytest.raises(ValueError):
         call()
 

@@ -22,6 +22,8 @@ from bb84_mismatch import (
     pinch_Z,
     psd_project,
 )
+from bb84_mismatch.linalg import _psd_project
+from bb84_mismatch.verifier import _ConstraintProjector, _gram
 
 h = binary_entropy
 
@@ -293,3 +295,115 @@ def test_minimize_respects_constraints_from_attack_observations():
     report = minimize(build_gamma_set(eta), values)
     got = gamma_expectations(report.rho_star, build_gamma_set(eta))
     np.testing.assert_allclose(got, values, atol=1e-8)
+
+
+def test_minimize_rejects_malformed_values():
+    gammas = build_gamma_set(0.5)
+    for values in ([0.6, 0.03], [0.5, 0.025, 0.75, 0.1], [0.5, math.nan, 0.75], "abc"):
+        with pytest.raises(FeasibilityError):
+            minimize(gammas, values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_minimize_zero_values_raise_without_warning():
+    # numpy scalars reach the imbalance with t*(1-eta) = 0.
+    with pytest.raises(FeasibilityError):
+        minimize(build_gamma_set(0.5), [0.0, 0.0, 0.0])
+
+
+def test_minimize_validates_and_reduces_init():
+    gammas = build_gamma_set(0.7)
+    values = (0.7, 0.7 * 0.08, 0.85 + 0.05 * 0.15)
+    full = depolarizing_state(0.08, 1.0)
+    from_full = minimize(gammas, values, init=full)
+    from_block = minimize(gammas, values, init=photon_block(full))
+    assert from_full.rho_star.tobytes() == from_block.rho_star.tobytes()
+    assert from_full.f_star == from_block.f_star
+    bad_inits = [
+        np.eye(5) / 5,  # neither 4x4 nor 6x6
+        np.triu(np.ones((4, 4))) / 4,  # not Hermitian
+        np.full((4, 4), math.nan),
+    ]
+    for init in bad_inits:
+        with pytest.raises(ValueError):
+            minimize(gammas, values, init=init)
+
+
+def test_minimize_counts_projection_sweeps():
+    interior = minimize(build_gamma_set(0.5), (0.5, 0.5 * 0.05, 0.75))
+    # One projection before the first iteration and at least one in each.
+    assert interior.projection_sweeps >= interior.iterations + 1
+    assert interior.projection_sweeps >= 500 * interior.projection_cap_hits
+    # Slater's condition fails at q_x = 0, where the projection crawls.
+    boundary = minimize(build_gamma_set(0.9), (0.9, 0.0, 0.95))
+    assert boundary.projection_cap_hits > 0
+    assert boundary.projection_sweeps >= 500 * boundary.projection_cap_hits
+
+
+class _ParentProjector:
+    """The Dykstra projection before its loop ran on unvalidated kernels,
+    kept verbatim (public ``psd_project``) as the reference it must match
+    bit for bit."""
+
+    def __init__(self, gammas, values):
+        self.gammas = gammas.as_list()
+        self.values = np.asarray(values, dtype=float)
+        self.gram_pinv = np.linalg.pinv(_gram(self.gammas), rcond=1e-12)
+
+    def residuals(self, X):
+        return (
+            np.array([float(np.real(np.trace(g @ X))) for g in self.gammas])
+            - self.values
+        )
+
+    def affine(self, X):
+        coef = self.gram_pinv @ self.residuals(X)
+        out = X.astype(complex).copy()
+        for c, g in zip(coef, self.gammas):
+            out -= c * g
+        return out
+
+    def onto_feasible(self, X, cap=500, tol=1e-10):
+        p = np.zeros_like(X, dtype=complex)
+        q = np.zeros_like(X, dtype=complex)
+        y = X.astype(complex)
+        for _ in range(cap):
+            a = self.affine(y + p)
+            p = y + p - a
+            b = psd_project(a + q)
+            q = a + q - b
+            y = b
+            if np.linalg.norm(a - b) < tol:
+                break
+        return y
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.7, 1.0])
+def test_projection_matches_parent_loop_bitwise(eta):
+    rng = np.random.default_rng(int(eta * 10))
+    gammas = build_gamma_set(eta)
+    t = 1.0
+    interior = (t * eta, t * eta * 0.06, t * ((1 + eta) / 2 + 0.03 * (1 - eta) / 2))
+    boundary = (t * eta, 0.0, t * (1 + eta) / 2)  # q_x = 0
+    for values in (interior, boundary):
+        new = _ConstraintProjector(gammas, values)
+        parent = _ParentProjector(gammas, values)
+        for cap in (500, 2000):
+            for X in (random_state_block(rng), random_direction(rng, 4)):
+                assert new.residuals(X).tobytes() == parent.residuals(X).tobytes()
+                got = new.onto_feasible(X, cap=cap)
+                want = parent.onto_feasible(X, cap=cap)
+                assert got.tobytes() == want.tobytes()
+    assert new.cap_hits > 0  # the boundary values run into the cap
+
+
+def test_psd_project_kernel_matches_public_bitwise():
+    rng = np.random.default_rng(41)
+    for dim in (2, 4, 6):
+        for _ in range(20):
+            H = random_direction(rng, dim)
+            assert _psd_project(H).tobytes() == psd_project(H).tobytes()
+    with pytest.raises(ValueError):
+        psd_project(np.triu(np.ones((4, 4))))
+    with pytest.raises(ValueError):
+        psd_project(np.diag([1.0, math.inf, 0.0, 0.0]))
