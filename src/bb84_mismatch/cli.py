@@ -16,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from .decoy import ChannelModel, DecoyConfig, _decoy_keyrates, simulate_observations, theoretical_limit
-from .errors import ConfigError, FeasibilityError, NoKeyError
+from .errors import ConfigError, FeasibilityError, NoKeyError, _require_in
 from .keyrates import (
+    _common_loss,
     _method_rate,
     _require_f_ec,
     feasible,
@@ -118,15 +119,12 @@ def _resolve(args, name: str, default, cast=float):
 
 
 def _require_ranges(**named):
-    """Flag-level range validation; failures are usage errors, not physics."""
-    closed = {"qz", "qx"}
+    """Flag-level range validation; failures are usage errors, not physics.
+    --qz and --qx lie in [0, 1], the other flags in (0, 1]; None is skipped."""
     for name, value in named.items():
-        if value is None:
-            continue
-        low_ok = value >= 0.0 if name in closed else value > 0.0
-        if not low_ok or value > 1.0:
-            flag = name.replace("_", "-")
-            raise UsageError(f"--{flag} = {value} outside the valid range")
+        if value is not None:
+            flag = "--" + name.replace("_", "-")
+            _require_in(flag, value, 0.0, 1.0, open_lo=name not in ("qz", "qx"), error=UsageError)
 
 
 def _resolve_f_ec(args) -> float:
@@ -218,8 +216,7 @@ def _effective_eta(args) -> tuple[float, float]:
         if eta is not None:
             raise UsageError("give either --eta or the pair --eta0/--eta1, not both")
         _require_ranges(eta0=eta0, eta1=eta1)
-        scale = max(eta0, eta1)
-        return min(eta0, eta1) / scale, scale
+        return _common_loss(eta0, eta1)
     if (eta0 is None) != (eta1 is None):
         raise UsageError("--eta0 and --eta1 must be given together")
     return (1.0 if eta is None else eta), 1.0
@@ -497,7 +494,8 @@ def _verify_checks(etas, qx_grid, deltas, perturb: float | None):
     worst = 0.0
     detected = True
     for eta in etas:
-        rho = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
+        # At eta = 1 the pass rate equals t, so delta = 0 is the only consistent value.
+        rho = optimal_attack_state(0.05, 0.08, 0.0 if eta == 1.0 else 0.02, 1.0)
         worst = max(worst, kkt_orthogonality_check(rho, eta))
         if perturb is not None:
             shift = np.zeros((6, 6), dtype=complex)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, TruncationError
+from .errors import ConfigError, TruncationError, _require_in
 from .keyrates import KeyRateResult, _entropy_args, _golden_steps, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
@@ -42,8 +42,7 @@ class DecoyConfig:
 
     def __post_init__(self):
         # Checks are written so that nan fails them.
-        if not 0.0 < self.mu < math.inf:
-            raise ConfigError(f"signal intensity mu = {self.mu} must be positive and finite")
+        _require_in("mu", self.mu, 0.0, math.inf, open_lo=True, error=ConfigError)
         if not 0.0 <= self.nu2 < self.nu1:
             raise ConfigError(f"decoy intensities must satisfy 0 <= nu2 < nu1, got {self.nu1}, {self.nu2}")
         if self.nu1 + self.nu2 >= self.mu:
@@ -104,15 +103,12 @@ class ChannelModel:
     dark: tuple[float, float]
 
     def __post_init__(self):
-        # Checks are written so that nan fails them.
-        for x in (self.alpha_db_per_km, self.length_km, self.bob_loss_db):
-            if not 0.0 <= x < math.inf:
-                raise ValueError(f"losses and distance must be finite and non-negative, got {x}")
-        for p in (self.e_det, *self.dark):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
-        if not (0.0 < self.eta0 <= 1.0 and 0.0 < self.eta1 <= 1.0):
-            raise ValueError(f"detector efficiencies {self.eta0}, {self.eta1} outside (0, 1]")
+        for name in ("alpha_db_per_km", "length_km", "bob_loss_db"):
+            _require_in(name, getattr(self, name), 0.0, math.inf)
+        for name, p in zip(("e_det", "dark0", "dark1"), (self.e_det, *self.dark)):
+            _require_in(name, p, 0.0, 1.0)
+        for name in ("eta0", "eta1"):
+            _require_in(name, getattr(self, name), 0.0, 1.0, open_lo=True)
         if self.eta0 < self.eta1:
             raise ValueError(
                 f"eta0 = {self.eta0} < eta1 = {self.eta1}: outcome 1 must be the less efficient "
@@ -286,8 +282,7 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
     Outcome 1's error gains are divided by eta: it is the less efficient
     detector's.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
+    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
     q = (
         (obs.error_gain("d1", "x", 0) + obs.error_gain("d1", "x", 1) / eta)
@@ -468,8 +463,7 @@ def theoretical_limit(
     ``simulate_observations(model, cfg)``; they supply the error-correction
     term, so that a channel is simulated once for both rates.
     """
-    if eta is None:
-        eta = model.eta
+    eta = model.eta if eta is None else _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     w1 = poisson_pmf(1, cfg.mu)
     q1 = [simulate_yield(model, 1, "z", beta) * w1 for beta in (0, 1)]
     e1 = [simulate_error(model, 1, "x", beta) for beta in (0, 1)]

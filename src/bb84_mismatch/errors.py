@@ -1,4 +1,6 @@
-# Exception types shared across the package.
+# Exception types shared across the package, and its one range check.
+
+import math
 
 
 class SupportError(ValueError):
@@ -19,3 +21,12 @@ class ConfigError(ValueError):
 
 class TruncationError(ValueError):
     """Photon-number cutoff leaves non-negligible Poisson tail mass."""
+
+
+def _require_in(name, value, lo, hi, *, open_lo=False, error=ValueError):
+    """Return ``value`` if it is finite and lies in [lo, hi], or (lo, hi] when
+    ``open_lo``; otherwise raise ``error`` with the message "name = value
+    outside [lo, hi]". nan and +-inf always fail."""
+    if not (math.isfinite(value) and (lo < value if open_lo else lo <= value) and value <= hi):
+        raise error(f"{name} = {value} outside {'(' if open_lo else '['}{lo:g}, {hi:g}]")
+    return value

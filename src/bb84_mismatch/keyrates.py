@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NoKeyError
+from .errors import ConfigError, NoKeyError, _require_in
 from .linalg import binary_entropy
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,17 +52,10 @@ class KeyRateResult:
         return max(self.rate, 0.0)
 
 
-def _check_ranges(q_z: float, q_x: float, eta: float, t: float, p_pass: float):
-    if not 0.0 <= q_z <= 1.0:
-        raise ValueError(f"q_z = {q_z} outside [0, 1]")
-    if not 0.0 <= q_x <= 1.0:
-        raise ValueError(f"q_x = {q_x} outside [0, 1]")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t = {t} outside (0, 1]")
-    if not 0.0 < p_pass <= 1.0:
-        raise ValueError(f"p_pass = {p_pass} outside (0, 1]")
+def _check_ranges(**named):
+    """Error rates (q_z, q_x) must lie in [0, 1], the other named values in (0, 1]."""
+    for name, value in named.items():
+        _require_in(name, value, 0.0, 1.0, open_lo=name not in ("q_z", "q_x"))
 
 
 def _require_f_ec(f_ec: float) -> None:
@@ -71,8 +64,7 @@ def _require_f_ec(f_ec: float) -> None:
     Raises:
         ConfigError: unless 0 <= f_ec < inf.
     """
-    if not 0.0 <= f_ec < math.inf:
-        raise ConfigError(f"f_ec = {f_ec} must be finite and non-negative")
+    _require_in("f_ec", f_ec, 0.0, math.inf, error=ConfigError)
 
 
 def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
@@ -133,6 +125,7 @@ def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float)
 def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
     """The phase-error argument lambda of the closed form, in [0, 1/2], at
     pass rate p_pass and x-basis error rate q."""
+    _check_ranges(q_x=q, eta=eta, t=t, p_pass=p_pass)
     return _general_args(q, eta, t, p_pass, detection_imbalance(p_pass, t, eta))[1]
 
 
@@ -147,7 +140,7 @@ def keyrate_general(
     [0, 1] beyond rounding, which signals inconsistent observations, and
     ConfigError unless f_ec is finite and non-negative.
     """
-    _check_ranges(q_z, q_x, eta, t, p_pass)
+    _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=p_pass)
     _require_f_ec(f_ec)
     delta = detection_imbalance(p_pass, t, eta)
     if not feasible(q_x, delta):
@@ -201,7 +194,7 @@ def keyrate_discard_optimized(
         ValueError: if an input is out of range or t*eta underflows to 0.
         ConfigError: unless f_ec is finite and non-negative.
     """
-    _check_ranges(q_z, q_x, eta, t, t * (1.0 + eta) / 2.0)
+    _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=t * (1.0 + eta) / 2.0)
     _require_f_ec(f_ec)
     if not eta * t / 2.0 > 0.0:
         raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}")
@@ -260,7 +253,7 @@ def _golden_min(fn, a: float, b: float) -> float:
 
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Prior-work comparison rate p_pass*{2*eta/(1+eta)*[1-h(q_x)] - h(q_z)}."""
-    _check_ranges(q_z, q_x, eta, 1.0, p_pass)
+    _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
     rate = p_pass * (
         2.0 * eta / (1.0 + eta) * (1.0 - binary_entropy(q_x)) - binary_entropy(q_z)
     )
@@ -269,7 +262,7 @@ def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateR
 
 def keyrate_fung2(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Pure-discarding comparison rate p_pass*2*eta/(1+eta)*[1-h(q_z)-h(q_x)]."""
-    _check_ranges(q_z, q_x, eta, 1.0, p_pass)
+    _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
     rate = (
         p_pass
         * 2.0
@@ -294,11 +287,17 @@ def keyrate_two_detectors(
     The common loss max(eta0, eta1) is folded into the transmission; the
     residual mismatch enters K through the chosen method.
     """
-    if not 0.0 < eta0 <= 1.0 or not 0.0 < eta1 <= 1.0:
-        raise ValueError("detector efficiencies must lie in (0, 1]")
-    scale = max(eta0, eta1)
-    base = _method_rate(method, q_z, q_x, min(eta0, eta1) / scale, t, f_ec)
+    eta, scale = _common_loss(eta0, eta1)
+    base = _method_rate(method, q_z, q_x, eta, t, f_ec)
     return replace(base, rate=scale * base.rate if base.rate is not None else None)
+
+
+def _common_loss(eta0: float, eta1: float) -> tuple[float, float]:
+    """(eta, scale): the normalized mismatch min/max of two detector
+    efficiencies in (0, 1], and the common loss max(eta0, eta1)."""
+    _check_ranges(eta0=eta0, eta1=eta1)
+    scale = max(eta0, eta1)
+    return min(eta0, eta1) / scale, scale
 
 
 def _method_rate(

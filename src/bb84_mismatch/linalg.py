@@ -1,4 +1,7 @@
-"""Dense Hermitian linear algebra for small (dim <= 6) operators.
+"""Dense Hermitian linear algebra for small (dim <= 6) operators: input
+validation, PSD projection, matrix relative entropy and logarithm on a
+support, and the binary entropy. Eigendecompositions call ``np.linalg.eigh``
+directly.
 
 All entropic quantities are in bits (log base 2). Eigenvalues below
 ``SUPPORT_CUTOFF`` times the largest one are treated as exact zeros,
@@ -6,8 +9,6 @@ which implements the 0*log(0) = 0 convention on degenerate states.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,13 +18,6 @@ from .errors import SupportError
 SUPPORT_CUTOFF = 1e-10
 
 HERMITICITY_TOL = 1e-12
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues in ascending order and the matching unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def require_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -43,13 +37,6 @@ def require_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     if dev > tol * scale:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
     return H
-
-
-def eig_decompose(H: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    H = require_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=V)
 
 
 def psd_project(H: np.ndarray) -> np.ndarray:

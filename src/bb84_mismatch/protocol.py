@@ -1,5 +1,9 @@
 """Measurement model for BB84 with constant detection-efficiency mismatch.
 
+Bob's mismatched measurement enters only through the three constraint
+operators of ``build_gamma_set``; this module also holds the depolarizing
+reference state and the extremal attack state.
+
 Bob's three-dimensional space is spanned by |0>, |1>, |vac>. Bipartite
 operators use the basis ordering AB = 00, 01, 10, 11 for the photon block,
 with the two vacuum components (0,vac), (1,vac) appended last, so a 6x6
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError
+from .errors import FeasibilityError, _require_in
 from .linalg import require_hermitian
 
 PHOTON_DIM = 4
@@ -22,43 +26,6 @@ FULL_DIM = 6
 BOB_BITS = np.array([0, 1, 0, 1])
 # Alice's bit value for the same ordering.
 ALICE_BITS = np.array([0, 0, 1, 1])
-
-_KET0 = np.array([1.0, 0.0])
-_KET1 = np.array([0.0, 1.0])
-_KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
-_KET_MINUS = np.array([1.0, -1.0]) / np.sqrt(2.0)
-
-
-def _proj(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
-@dataclass(frozen=True)
-class MismatchScenario:
-    """Detector efficiencies and basis-choice probability.
-
-    ``eta`` is the normalized mismatch min(eta0, eta1) / max(eta0, eta1).
-    """
-
-    eta0: float
-    eta1: float
-    p_z: float = 1.0
-
-    def __post_init__(self):
-        for name in ("eta0", "eta1"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} = {v} outside (0, 1]")
-        if not 0.0 <= self.p_z <= 1.0:
-            raise ValueError(f"p_z = {self.p_z} outside [0, 1]")
-
-    @property
-    def eta(self) -> float:
-        return min(self.eta0, self.eta1) / max(self.eta0, self.eta1)
-
-    @property
-    def p_x(self) -> float:
-        return 1.0 - self.p_z
 
 
 @dataclass(frozen=True)
@@ -77,34 +44,9 @@ class GammaSet:
         return [self.gamma1, self.gamma2, self.gamma3]
 
 
-def build_bob_povm(scenario: MismatchScenario) -> list[np.ndarray]:
-    """Bob's five POVM elements [P_z0, P_z1, P_x0, P_x1, P_noclick] on C^3.
-
-    The mismatched detector (bit 1) fires with relative probability eta;
-    the no-click element completes the set to the identity.
-    """
-    eta = scenario.eta
-    p_z, p_x = scenario.p_z, scenario.p_x
-    elements2 = [
-        p_z * _proj(_KET0),
-        p_z * eta * _proj(_KET1),
-        p_x * _proj(_KET_PLUS),
-        p_x * eta * _proj(_KET_MINUS),
-    ]
-    povm = []
-    for e2 in elements2:
-        e3 = np.zeros((3, 3), dtype=complex)
-        e3[:2, :2] = e2
-        povm.append(e3)
-    p_empty = np.eye(3, dtype=complex) - sum(povm)
-    povm.append(p_empty)
-    return povm
-
-
 def build_gamma_set(eta: float) -> GammaSet:
     """Constraint operators for mismatch eta, in the AB = 00,01,10,11 ordering."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside (0, 1]")
+    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     gamma1 = eta * np.eye(4)
     gamma2 = (eta / 2.0) * np.array(
         [
@@ -151,10 +93,8 @@ def depolarizing_state(q: float, t: float) -> np.ndarray:
     The photon block is t times the Bell state sent through a depolarizing
     channel on Bob's qubit; the vacuum block is (1-t)*I_2/2. Unit trace.
     """
-    if not 0.0 <= q <= 0.5:
-        raise ValueError(f"q = {q} outside [0, 1/2]")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t = {t} outside (0, 1]")
+    _require_in("q", q, 0.0, 0.5)
+    _require_in("t", t, 0.0, 1.0, open_lo=True)
     return _embed(t * _depolarized_bell(q), t)
 
 
@@ -200,12 +140,10 @@ def optimal_attack_state(
             observations). Pass ``check_feasibility=False`` to build the
             indefinite matrix anyway, e.g. for boundary scans.
     """
-    if not -1.0 <= delta <= 1.0:
-        raise ValueError(f"delta = {delta} outside [-1, 1]")
-    if not 0.0 <= q_z <= 1.0 or not 0.0 <= q_x <= 1.0:
-        raise ValueError("q_z and q_x must lie in [0, 1]")
-    if not 0.0 < t <= 1.0:
-        raise ValueError(f"t = {t} outside (0, 1]")
+    _require_in("delta", delta, -1.0, 1.0)
+    _require_in("q_z", q_z, 0.0, 1.0)
+    _require_in("q_x", q_x, 0.0, 1.0)
+    _require_in("t", t, 0.0, 1.0, open_lo=True)
     if check_feasibility and (1.0 - 2.0 * q_x) ** 2 > 1.0 - delta**2 + 1e-15:
         raise FeasibilityError(
             f"no PSD state exists for q_x = {q_x}, delta = {delta}: "

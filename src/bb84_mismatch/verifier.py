@@ -4,7 +4,10 @@ Evaluates the relative entropy of coherence of the post-measurement state,
 its gradient, and minimizes it over the constrained PSD set with a
 projected-gradient method, so the closed-form rate can be checked against an
 independent optimizer. Also hosts the spectral, stationarity and
-error-correction consistency checks.
+error-correction consistency checks. The stationarity check derives the
+allowed directions from the constraint operators of ``build_gamma_set``, so it
+is the residual ``minimize`` reports and holds at every eta, eta = 1 (where
+two of the operators coincide) included.
 
 The objective and the minimizer share one relative-entropy kernel,
 ``linalg._relative_entropy``, and one gradient, ``_gradient_block``; the
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError
-from .keyrates import _general_args, detection_imbalance, effective_phase_error
+from .errors import FeasibilityError, _require_in
+from .keyrates import _check_ranges, _general_args, detection_imbalance, effective_phase_error
 from .keyrates import feasible as _feasible
 from .linalg import (
     _psd_project,
@@ -33,7 +36,7 @@ from .linalg import (
     require_hermitian,
     support_log2,
 )
-from .protocol import ALICE_BITS, BOB_BITS, GammaSet, _depolarized_bell, photon_block
+from .protocol import ALICE_BITS, BOB_BITS, GammaSet, _depolarized_bell, build_gamma_set, photon_block
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
 
@@ -72,6 +75,7 @@ def channel_G(rho: np.ndarray, eta: float) -> np.ndarray:
     Entry (ij, kl) of the output is eta^((j+l)/2) * rho_(ij,kl) with j, l
     Bob's bit values; identical to the photon block when eta = 1.
     """
+    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     block = photon_block(np.asarray(rho, dtype=complex))
     return _weights(eta) * block
 
@@ -118,59 +122,23 @@ def gradient(rho: np.ndarray, eta: float) -> np.ndarray:
     the same dimension as rho, with vanishing vacuum components.
     """
     rho = require_hermitian(rho)
+    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     out = np.zeros(rho.shape, dtype=complex)
     out[:4, :4] = _gradient_block(photon_block(rho), eta)
     return out
 
 
-def tangent_directions() -> list[np.ndarray]:
-    """A generating set of the directions allowed by the three constraints.
-
-    Diagonal shifts satisfy d_00 = -d_10 and d_01 = -d_11; the real parts of
-    the two secondary-diagonal entries may only move with opposite signs;
-    every other Hermitian off-diagonal move is free. Each direction has unit
-    Frobenius norm.
-    """
-    dirs: list[np.ndarray] = []
-    d = np.zeros((4, 4), dtype=complex)
-    d[0, 0], d[2, 2] = 1.0, -1.0
-    dirs.append(d)
-    d = np.zeros((4, 4), dtype=complex)
-    d[1, 1], d[3, 3] = 1.0, -1.0
-    dirs.append(d)
-    for j, k in [(0, 1), (0, 2), (1, 3), (2, 3)]:
-        d = np.zeros((4, 4), dtype=complex)
-        d[j, k] = d[k, j] = 1.0
-        dirs.append(d)
-        d = np.zeros((4, 4), dtype=complex)
-        d[j, k], d[k, j] = 1.0j, -1.0j
-        dirs.append(d)
-    d = np.zeros((4, 4), dtype=complex)
-    d[0, 3] = d[3, 0] = 1.0
-    d[1, 2] = d[2, 1] = -1.0
-    dirs.append(d)
-    for j, k in [(0, 3), (1, 2)]:
-        d = np.zeros((4, 4), dtype=complex)
-        d[j, k], d[k, j] = 1.0j, -1.0j
-        dirs.append(d)
-    return [d / np.linalg.norm(d) for d in dirs]
-
-
-_TANGENT = tangent_directions()
-
-
 def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
-    """Largest |Tr(grad f * d)| over the generating set of allowed directions.
+    """Norm of the gradient projected onto the directions the constraint
+    operators of ``build_gamma_set(eta)`` allow at rho_bar: the stationarity
+    residual that ``minimize`` reports, with the same face restriction.
 
-    A residual at rounding level certifies stationarity of a strictly
-    feasible state; a perturbed state shows a residual of the order of the
-    perturbation. Near the feasibility boundary the gradient is only defined
-    by continuity and the residual loses meaning.
+    A residual at rounding level certifies stationarity; a perturbed state
+    shows a residual of the order of the perturbation. Near the feasibility
+    boundary the gradient is only defined by continuity and the residual
+    loses meaning.
     """
-    grad4 = _gradient_block(photon_block(require_hermitian(rho_bar)), eta)
-    return max(
-        abs(float(np.real(np.trace(grad4 @ d)))) for d in _TANGENT
-    )
+    return _face_kkt_residual(photon_block(require_hermitian(rho_bar)), eta, build_gamma_set(eta))
 
 
 def _extract_attack_parameters(block: np.ndarray, eta: float):
@@ -434,5 +402,6 @@ def ignorance_term(q_x: float, eta: float, t: float, p_pass: float) -> float:
 
     This is the analytic value the minimizer is verified against.
     """
+    _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
     arg, lam = _general_args(q_x, eta, t, p_pass, detection_imbalance(p_pass, t, eta))
     return p_pass * (binary_entropy(min(max(arg, 0.0), 1.0)) - binary_entropy(lam))

@@ -220,10 +220,13 @@ def test_decoy_sim_relabels_swapped_detectors(capsys):
 
 
 def test_verify_passes_on_default_grid(capsys):
-    code, out, _ = run(capsys, "verify", "--grid-density", "1", "--eta", "0.6")
-    assert code == 0
-    assert "analytic_vs_numeric" in out
-    assert "FAIL" not in out
+    # At eta = 1 the KKT check runs on a state with delta = 0, the only
+    # imbalance consistent with eta = 1.
+    for eta in ("0.6", "1"):
+        code, out, _ = run(capsys, "verify", "--grid-density", "1", "--eta", eta)
+        assert code == 0
+        assert "analytic_vs_numeric" in out
+        assert "FAIL" not in out
 
 
 def test_verify_perturbation_detection(capsys):

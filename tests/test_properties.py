@@ -1,10 +1,12 @@
-"""Property tests of the key-rate method dispatcher, the rates behind it, and
-`decoy-sim`."""
+"""Property tests of the key-rate method dispatcher, the rates behind it,
+`decoy-sim`, and the error contract of the entry points that take a mismatch
+eta."""
 
 import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,7 +14,22 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from bb84_mismatch import keyrate_two_detectors  # noqa: E402
+from bb84_mismatch import (  # noqa: E402
+    ChannelModel,
+    DecoyConfig,
+    channel_G,
+    effective_phase_error,
+    eigenvalues_check,
+    error_correction_leak,
+    gradient,
+    ignorance_term,
+    keyrate_two_detectors,
+    kkt_orthogonality_check,
+    objective,
+    optimal_attack_state,
+    simulate_observations,
+    theoretical_limit,
+)
 from bb84_mismatch.cli import main  # noqa: E402
 from bb84_mismatch.keyrates import _method_rate  # noqa: E402
 
@@ -97,3 +114,40 @@ def test_decoy_sim_limit_is_finite_and_dominates_either_detector_order(eta0, eta
     if eta0 != eta1:
         # Relabelling the outcomes is a symmetry: swapped flags, same rows.
         assert _decoy_sim_rows(eta1, eta0, dark1, dark0, e_det, l_max) == (code, rows)
+
+
+_RHO = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
+_MODEL = ChannelModel(0.2, 20.0, 5.0, 0.01, 0.1, 0.07, (1e-6, 1e-6))
+_CFG = DecoyConfig(mu=0.5, nu1=0.1, nu2=0.0)
+_OBS = simulate_observations(_MODEL, _CFG)
+
+# Each public entry point that takes eta, with its other arguments fixed.
+ETA_ENTRY_POINTS = {
+    "channel_G": lambda eta: channel_G(_RHO, eta),
+    "objective": lambda eta: objective(_RHO, eta),
+    "gradient": lambda eta: gradient(_RHO, eta),
+    "kkt_orthogonality_check": lambda eta: kkt_orthogonality_check(_RHO, eta),
+    "eigenvalues_check": lambda eta: eigenvalues_check(_RHO, eta),
+    "error_correction_leak": lambda eta: error_correction_leak(_RHO, eta),
+    "ignorance_term": lambda eta: ignorance_term(0.05, eta, 1.0, 0.75),
+    "effective_phase_error": lambda eta: effective_phase_error(0.05, eta, 1.0, 0.75),
+    # An infeasible rate is None.
+    "theoretical_limit": lambda eta: theoretical_limit(_MODEL, _OBS, _CFG, eta=eta).rate,
+}
+
+any_eta = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0, 1.0 + 1e-15, 1.5, 2.0]),
+    st.floats(),
+)
+
+
+@props
+@given(any_eta)
+def test_eta_entry_points_return_finite_or_raise_value_error(eta):
+    for name, call in ETA_ENTRY_POINTS.items():
+        try:
+            result = call(eta)
+        except ValueError:
+            continue
+        assert 0.0 < eta <= 1.0, name  # an eta outside (0, 1] must raise
+        assert result is None or np.all(np.isfinite(result)), name

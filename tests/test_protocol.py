@@ -3,43 +3,12 @@ import pytest
 
 from bb84_mismatch import (
     FeasibilityError,
-    MismatchScenario,
-    build_bob_povm,
     build_gamma_set,
     depolarizing_state,
     gamma_expectations,
     optimal_attack_state,
     photon_block,
 )
-
-
-def test_povm_no_mismatch_z_only():
-    povm = build_bob_povm(MismatchScenario(eta0=1.0, eta1=1.0, p_z=1.0))
-    np.testing.assert_allclose(povm[0], np.diag([1.0, 0.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(povm[1], np.diag([0.0, 1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(povm[4], np.diag([0.0, 0.0, 1.0]), atol=1e-14)
-
-
-def test_povm_mismatched_one_detector():
-    # The detector for bit 1 fires with relative probability eta.
-    povm = build_bob_povm(MismatchScenario(eta0=1.0, eta1=0.5, p_z=0.5))
-    expected = 0.25 * np.diag([0.0, 1.0, 0.0])
-    np.testing.assert_allclose(povm[1], expected, atol=1e-14)
-
-
-def test_povm_completeness_random_scenarios():
-    rng = np.random.default_rng(23)
-    for _ in range(1000):
-        scenario = MismatchScenario(
-            eta0=rng.uniform(0.05, 1.0),
-            eta1=rng.uniform(0.05, 1.0),
-            p_z=rng.uniform(0.0, 1.0),
-        )
-        povm = build_bob_povm(scenario)
-        total = sum(povm)
-        assert np.linalg.norm(total - np.eye(3)) <= 1e-12
-        for element in povm:
-            assert np.linalg.eigvalsh(element).min() >= -1e-12
 
 
 def test_gamma_matrices_entries():
@@ -176,9 +145,3 @@ def test_attack_state_minimum_eigenvalue_sign_change():
             hi = mid
     assert abs((lo + hi) / 2 - target) <= 1e-8
 
-
-def test_scenario_eta_consistency():
-    scenario = MismatchScenario(eta0=0.1, eta1=0.07)
-    assert abs(scenario.eta - 0.7) <= 1e-12
-    with pytest.raises(ValueError):
-        MismatchScenario(eta0=0.0, eta1=0.5)

@@ -221,6 +221,13 @@ def test_kkt_residual_small_at_attack_state():
         assert kkt_orthogonality_check(rho, eta) <= 1e-8
 
 
+def test_kkt_residual_flags_inconsistent_state_at_eta_one():
+    # At eta = 1 the pass rate equals t, so delta = 0.02 leaves the observed
+    # constraint class: the state is not stationary for build_gamma_set(1).
+    rho = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
+    assert kkt_orthogonality_check(rho, 1.0) > 1e-4
+
+
 def test_kkt_residual_detects_perturbation():
     rho = photon_block(optimal_attack_state(0.05, 0.05, 0.0, 1.0))
     direction = np.zeros((4, 4))
@@ -407,3 +414,75 @@ def test_psd_project_kernel_matches_public_bitwise():
         psd_project(np.triu(np.ones((4, 4))))
     with pytest.raises(ValueError):
         psd_project(np.diag([1.0, math.inf, 0.0, 0.0]))
+
+
+def _signed_permutation_group(generators):
+    """Closure of a list of 4x4 signed permutation matrices under products."""
+    group = {np.eye(4).tobytes(): np.eye(4)}
+    frontier = list(group.values())
+    while frontier:
+        new = [s @ g for g in frontier for s in generators]
+        frontier = [h for h in new if h.tobytes() not in group]
+        group.update((h.tobytes(), h) for h in frontier)
+    return list(group.values())
+
+
+def _twirl(rho, group):
+    """Real part of the group average of P rho P^T."""
+    return np.real(sum(p @ rho @ p.T for p in group)) / len(group)
+
+
+def test_theorem_by_symmetry_without_the_oracle():
+    # The constraints and the objective are invariant under Z(x)Z and X(x)I
+    # (and I(x)X at eta = 1) and under complex conjugation, and f is convex,
+    # so the twirl T maps a feasible state to a feasible invariant state with
+    # no larger f. On the invariant subspace the constraints fix the state
+    # uniquely; that state must attain the closed-form minimum.
+    zz = np.diag([1.0, -1.0, -1.0, 1.0])
+    xi = np.eye(4)[[2, 3, 0, 1]]
+    ix = np.eye(4)[[1, 0, 3, 2]]
+    groups = {False: _signed_permutation_group([zz, xi]), True: _signed_permutation_group([zz, xi, ix])}
+    bases = {}
+    for ideal, group in groups.items():
+        sym = []
+        for j in range(4):
+            for k in range(j, 4):
+                e = np.zeros((4, 4))
+                e[j, k] = e[k, j] = 1.0
+                sym.append(_twirl(e, group).ravel())
+        u, s, _ = np.linalg.svd(np.array(sym).T, full_matrices=False)
+        bases[ideal] = u[:, s > 1e-12 * s[0]].T.reshape(-1, 4, 4)
+    assert len(bases[False]) == 3 and len(bases[True]) == 2
+
+    rng = np.random.default_rng(20260418)
+    for _ in range(1000):
+        eta = 1.0 if rng.random() < 0.1 else rng.uniform(1e-3, 1.0)
+        ideal = eta == 1.0
+        group, basis = groups[ideal], bases[ideal]
+        gammas = build_gamma_set(eta).as_list()
+
+        # (a) The twirl keeps the constraint values and does not raise f.
+        for g in gammas:
+            for p in group:
+                assert np.abs(p @ g @ p.T - g).max() <= 1e-15
+        rho = random_state_block(rng)
+        twirled = _twirl(rho, group)
+        for g in gammas:
+            assert abs(np.trace(g @ twirled).real - np.trace(g @ rho).real) <= 1e-12
+        assert objective(twirled, eta) <= objective(rho, eta) + 1e-12
+
+        # (b) The unique invariant state with the observed values.
+        t = rng.uniform(0.01, 1.0)
+        delta = 0.0 if ideal else rng.uniform(-0.999, 0.999)
+        root = math.sqrt(1.0 - delta * delta)
+        if rng.random() < 0.3:
+            q_x = (1.0 - root) / 2.0  # on the boundary 2*q_x = 1 - sqrt(1 - delta^2)
+        else:
+            q_x = rng.uniform((1.0 - root) / 2.0 + 1e-6, (1.0 + root) / 2.0 - 1e-6)
+        p_pass = t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)
+        A = np.array([[np.trace(g @ b) for b in basis] for g in gammas])
+        assert np.linalg.matrix_rank(A) == len(basis)
+        coef = np.linalg.lstsq(A, [t * eta, t * eta * q_x, p_pass], rcond=None)[0]
+        state = np.tensordot(coef, basis, axes=1)
+        assert np.linalg.eigvalsh(state)[0] >= -1e-12 * t
+        assert abs(objective(state, eta) - ignorance_term(q_x, eta, t, p_pass)) <= 1e-11
