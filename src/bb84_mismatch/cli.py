@@ -1,6 +1,14 @@
 """Command-line front end: rate queries, parameter sweeps, decoy simulation,
 and numerical verification runs.
 
+Each subcommand takes only the flags it reads, spelt in full; any other flag
+is a usage error. ``--config FILE`` holds ``key = value`` lines whose keys are
+flag names without the leading dashes. Each line is parsed as the flag
+``--key=value`` placed before the given flags: it gets the flag's type, choices
+and range checks, a key the subcommand does not take is an error, and a given
+flag wins over the file. Range endpoints (``--start``, ``--stop``, ``--l-min``,
+``--l-max``) must be finite.
+
 Output is plain CSV with '#'-prefixed metadata lines, 12 significant digits,
 byte-deterministic for a fixed invocation. Exit codes: 0 success, 1 usage or
 configuration error, 2 infeasible inputs, 3 verification failure.
@@ -10,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,6 +72,49 @@ _BENCHMARK_DEFAULTS = {
     "dark1": 1e-6,
 }
 
+# Every flag's argparse keywords; each subcommand registers the flags it reads.
+_FLAGS = {
+    "eta": dict(type=float, help="normalized mismatch in (0, 1]"),
+    "eta0": dict(type=float, help="efficiency of detector 0"),
+    "eta1": dict(type=float, help="efficiency of detector 1"),
+    "qz": dict(type=float, help="key-basis QBER"),
+    "qx": dict(type=float, help="x-basis error statistic"),
+    "t": dict(type=float, default=1.0, help="channel transparency (default 1)"),
+    "p-pass": dict(type=float, help="sifting pass probability"),
+    "f-ec": dict(type=float, default=1.0, help="error-correction inefficiency, finite and >= 0 (default 1)"),
+    "out": dict(type=str, default="stdout", help="output path or 'stdout' (default)"),
+    "config": dict(type=str, help="key = value config file; flags win on conflict"),
+    "variable": dict(choices=tuple(_SWEPT)),
+    "start": dict(type=float),
+    "stop": dict(type=float),
+    "steps": dict(type=int),
+    "methods": dict(type=str, help="comma-separated method list"),
+    "mu": dict(type=float, help="signal intensity"),
+    "nu1": dict(type=float, help="first decoy intensity"),
+    "nu2": dict(type=float, help="second decoy intensity"),
+    "alpha-db-km": dict(type=float, help="fiber attenuation, dB/km"),
+    "bob-loss-db": dict(type=float, help="receiver optics loss, dB"),
+    "e-det": dict(type=float, help="optical error probability"),
+    "dark0": dict(type=float, help="dark count probability, detector 0"),
+    "dark1": dict(type=float, help="dark count probability, detector 1"),
+    "l-min": dict(type=float, default=0.0, help="shortest distance, km"),
+    "l-max": dict(type=float, default=120.0, help="longest distance, km"),
+    "l-steps": dict(type=int, default=13, help="number of distances"),
+    "grid-density": dict(type=int, default=2, help="x-error grid points (default 2)"),
+    "perturb": dict(type=float, help="adversarial perturbation size"),
+}
+# The flags each subcommand reads, in --help order.
+_RATE_FLAGS = ("eta", "eta0", "eta1", "qz", "qx", "t", "p-pass", "f-ec", "out", "config")
+_CHANNEL_FLAGS = ("mu", "nu1", "nu2", "alpha-db-km", "bob-loss-db", "e-det", "dark0", "dark1")
+_COMMAND_FLAGS = {
+    "rate": _RATE_FLAGS,
+    "sweep": _RATE_FLAGS + ("variable", "start", "stop", "steps", "methods") + _CHANNEL_FLAGS,
+    "decoy-sim": ("eta0", "eta1", "f-ec", "out", "config") + _CHANNEL_FLAGS + ("l-min", "l-max", "l-steps"),
+    "verify": ("eta", "grid-density", "perturb", "out", "config"),
+}
+
+_HALF_MAX = sys.float_info.max / 2.0
+
 
 class UsageError(Exception):
     pass
@@ -82,9 +133,9 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-def _load_config(path: str) -> dict[str, str]:
-    """key = value lines; keys mirror the flag names without leading dashes."""
-    out: dict[str, str] = {}
+def _load_config(path: str) -> list[str]:
+    """``key = value`` lines as the flag tokens ``--key=value``."""
+    out: list[str] = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -94,28 +145,10 @@ def _load_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
+                out.append(f"--{key.strip()}={value.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
-
-
-def _resolve(args, name: str, default, cast=float):
-    """Flag value if given, else config-file value, else the default."""
-    dest = name.replace("-", "_")
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    config = getattr(args, "_config", {})
-    if name in config:
-        raw = config[name]
-        if cast is str:
-            return raw
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {name!r}: {exc}") from exc
-    return default
 
 
 def _require_ranges(**named):
@@ -127,110 +160,60 @@ def _require_ranges(**named):
             _require_in(flag, value, 0.0, 1.0, open_lo=name not in ("qz", "qx"), error=UsageError)
 
 
-def _resolve_f_ec(args) -> float:
-    """--f-ec, rejected up front unless finite and >= 0.
-
-    The rate functions check it too, but ``rate`` would report their error
-    as infeasible inputs and ``sweep`` would print nan rows.
-    """
-    f_ec = _resolve(args, "f-ec", 1.0)
-    _require_f_ec(f_ec)
-    return f_ec
-
-
-def _add_shared(parser: _Parser):
-    parser.add_argument("--eta", type=float, help="normalized mismatch in (0, 1]")
-    parser.add_argument("--eta0", type=float, help="efficiency of detector 0")
-    parser.add_argument("--eta1", type=float, help="efficiency of detector 1")
-    parser.add_argument("--qz", type=float, help="key-basis QBER")
-    parser.add_argument("--qx", type=float, help="x-basis error statistic")
-    parser.add_argument("--t", type=float, help="channel transparency (default 1)")
-    parser.add_argument("--p-pass", type=float, help="sifting pass probability")
-    parser.add_argument("--f-ec", type=float, help="error-correction inefficiency, finite and >= 0 (default 1)")
-    parser.add_argument("--out", type=str, help="output path or 'stdout' (default)")
-    parser.add_argument("--config", type=str, help="key=value config file; flags win on conflict")
-
-
-def _add_decoy_flags(parser: _Parser):
-    parser.add_argument("--mu", type=float, help="signal intensity")
-    parser.add_argument("--nu1", type=float, help="first decoy intensity")
-    parser.add_argument("--nu2", type=float, help="second decoy intensity")
-    parser.add_argument("--alpha-db-km", type=float, help="fiber attenuation, dB/km")
-    parser.add_argument("--bob-loss-db", type=float, help="receiver optics loss, dB")
-    parser.add_argument("--e-det", type=float, help="optical error probability")
-    parser.add_argument("--dark0", type=float, help="dark count probability, detector 0")
-    parser.add_argument("--dark1", type=float, help="dark count probability, detector 1")
-    parser.add_argument("--l-min", type=float, help="shortest distance, km")
-    parser.add_argument("--l-max", type=float, help="longest distance, km")
-    parser.add_argument("--l-steps", type=int, help="number of distances")
+def _require_endpoints(**named):
+    """Range endpoints must be finite, and within half the largest float so
+    that np.linspace's span is finite too."""
+    for name, value in named.items():
+        _require_in("--" + name.replace("_", "-"), value, -_HALF_MAX, _HALF_MAX, error=UsageError)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="bb84-mismatch", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rate = sub.add_parser("rate", help="single-point key rate")
-    _add_shared(p_rate)
-    p_rate.set_defaults(func=cmd_rate)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep to CSV")
-    _add_shared(p_sweep)
-    _add_decoy_flags(p_sweep)
-    p_sweep.add_argument("--variable", choices=("eta", "q", "distance_km"))
-    p_sweep.add_argument("--start", type=float)
-    p_sweep.add_argument("--stop", type=float)
-    p_sweep.add_argument("--steps", type=int)
-    p_sweep.add_argument("--methods", type=str, help="comma-separated method list")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_decoy = sub.add_parser("decoy-sim", help="decoy-state rate vs distance")
-    _add_shared(p_decoy)
-    _add_decoy_flags(p_decoy)
-    p_decoy.set_defaults(func=cmd_decoy_sim)
-
-    p_verify = sub.add_parser("verify", help="analytic-vs-numeric certification")
-    _add_shared(p_verify)
-    p_verify.add_argument("--grid-density", type=int, help="x-error grid points (default 2)")
-    p_verify.add_argument("--perturb", type=float, help="adversarial perturbation size")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, func, help_ in (
+        ("rate", cmd_rate, "single-point key rate"),
+        ("sweep", cmd_sweep, "parameter sweep to CSV"),
+        ("decoy-sim", cmd_decoy_sim, "decoy-state rate vs distance"),
+        ("verify", cmd_verify, "analytic-vs-numeric certification"),
+    ):
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+    # A sweep's fixed error rates default to 0; rate requires them.
+    sub.choices["sweep"].set_defaults(qz=0.0, qx=0.0)
     return parser
 
 
 def _emit(args, lines: list[str]) -> None:
-    out = _resolve(args, "out", "stdout", str)
     text = "\n".join(lines) + "\n"
-    if out == "stdout":
+    if args.out == "stdout":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
 def _effective_eta(args) -> tuple[float, float]:
     """(eta, scale): normalized mismatch plus the common-loss prefactor."""
-    eta = _resolve(args, "eta", None)
-    eta0 = _resolve(args, "eta0", None)
-    eta1 = _resolve(args, "eta1", None)
-    if eta0 is not None and eta1 is not None:
-        if eta is not None:
+    if args.eta0 is not None and args.eta1 is not None:
+        if args.eta is not None:
             raise UsageError("give either --eta or the pair --eta0/--eta1, not both")
-        _require_ranges(eta0=eta0, eta1=eta1)
-        return _common_loss(eta0, eta1)
-    if (eta0 is None) != (eta1 is None):
+        _require_ranges(eta0=args.eta0, eta1=args.eta1)
+        return _common_loss(args.eta0, args.eta1)
+    if (args.eta0 is None) != (args.eta1 is None):
         raise UsageError("--eta0 and --eta1 must be given together")
-    return (1.0 if eta is None else eta), 1.0
+    return (1.0 if args.eta is None else args.eta), 1.0
 
 
 def cmd_rate(args) -> int:
     eta, scale = _effective_eta(args)
-    q_z = _resolve(args, "qz", None)
-    q_x = _resolve(args, "qx", None)
+    q_z, q_x, t, p_pass, f_ec = args.qz, args.qx, args.t, args.p_pass, args.f_ec
     if q_z is None or q_x is None:
         raise UsageError("rate requires --qz and --qx")
-    t = _resolve(args, "t", 1.0)
-    p_pass = _resolve(args, "p-pass", None)
-    f_ec = _resolve_f_ec(args)
+    # Checked up front: the rate functions would report a bad f_ec as infeasible inputs.
+    _require_f_ec(f_ec)
     _require_ranges(qz=q_z, qx=q_x, eta=eta, t=t, p_pass=p_pass)
     try:
         if p_pass is None:
@@ -254,78 +237,39 @@ def cmd_rate(args) -> int:
     return 0 if res.feasible else 2
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: variable, range, fixed parameters, methods."""
-
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    fixed_params: dict
-    methods: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.variable not in ("eta", "q", "distance_km"):
-            raise ConfigError(f"unknown sweep variable {self.variable!r}")
-        if not self.start < self.stop:
-            raise ConfigError("sweep requires start < stop")
-        if self.steps < 2:
-            raise ConfigError("sweep requires at least 2 steps")
-        if not self.methods:
-            raise ConfigError("sweep requires at least one method")
-        bad = [m for m in self.methods if m not in SWEEP_METHODS]
-        if bad:
-            raise ConfigError(f"unknown methods: {', '.join(bad)}")
-        distance_only = {"decoy", "theoretical_limit"}
-        if self.variable == "distance_km":
-            extra = set(self.methods) - distance_only
-            if extra:
-                raise ConfigError(
-                    f"methods {sorted(extra)} not valid for a distance sweep"
-                )
-        else:
-            extra = set(self.methods) & distance_only
-            if extra:
-                raise ConfigError(
-                    f"methods {sorted(extra)} require --variable distance_km"
-                )
-            if "general" in self.methods and "p_pass" not in self.fixed_params:
-                raise ConfigError("method 'general' requires --p-pass")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def _sweep_value(method: str, x: float, spec: SweepSpec) -> float | None:
-    p = spec.fixed_params
-    if spec.variable == "eta":
+def _sweep_value(method: str, x: float, variable: str, p: dict, scale: float) -> float | None:
+    """The rate of ``method`` at swept value ``x``, times the common loss ``scale``."""
+    if variable == "eta":
         eta, q_z, q_x = x, p["q_z"], p["q_x"]
     else:
         eta, q_z, q_x = p["eta"], x, x
-    t = p["t"]
-    f_ec = p["f_ec"]
     try:
-        if method == "general":
-            return keyrate_general(q_z, q_x, eta, t, p["p_pass"], f_ec=f_ec).rate
         if method == "penalty_ratio":
+            # A ratio of two rates cancels the common-loss factor.
             return mismatch_penalty_ratio(q_x, eta)
-        return _method_rate(method, q_z, q_x, eta, t, f_ec).rate
+        if method == "general":
+            rate = keyrate_general(q_z, q_x, eta, p["t"], p["p_pass"], f_ec=p["f_ec"]).rate
+        else:
+            rate = _method_rate(method, q_z, q_x, eta, p["t"], p["f_ec"]).rate
     except (NoKeyError, FeasibilityError, ValueError):
         return None
+    return None if rate is None else scale * rate
 
 
 def _decoy_flags(args) -> dict:
-    """The channel and intensity flags of a decoy run, as given."""
-    return {k: _resolve(args, k.replace("_", "-"), v) for k, v in _BENCHMARK_DEFAULTS.items()}
+    """The channel and intensity flags of a decoy run, defaults filled in."""
+    return {k: v if getattr(args, k) is None else getattr(args, k) for k, v in _BENCHMARK_DEFAULTS.items()}
 
 
-def _channels(d: dict, lengths) -> tuple[list[ChannelModel], DecoyConfig]:
-    """The channel at each of ``lengths``, and the intensities, from the flags ``d``.
+def _distance_rates(d: dict, lengths, f_ec: float, columns) -> list[list[float | None]]:
+    """Each distance's row of rates, one per name in ``columns``: ``decoy``,
+    ``theoretical_limit`` or ``no_mismatch_limit`` (the limit with both
+    detectors at the mean efficiency), on the channels of the flags ``d``.
 
-    The estimator needs outcome 1 to be the less efficient detector's, so a
-    pair with eta0 < eta1 is relabelled: swapping the outcomes' efficiencies
-    and dark counts together is a symmetry of BB84.
+    Each channel is simulated once. The estimator needs outcome 1 to be the
+    less efficient detector's, so a pair with eta0 < eta1 is relabelled:
+    swapping the outcomes' efficiencies and dark counts together is a
+    symmetry of BB84.
     """
     # Checked before relabelling, so that an error names the flag as given.
     _require_ranges(eta0=d["eta0"], eta1=d["eta1"])
@@ -344,87 +288,91 @@ def _channels(d: dict, lengths) -> tuple[list[ChannelModel], DecoyConfig]:
         )
         for length in lengths
     ]
-    return models, DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
+    cfg = DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
+    observations = [simulate_observations(model, cfg) for model in models]
+    rates = {}
+    if "decoy" in columns:
+        rates["decoy"] = [res.rate for res in _decoy_keyrates(observations, cfg, models[0].eta, f_ec)]
+    if "theoretical_limit" in columns:
+        rates["theoretical_limit"] = [
+            theoretical_limit(model, obs, cfg, f_ec=f_ec).rate for model, obs in zip(models, observations)
+        ]
+    if "no_mismatch_limit" in columns:
+        avg = (eta[0] + eta[1]) / 2.0
+        matched = [replace(model, eta0=avg, eta1=avg) for model in models]
+        rates["no_mismatch_limit"] = [
+            theoretical_limit(model, simulate_observations(model, cfg), cfg, f_ec=f_ec).rate for model in matched
+        ]
+    return [[rates[c][i] for c in columns] for i in range(len(models))]
+
+
+def _rows(xs, rates) -> list[str]:
+    return [",".join([_fmt(float(x)), *map(_fmt, row)]) for x, row in zip(xs, rates)]
 
 
 def cmd_sweep(args) -> int:
-    variable = _resolve(args, "variable", None, str)
+    variable = args.variable
     if variable is None:
         raise UsageError("sweep requires --variable")
-    start = _resolve(args, "start", None)
-    stop = _resolve(args, "stop", None)
-    steps = _resolve(args, "steps", None, int)
-    methods_raw = _resolve(args, "methods", None, str)
-    if start is None or stop is None or steps is None or methods_raw is None:
+    if None in (args.start, args.stop, args.steps, args.methods):
         raise UsageError("sweep requires --start, --stop, --steps and --methods")
-    methods = tuple(m.strip() for m in methods_raw.split(",") if m.strip())
+    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
 
     eta, scale = _effective_eta(args)
-    fixed = {
-        "q_z": _resolve(args, "qz", 0.0),
-        "q_x": _resolve(args, "qx", 0.0),
-        "eta": eta,
-        "t": _resolve(args, "t", 1.0),
-        "f_ec": _resolve_f_ec(args),
-    }
-    p_pass = _resolve(args, "p-pass", None)
-    _require_ranges(qz=fixed["q_z"], qx=fixed["q_x"], eta=eta, t=fixed["t"], p_pass=p_pass)
-    if p_pass is not None:
-        fixed["p_pass"] = p_pass
-    spec = SweepSpec(
-        variable=variable,
-        start=start,
-        stop=stop,
-        steps=steps,
-        fixed_params=fixed,
-        methods=methods,
-    )
+    fixed = {"q_z": args.qz, "q_x": args.qx, "eta": eta, "t": args.t, "f_ec": args.f_ec}
+    # Checked up front: the rate functions would turn a bad f_ec into nan rows.
+    _require_f_ec(args.f_ec)
+    _require_ranges(qz=args.qz, qx=args.qx, eta=eta, t=args.t, p_pass=args.p_pass)
+    if args.p_pass is not None:
+        fixed["p_pass"] = args.p_pass
+    _require_endpoints(start=args.start, stop=args.stop)
+    if not args.start < args.stop:
+        raise ConfigError("sweep requires start < stop")
+    if args.steps < 2:
+        raise ConfigError("sweep requires at least 2 steps")
+    if not methods:
+        raise ConfigError("sweep requires at least one method")
+    bad = [m for m in methods if m not in SWEEP_METHODS]
+    if bad:
+        raise ConfigError(f"unknown methods: {', '.join(bad)}")
+    distance_only = {"decoy", "theoretical_limit"}
+    if variable == "distance_km":
+        extra = set(methods) - distance_only
+        if extra:
+            raise ConfigError(f"methods {sorted(extra)} not valid for a distance sweep")
+    else:
+        extra = set(methods) & distance_only
+        if extra:
+            raise ConfigError(f"methods {sorted(extra)} require --variable distance_km")
+        if "general" in methods and args.p_pass is None:
+            raise ConfigError("method 'general' requires --p-pass")
 
+    grid = np.linspace(args.start, args.stop, args.steps)
+    if variable == "distance_km":
+        rates = _distance_rates(_decoy_flags(args), grid, args.f_ec, methods)
+    else:
+        rates = [[_sweep_value(m, float(x), variable, fixed, scale) for m in methods] for x in grid]
     read = {k for m in methods for k in SWEEP_METHODS[m]} - set(_SWEPT[variable])
     lines = [
         f"# bb84-mismatch {__version__} sweep",
         f"# variable = {variable}; fixed: "
         + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(fixed.items()) if k in read),
+        ",".join((variable,) + methods),
     ]
-    header = [variable] + list(methods)
-    lines.append(",".join(header))
-    if variable == "distance_km":
-        models, cfg = _channels(_decoy_flags(args), spec.grid())
-        observations = [simulate_observations(model, cfg) for model in models]
-        if "decoy" in methods:
-            decoys = _decoy_keyrates(observations, cfg, models[0].eta, fixed["f_ec"])
-    for i, x in enumerate(spec.grid()):
-        row = [_fmt(float(x))]
-        if variable == "distance_km":
-            for method in methods:
-                if method == "decoy":
-                    res = decoys[i]
-                else:
-                    res = theoretical_limit(models[i], observations[i], cfg, f_ec=fixed["f_ec"])
-                row.append(_fmt(res.rate))
-        else:
-            for method in methods:
-                value = _sweep_value(method, float(x), spec)
-                # A ratio of two rates cancels the common-loss factor.
-                factor = 1.0 if method == "penalty_ratio" else scale
-                row.append(_fmt(None if value is None else factor * value))
-        lines.append(",".join(row))
-    _emit(args, lines)
+    _emit(args, lines + _rows(grid, rates))
     return 0
 
 
 def cmd_decoy_sim(args) -> int:
-    l_min = _resolve(args, "l-min", 0.0)
-    l_max = _resolve(args, "l-max", 120.0)
-    l_steps = _resolve(args, "l-steps", 13, int)
-    if l_steps < 2 or not l_min < l_max:
+    _require_endpoints(l_min=args.l_min, l_max=args.l_max)
+    if args.l_steps < 2 or not args.l_min < args.l_max:
         raise ConfigError("decoy-sim requires l-min < l-max and l-steps >= 2")
-    f_ec = _resolve_f_ec(args)
+    f_ec = args.f_ec
+    _require_f_ec(f_ec)
     d = _decoy_flags(args)
-    lengths = np.linspace(l_min, l_max, l_steps)
-    models, cfg = _channels(d, lengths)
-    observations = [simulate_observations(model, cfg) for model in models]
-    decoys = _decoy_keyrates(observations, cfg, models[0].eta, f_ec)
+    lengths = np.linspace(args.l_min, args.l_max, args.l_steps)
+    columns = ("decoy", "theoretical_limit", "no_mismatch_limit")
+    rates = _distance_rates(d, lengths, f_ec, columns)
     # The header repeats the flags as given, before any relabelling.
     lines = [
         f"# bb84-mismatch {__version__} decoy-sim",
@@ -432,24 +380,9 @@ def cmd_decoy_sim(args) -> int:
         f"alpha_db_km={_fmt(d['alpha_db_km'])} bob_loss_db={_fmt(d['bob_loss_db'])} "
         f"e_det={_fmt(d['e_det'])} eta0={_fmt(d['eta0'])} eta1={_fmt(d['eta1'])} "
         f"dark0={_fmt(d['dark0'])} dark1={_fmt(d['dark1'])} f_ec={_fmt(f_ec)}",
-        "distance_km,decoy,theoretical_limit,no_mismatch_limit",
+        ",".join(("distance_km",) + columns),
     ]
-    for length, model, obs, res_decoy in zip(lengths, models, observations, decoys):
-        res_limit = theoretical_limit(model, obs, cfg, f_ec=f_ec)
-        avg = (model.eta0 + model.eta1) / 2.0
-        matched = replace(model, eta0=avg, eta1=avg)
-        res_matched = theoretical_limit(matched, simulate_observations(matched, cfg), cfg, f_ec=f_ec)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(float(length)),
-                    _fmt(res_decoy.rate),
-                    _fmt(res_limit.rate),
-                    _fmt(res_matched.rate),
-                ]
-            )
-        )
-    _emit(args, lines)
+    _emit(args, lines + _rows(lengths, rates))
     return 0
 
 
@@ -522,14 +455,11 @@ def _verify_checks(etas, qx_grid, deltas, perturb: float | None):
 
 
 def cmd_verify(args) -> int:
-    eta_flag = _resolve(args, "eta", None)
-    etas = (0.5, 0.8, 1.0) if eta_flag is None else (eta_flag,)
-    density = _resolve(args, "grid-density", 2, int)
-    qx_grid = tuple(np.linspace(0.02, 0.11, max(density, 1)))
-    perturb = _resolve(args, "perturb", None)
+    etas = (0.5, 0.8, 1.0) if args.eta is None else (args.eta,)
+    qx_grid = tuple(np.linspace(0.02, 0.11, max(args.grid_density, 1)))
     lines = [f"# bb84-mismatch {__version__} verify"]
     failed = None
-    for name, discrepancy, passed in _verify_checks(etas, qx_grid, (0.0, 0.05, -0.05), perturb):
+    for name, discrepancy, passed in _verify_checks(etas, qx_grid, (0.0, 0.05, -0.05), args.perturb):
         lines.append(f"{name}: max discrepancy {_fmt(discrepancy)} [{'pass' if passed else 'FAIL'}]")
         if not passed and failed is None:
             failed = name
@@ -540,11 +470,14 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config_path = getattr(args, "config", None)
-        args._config = _load_config(config_path) if config_path else {}
+        if args.config is not None:
+            # Config entries parse as flags placed before the given ones, so flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _load_config(args.config) + argv[at:])
         return args.func(args)
     except (UsageError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,10 @@ from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
 BASES = ("z", "x")
+
+# Outcome 1's gains are divided by eta, so eta must exceed 1/max, below which
+# 1/eta is not finite.
+_ETA_MIN = 1.0 / sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -282,7 +287,7 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
     Outcome 1's error gains are divided by eta: it is the less efficient
     detector's.
     """
-    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
+    _require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
     q = (
         (obs.error_gain("d1", "x", 0) + obs.error_gain("d1", "x", 1) / eta)
@@ -463,7 +468,7 @@ def theoretical_limit(
     ``simulate_observations(model, cfg)``; they supply the error-correction
     term, so that a channel is simulated once for both rates.
     """
-    eta = model.eta if eta is None else _require_in("eta", eta, 0.0, 1.0, open_lo=True)
+    eta = _require_in("eta", model.eta if eta is None else eta, _ETA_MIN, 1.0, open_lo=True)
     w1 = poisson_pmf(1, cfg.mu)
     q1 = [simulate_yield(model, 1, "z", beta) * w1 for beta in (0, 1)]
     e1 = [simulate_error(model, 1, "x", beta) for beta in (0, 1)]

@@ -128,6 +128,20 @@ def gradient(rho: np.ndarray, eta: float) -> np.ndarray:
     return out
 
 
+def _checked_block(rho_bar: np.ndarray) -> np.ndarray:
+    """The photon block of a Hermitian ``rho_bar``, for the public checks.
+
+    Raises ``ValueError`` unless the block's trace is positive: the leak and
+    the spectrum normalize by it, and a state without single-photon weight
+    has no stationarity to check.
+    """
+    block = photon_block(require_hermitian(rho_bar))
+    trace = float(np.real(np.trace(block)))
+    if not trace > 0.0:
+        raise ValueError(f"photon block trace = {trace}: the state has no single-photon weight")
+    return block
+
+
 def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
     """Norm of the gradient projected onto the directions the constraint
     operators of ``build_gamma_set(eta)`` allow at rho_bar: the stationarity
@@ -138,7 +152,7 @@ def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
     boundary the gradient is only defined by continuity and the residual
     loses meaning.
     """
-    return _face_kkt_residual(photon_block(require_hermitian(rho_bar)), eta, build_gamma_set(eta))
+    return _face_kkt_residual(_checked_block(rho_bar), eta, build_gamma_set(eta))
 
 
 def _extract_attack_parameters(block: np.ndarray, eta: float):
@@ -165,7 +179,7 @@ def eigenvalues_check(rho_bar: np.ndarray, eta: float, tol: float = 1e-10) -> bo
     lam_minus = p_pass * lambda(q_x, eta, t, p_pass) and
     lam_plus = p_pass - lam_minus.
     """
-    block = photon_block(require_hermitian(rho_bar))
+    block = _checked_block(rho_bar)
     qz, qx, _, t, p_pass = _extract_attack_parameters(block, eta)
     lam_minus = p_pass * effective_phase_error(qx, eta, t, p_pass)
     lam_plus = p_pass - lam_minus
@@ -187,7 +201,7 @@ def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
     The joint distribution of Alice's and Bob's bits is the normalized
     diagonal of G(rho_bar). Equals h(q_z) for the extremal attack state.
     """
-    block = photon_block(require_hermitian(rho_bar))
+    block = _checked_block(rho_bar)
     p = np.real(np.diag(channel_G(block, eta)))
     p = np.clip(p, 0.0, None)
     p = p / p.sum()

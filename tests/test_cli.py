@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -383,3 +384,116 @@ def test_sweep_rejects_out_of_range_fixed_flags(capsys, flag, value):
     assert code == 1
     assert out == ""
     assert f"{flag} = {value}" in err
+
+
+FLAG_SETS = {
+    "rate": ["eta", "eta0", "eta1", "qz", "qx", "t", "p-pass", "f-ec", "out", "config"],
+    "sweep": ["eta", "eta0", "eta1", "qz", "qx", "t", "p-pass", "f-ec", "out", "config",
+              "variable", "start", "stop", "steps", "methods",
+              "mu", "nu1", "nu2", "alpha-db-km", "bob-loss-db", "e-det", "dark0", "dark1"],
+    "decoy-sim": ["eta0", "eta1", "f-ec", "out", "config",
+                  "mu", "nu1", "nu2", "alpha-db-km", "bob-loss-db", "e-det", "dark0", "dark1",
+                  "l-min", "l-max", "l-steps"],
+    "verify": ["eta", "grid-density", "perturb", "out", "config"],
+}
+
+
+def test_each_subcommand_registers_only_the_flags_it_reads(capsys):
+    for command, flags in FLAG_SETS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        assert re.findall(r"\[--([a-z0-9-]+)", usage) == flags, command
+    assert sum(map(len, FLAG_SETS.values())) == 54
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decoy-sim", "--l-steps", "2", "--eta", "0.5"],
+        ["decoy-sim", "--l-steps", "2", "--eta", "nan", "--qz", "7"],
+        ["verify", "--qz", "0.1"],
+        ["verify", "--qz", "nan", "--f-ec", "-1"],
+        ["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1", "--steps", "2", "--methods", "balanced",
+         "--l-max", "50"],
+        ["rate", "--qz", "0.05", "--qx", "0.05", "--mu", "0.5"],
+        # Flags are spelt in full: no abbreviations.
+        ["rate", "--qz", "0.05", "--qx", "0.05", "--p-pa", "0.9"],
+    ],
+    ids=["decoy_eta", "decoy_eta_nan_qz", "verify_qz", "verify_qz_f_ec", "sweep_l_max", "rate_mu", "rate_abbrev"],
+)
+def test_unread_flag_exits_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --" in err
+
+
+@pytest.mark.parametrize(
+    "command,line,message",
+    [
+        (["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1", "--steps", "2", "--qz", "0.05",
+          "--methods", "balanced"], "q_x = 0.05", "unrecognized arguments: --q_x=0.05"),
+        (["decoy-sim"], "l-steps = 2.5", "argument --l-steps: invalid int value: '2.5'"),
+        (["sweep", "--start", "0", "--stop", "1", "--steps", "2", "--methods", "balanced"], "variable = time",
+         "argument --variable: invalid choice: 'time'"),
+        (["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1", "--steps", "2", "--methods", "balanced"],
+         "l-max = 50", "unrecognized arguments: --l-max=50"),
+    ],
+    ids=["misspelt_key", "non_integer_steps", "bad_choice", "unread_key"],
+)
+def test_config_entries_parse_as_flags(capsys, tmp_path, command, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code, out, err = run(capsys, *command, "--config", str(config))
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_config_file_sweep_matches_flags(capsys, tmp_path):
+    argv = ["--variable", "q", "--start", "0", "--stop", "0.2", "--steps", "3", "--eta0", "0.9", "--eta1", "0.5",
+            "--methods", "balanced,penalty_ratio"]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(argv[::2], argv[1::2])))
+    code, from_flags, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    assert run(capsys, "sweep", "--config", str(config)) == (0, from_flags, "")
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["sweep", "--variable", "eta", "--start", "0.1", "--stop", "inf", "--steps", "3", "--methods", "balanced",
+          "--qz", "0.05", "--qx", "0.05"], "--stop", "inf"),
+        (["sweep", "--variable", "q", "--start", "nan", "--stop", "0.1", "--steps", "3", "--methods", "balanced"],
+         "--start", "nan"),
+        (["sweep", "--variable", "distance_km", "--start=-1e308", "--stop", "1e308", "--steps", "3",
+          "--methods", "decoy"], "--start", "-1e+308"),
+        (["decoy-sim", "--l-max", "inf"], "--l-max", "inf"),
+        (["decoy-sim", "--l-min", "nan", "--l-steps", "2"], "--l-min", "nan"),
+    ],
+    ids=["sweep_stop_inf", "sweep_start_nan", "sweep_span_overflows", "decoy_l_max_inf", "decoy_l_min_nan"],
+)
+def test_non_finite_range_endpoint_exits_one(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"{flag} = {value} outside" in err
+
+
+def test_out_of_domain_swept_values_print_nan(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--variable", "eta", "--start", "0.5", "--stop", "2", "--steps", "4",
+        "--qz", "0.05", "--qx", "0.05", "--methods", "balanced",
+    )
+    assert code == 0
+    _, data = parse_csv(out)
+    assert math.isfinite(data[0][1]) and all(math.isnan(row[1]) for row in data[2:])
+
+
+def test_subnormal_mismatch_exits_one(capsys):
+    code, out, err = run(capsys, "decoy-sim", "--l-steps", "2", "--eta1", "1e-320", "--bob-loss-db", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: eta = ")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +222,24 @@ def test_gamma2_upper_noiseless_and_eta_one():
         - (obs.error_gain("d2", "x", 0) + obs.error_gain("d2", "x", 1))
     ) * 0.5 * math.exp(-0.5) / 0.1
     assert math.isclose(gamma2_upper(obs, BENCHMARK_CFG, 1.0), aggregate, rel_tol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eta_with_infinite_reciprocal_is_rejected():
+    # Outcome 1's gains are divided by eta; 1/eta overflows below 1/max.
+    model = benchmark_model(20.0, eta1=1e-320)
+    obs = simulate_observations(model, BENCHMARK_CFG)
+    for call in (
+        lambda: gamma2_upper(obs, BENCHMARK_CFG, model.eta),
+        lambda: gamma2_upper(obs, BENCHMARK_CFG, 1.0 / sys.float_info.max),
+        lambda: theoretical_limit(model, obs, BENCHMARK_CFG),
+        lambda: theoretical_limit(benchmark_model(20.0), obs, BENCHMARK_CFG, eta=1e-320),
+        lambda: decoy_keyrate(obs, BENCHMARK_CFG, model.eta),
+    ):
+        with pytest.raises(ValueError, match="^eta = "):
+            call()
+    smallest = math.nextafter(1.0 / sys.float_info.max, 1.0)
+    assert math.isfinite(gamma2_upper(obs, BENCHMARK_CFG, smallest))
 
 
 def test_decoy_rate_positive_and_close_to_limit_at_20km():

@@ -1,10 +1,11 @@
 """Property tests of the key-rate method dispatcher, the rates behind it,
-`decoy-sim`, and the error contract of the entry points that take a mismatch
-eta."""
+`decoy-sim`, the error contract of the entry points that take a mismatch
+eta, and the exit-code contract of the CLI."""
 
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,3 +152,77 @@ def test_eta_entry_points_return_finite_or_raise_value_error(eta):
             continue
         assert 0.0 < eta <= 1.0, name  # an eta outside (0, 1] must raise
         assert result is None or np.all(np.isfinite(result)), name
+
+
+# Flag values: about one in six is a float that breaks naive checks, the rest
+# lie in [lo, hi]. Each goes as one ``--flag=value`` token, so "-inf" reads as a value.
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320", "1e300"])
+
+
+@st.composite
+def _value(draw, lo, hi):
+    if draw(st.sampled_from([False] * 5 + [True])):
+        return draw(_SPECIAL)
+    return repr(draw(st.floats(min_value=lo, max_value=hi)))
+
+
+_UNIT = _value(0.0, 1.0)
+_RATE_VALUES = {"--t": _UNIT, "--p-pass": _UNIT, "--f-ec": _value(0.0, 2.0)}
+_CHANNEL_VALUES = {"--eta0": _UNIT, "--eta1": _UNIT, "--f-ec": _value(0.0, 2.0), "--mu": _value(0.2, 1.0),
+                   "--nu1": _value(0.0, 0.15), "--nu2": _value(0.0, 0.05), "--alpha-db-km": _value(0.0, 0.5),
+                   "--bob-loss-db": _value(0.0, 10.0), "--e-det": _value(0.0, 0.1), "--dark0": _value(0.0, 1e-4),
+                   "--dark1": _value(0.0, 1e-4)}
+# A flag that each subcommand does not read.
+_UNREAD = {"rate": "--mu=0.5", "sweep": "--l-max=50", "decoy-sim": "--eta=0.5"}
+_SWEEP_RANGES = {"eta": (0.0, 1.0), "q": (0.0, 0.5), "distance_km": (0.0, 200.0)}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A ``rate``, ``sweep`` (at most 3 steps) or ``decoy-sim`` (2 distances)
+    argument list, and whether it carries a flag the subcommand does not read."""
+    command = draw(st.sampled_from(["rate", "sweep", "decoy-sim"]))
+    if command == "rate":
+        argv, optional = ["rate", f"--qz={draw(_UNIT)}", f"--qx={draw(_UNIT)}"], _RATE_VALUES
+    elif command == "sweep":
+        variable = draw(st.sampled_from(sorted(_SWEEP_RANGES)))
+        names = ["decoy", "theoretical_limit"] if variable == "distance_km" else [
+            "balanced", "discard_optimized", "fung1", "fung2", "general", "penalty_ratio"]
+        methods = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+        endpoint = _value(*_SWEEP_RANGES[variable])
+        start, stop = sorted((draw(endpoint), draw(endpoint)), key=float)
+        argv = ["sweep", f"--variable={variable}", f"--start={start}", f"--stop={stop}",
+                f"--steps={draw(st.integers(2, 3))}", f"--methods={','.join(methods)}"]
+        optional = {**_RATE_VALUES, "--qz": _UNIT, "--qx": _UNIT, **_CHANNEL_VALUES}
+        del optional["--eta0"], optional["--eta1"]
+    else:
+        argv = ["decoy-sim", "--l-steps=2", f"--l-min={draw(_value(0.0, 50.0))}",
+                f"--l-max={draw(_value(50.0, 200.0))}"]
+        optional = _CHANNEL_VALUES
+    flags = draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4))
+    if command != "decoy-sim":
+        # The mismatch as --eta or as the pair --eta0/--eta1, mostly not both.
+        flags += draw(st.sampled_from([[], ["--eta"], ["--eta0", "--eta1"], ["--eta", "--eta0", "--eta1"]]))
+    argv += [f"{flag}={draw(optional.get(flag, _UNIT))}" for flag in flags]
+    unread = draw(st.sampled_from([False] * 9 + [True]))
+    if unread:
+        argv.append(_UNREAD[command])
+    return argv, unread
+
+
+# About 2 s on a 2-core host; the budget is 5 s.
+@settings(max_examples=300, deadline=None)
+@given(_cli_argv())
+def test_cli_exits_zero_to_three_without_warnings(case):
+    argv, unread = case
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if unread:
+        assert code == 1
+    if argv[0] == "rate" and code == 0:
+        (k,) = [line.split(" = ")[1] for line in out.getvalue().splitlines() if line.startswith("K = ")]
+        assert math.isfinite(float(k))

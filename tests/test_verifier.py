@@ -249,6 +249,15 @@ def test_eigenvalue_formula_checks():
                 assert eigenvalues_check(rho, eta)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", [error_correction_leak, kkt_orthogonality_check, eigenvalues_check])
+@pytest.mark.parametrize("rho", [np.zeros((4, 4)), np.zeros((6, 6)), -np.eye(4)], ids=["zero4", "zero6", "negative"])
+def test_public_checks_reject_a_block_without_single_photon_weight(check, rho):
+    # The leak and the spectrum normalize by the block's trace.
+    with pytest.raises(ValueError, match="photon block trace"):
+        check(rho, 0.5)
+
+
 def test_error_correction_leak_zero_qber():
     assert error_correction_leak(optimal_attack_state(0.0, 0.05, 0.0, 1.0), 0.5) <= 1e-14
 
