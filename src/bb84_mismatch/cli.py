@@ -101,7 +101,7 @@ _FLAGS = {
     "l-max": dict(type=float, default=120.0, help="longest distance, km"),
     "l-steps": dict(type=int, default=13, help="number of distances"),
     "grid-density": dict(type=int, default=2, help="x-error grid points (default 2)"),
-    "perturb": dict(type=float, help="adversarial perturbation size"),
+    "perturb": dict(type=float, help="adversarial perturbation size, finite, |perturb| <= 1"),
 }
 # The flags each subcommand reads, in --help order.
 _RATE_FLAGS = ("eta", "eta0", "eta1", "qz", "qx", "t", "p-pass", "f-ec", "out", "config")
@@ -190,9 +190,12 @@ def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if args.out == "stdout":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {args.out}: {exc}") from exc
 
 
 def _effective_eta(args) -> tuple[float, float]:
@@ -455,6 +458,9 @@ def _verify_checks(etas, qx_grid, deltas, perturb: float | None):
 
 
 def cmd_verify(args) -> int:
+    if args.perturb is not None:
+        # Checked before any check runs; a non-finite or huge shift breaks the state.
+        _require_in("--perturb", args.perturb, -1.0, 1.0, error=UsageError)
     etas = (0.5, 0.8, 1.0) if args.eta is None else (args.eta,)
     qx_grid = tuple(np.linspace(0.02, 0.11, max(args.grid_density, 1)))
     lines = [f"# bb84-mismatch {__version__} verify"]

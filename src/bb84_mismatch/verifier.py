@@ -1,13 +1,17 @@
 """Numerical certification of the analytic key-rate minimum.
 
-Evaluates the relative entropy of coherence of the post-measurement state,
-its gradient, and minimizes it over the constrained PSD set with a
-projected-gradient method, so the closed-form rate can be checked against an
-independent optimizer. Also hosts the spectral, stationarity and
-error-correction consistency checks. The stationarity check derives the
-allowed directions from the constraint operators of ``build_gamma_set``, so it
-is the residual ``minimize`` reports and holds at every eta, eta = 1 (where
-two of the operators coincide) included.
+Evaluates the relative entropy of coherence of the post-measurement state
+and its gradient, and minimizes it over the constrained PSD set, so the
+closed-form rate can be checked against an independent computation. The
+minimum needs no iteration: the constraints and the objective are invariant
+under a group of signed permutations and under complex conjugation, and the
+objective is convex, so the minimum is attained at the one feasible
+invariant state, which a small linear solve finds (see ``minimize``). Also
+hosts the spectral, stationarity and error-correction consistency checks.
+The stationarity check derives the allowed directions from the constraint
+operators of ``build_gamma_set``, so it is the residual ``minimize`` reports
+and holds at every eta, eta = 1 (where two of the operators coincide)
+included.
 
 The objective and the minimizer share one relative-entropy kernel,
 ``linalg._relative_entropy``, and one gradient, ``_gradient_block``; the
@@ -20,23 +24,16 @@ inputs are accepted everywhere and reduced.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
 from .keyrates import _check_ranges, _general_args, detection_imbalance, effective_phase_error
 from .keyrates import feasible as _feasible
-from .linalg import (
-    _psd_project,
-    _relative_entropy,
-    binary_entropy,
-    relative_entropy,
-    require_hermitian,
-    support_log2,
-)
-from .protocol import ALICE_BITS, BOB_BITS, GammaSet, _depolarized_bell, build_gamma_set, photon_block
+from .linalg import _relative_entropy, binary_entropy, relative_entropy, require_hermitian, support_log2
+from .protocol import ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_block
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
 
@@ -48,9 +45,7 @@ class MinimizationReport:
     ``constraint_residuals`` are |Tr Gamma_i rho* - gamma_i|; ``kkt_residual``
     is the norm of the gradient projected onto the allowed directions at
     rho_star (restricted to the support face when rho_star is singular).
-    ``projection_sweeps`` counts the Dykstra sweeps of all feasible-set
-    projections of the run, and ``projection_cap_hits`` the projections that
-    stopped at their sweep cap instead of converging.
+    ``iterations`` is always 0: the minimum comes from one linear solve.
     """
 
     rho_star: np.ndarray
@@ -59,8 +54,6 @@ class MinimizationReport:
     converged: bool
     constraint_residuals: np.ndarray
     kkt_residual: float
-    projection_sweeps: int = 0
-    projection_cap_hits: int = 0
 
 
 def _weights(eta: float) -> np.ndarray:
@@ -241,96 +234,101 @@ def _face_kkt_residual(
     return float(np.linalg.norm(residual))
 
 
-class _ConstraintProjector:
-    """Projection machinery for the affine set {Tr Gamma_i rho = gamma_i}.
+# The signed permutations Z(x)Z, X(x)I (Alice's bit flip) and I(x)X (Bob's
+# bit flip) of the photon block, each acting as rho -> P rho P^T.
+_GENERATORS = (
+    np.diag([1.0, -1.0, -1.0, 1.0]),
+    np.eye(4)[[2, 3, 0, 1]],
+    np.eye(4)[[1, 0, 3, 2]],
+)
 
-    Counts the Dykstra sweeps of every ``onto_feasible`` call, and the calls
-    that stopped at their sweep cap.
+_EPS = np.finfo(float).eps
+# Allowed negative eigenvalue of the solved state, in units of eps * kappa * t
+# (kappa the condition number of the constraint solve): the solve's rounding,
+# and that of ``eigvalsh`` on entries of size t.
+_PSD_ALLOWANCE = 8.0
+
+
+def _kept_generators(ops: np.ndarray, eta: float) -> tuple[int, ...]:
+    """Indices of the ``_GENERATORS`` that leave every constraint operator in
+    the stack ``ops``, the post-selection weights and the pinching mask
+    exactly unchanged.
+
+    An entrywise mask M commutes with rho -> P rho P^T iff the unsigned
+    permutation |P| leaves M unchanged.
     """
-
-    def __init__(self, gammas: GammaSet, values: np.ndarray):
-        # The affine step subtracts the real operators: complex zeros could
-        # flip the sign of zero imaginary parts. The traces use one stack.
-        self.gammas = gammas.as_list()
-        self.stacked = np.array(self.gammas, dtype=complex)
-        self.values = np.asarray(values, dtype=float)
-        # Pseudoinverse: at eta = 1 the first and third operators coincide.
-        self.gram_pinv = np.linalg.pinv(_gram(self.gammas), rcond=1e-12)
-        self.sweeps = 0
-        self.cap_hits = 0
-
-    def residuals(self, X: np.ndarray) -> np.ndarray:
-        return (self.stacked @ X).trace(axis1=1, axis2=2).real - self.values
-
-    def affine(self, X: np.ndarray) -> np.ndarray:
-        coef = self.gram_pinv @ self.residuals(X)
-        out = X.astype(complex)
-        for c, g in zip(coef, self.gammas):
-            out -= c * g
-        return out
-
-    def onto_feasible(self, X: np.ndarray, cap: int = 500, tol: float = 1e-10):
-        """Dykstra alternating projections onto PSD intersect affine.
-
-        X must be complex Hermitian. Every iterate then stays exactly
-        Hermitian (the PSD step symmetrizes, the affine step subtracts real
-        multiples of the symmetric Gamma_i), so the PSD step skips validation.
-        """
-        p = np.zeros_like(X, dtype=complex)
-        q = np.zeros_like(X, dtype=complex)
-        y = X.astype(complex)
-        for sweeps in range(1, cap + 1):
-            yp = y + p
-            a = self.affine(yp)
-            p = yp - a
-            aq = a + q
-            b = _psd_project(aq)
-            q = aq - b
-            y = b
-            # np.linalg.norm's Frobenius formula, without its dispatch.
-            d = (a - b).ravel()
-            if math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag)) < tol:
-                break
-        else:
-            self.cap_hits += 1
-        self.sweeps += sweeps
-        return y
+    masks = np.array([_weights(eta), _PINCH_MASK])
+    return tuple(
+        i
+        for i, P in enumerate(_GENERATORS)
+        if np.array_equal(P @ ops @ P.T, ops) and np.array_equal(abs(P) @ masks @ abs(P).T, masks)
+    )
 
 
-def _default_init(gammas: GammaSet, values: np.ndarray, eta: float) -> np.ndarray:
-    """Depolarizing photon block matched to the constraint values.
+@lru_cache(maxsize=None)
+def _invariant_basis(kept: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal basis, shape (k, 4, 4), of the real symmetric matrices
+    invariant under the generators ``kept``: the twirls of the 10 elementary
+    symmetric matrices, orthonormalised.
 
-    Satisfies the first two constraints exactly; the third is off whenever
-    the observations are unbalanced, which the feasible-set projection fixes.
+    The generators commute as conjugations, so the twirl averages over one
+    generator after the other. A twirl is zero or fills one orbit of index
+    pairs, and two twirls on one orbit are proportional; so keeping one per
+    support and normalising it orthonormalises them, with exact zeros.
     """
-    t = float(values[0]) / eta
-    q = min(max(float(values[1]) / float(values[0]), 0.0), 0.5) if values[0] > 0 else 0.0
-    return t * _depolarized_bell(q).astype(complex)
+    basis = {}
+    for j in range(4):
+        for l in range(j, 4):
+            x = np.zeros((4, 4))
+            x[j, l] = x[l, j] = 1.0
+            for i in kept:
+                P = _GENERATORS[i]
+                x = (x + P @ x @ P.T) / 2.0
+            if x.any():
+                basis.setdefault((x != 0).tobytes(), x / np.linalg.norm(x))
+    out = np.array(list(basis.values()))
+    out.flags.writeable = False
+    return out
 
 
-def minimize(
-    gammas: GammaSet,
-    values,
-    init: np.ndarray | None = None,
-    tol: float = 1e-6,
-    max_iterations: int = 100_000,
-) -> MinimizationReport:
-    """Minimize the coherence objective over {rho >= 0, Tr Gamma_i rho = gamma_i}.
+def minimize(gammas: GammaSet, values) -> MinimizationReport:
+    """Minimize the coherence objective f over {rho >= 0, Tr Gamma_i rho = gamma_i}
+    by an exact solve on the symmetry-invariant states; ``values`` are the
+    three observed gamma_i.
 
-    Projected gradient with Armijo backtracking (c = 1e-4, shrink 0.5);
-    every iterate is projected onto the feasible set by Dykstra alternating
-    projections, and steps that leave constraint residuals above 1e-8 are
-    rejected, so the reported objective is always attained at a feasible
-    point. Convergence requires the relative objective change over 10
-    iterations below 1e-9 and a stationarity residual below ``tol``.
+    Why the solve is the minimum. Let g run over the conjugations
+    rho -> P rho P^T by the signed permutations Z(x)Z, X(x)I and I(x)X that
+    leave every Gamma_i, the post-selection weights and the pinching mask
+    unchanged (compared exactly), and over complex conjugation, under which
+    the real Gamma_i and masks are unchanged too. Each g keeps rho PSD and
+    keeps every Tr Gamma_i rho, and it commutes with the post-selection map G
+    and the pinching Z; as the relative entropy is unitarily invariant and
+    invariant under conjugation, f(g(rho)) = f(rho). For a feasible rho the
+    twirl T(rho), the mean of g(rho) over the group, is then feasible and
+    invariant, and f(T(rho)) <= f(rho) because f is convex. So the minimum
+    over the feasible set equals the minimum over the feasible invariant
+    states. The invariant real symmetric matrices form a k-dimensional space
+    (k = 3; k = 2 when I(x)X is kept, as at eta = 1), and when the 3 x k
+    system of the constraints has rank k it admits at most one invariant
+    state: that state is the minimizer.
 
-    ``values`` are the three observed values gamma_i; ``init``, a 4x4 or 6x6
-    Hermitian starting state, defaults to a depolarized Bell state.
+    The report's ``rho_star`` is that state (real, 4x4), ``f_star`` the
+    objective there, ``iterations`` is 0, ``constraint_residuals`` are
+    recomputed from the operators, and ``kkt_residual`` is the stationarity
+    residual of ``kkt_orthogonality_check``. ``converged`` holds iff every
+    residual is at most 1e-8 and the smallest eigenvalue of ``rho_star`` is
+    at least -8 * eps * kappa * t, with eps the float64 machine epsilon,
+    kappa the condition number of the constraint system and t = gamma_1 / eta.
+    This allowance covers the rounding of the solve, which kappa amplifies,
+    and of the eigenvalues, on entries of size t. kappa is about 4 / (1 - eta)
+    as eta -> 1, where Gamma_1 and Gamma_3 nearly coincide and the values
+    fix the imbalance only to about eps / (1 - eta).
 
     Raises:
         FeasibilityError: if ``values`` is not three finite numbers or
             violates the existence condition.
-        ValueError: if ``init`` is not a finite Hermitian 4x4 or 6x6 matrix.
+        ValueError: if the constraint system on the invariant states has
+            rank below k, so that the argument does not pin the minimum.
     """
     try:
         values = np.asarray(values, dtype=float)
@@ -340,8 +338,6 @@ def minimize(
         raise FeasibilityError(
             f"constraint values must be three finite numbers, got {values.tolist()}"
         )
-    if init is not None:
-        init = photon_block(require_hermitian(init))
     eta = float(np.real(gammas.gamma1[0, 0]))
     t = values[0] / eta
     qx_eff = values[1] / values[0] if values[0] > 0 else 0.0
@@ -354,59 +350,32 @@ def minimize(
             f"constraint values {values.tolist()} admit no PSD state"
         )
 
-    projector = _ConstraintProjector(gammas, values)
-    if init is None:
-        init = _default_init(gammas, values, eta)
-    x = projector.onto_feasible(init)
-    if np.abs(projector.residuals(x)).max() > 1e-8:
-        x = projector.onto_feasible(np.eye(4, dtype=complex) * t / 4.0, cap=2000)
+    ops = np.array(gammas.as_list())
+    if np.iscomplexobj(ops) and ops.imag.any():
+        raise ValueError("constraint operators must be real for the symmetry reduction")
+    ops = ops.real
+    basis = _invariant_basis(_kept_generators(ops, eta))
+    # Tr(Gamma_i B_k) for the symmetric B_k, solved through its SVD; the
+    # rank test is np.linalg.matrix_rank's.
+    system = np.einsum("iab,kab->ik", ops, basis)
+    u, s, vt = np.linalg.svd(system, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(system.shape) * _EPS))
+    if rank < len(basis):
+        raise ValueError(
+            f"the constraints have rank {rank} on the {len(basis)} invariant "
+            "directions and do not pin the minimum"
+        )
+    rho = np.tensordot(vt.T @ (u.T @ values / s), basis, axes=1)
 
-    fx = _objective_block(x, eta)
-    alpha = 1.0
-    history = [fx]
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        grad = _gradient_block(x, eta)
-        alpha = min(alpha * 4.0, 1e3)
-        accepted = False
-        while alpha > 1e-16:
-            trial = projector.onto_feasible(x - alpha * grad)
-            if np.abs(projector.residuals(trial)).max() > 1e-8:
-                alpha *= 0.5
-                continue
-            f_trial = _objective_block(trial, eta)
-            decrease = float(np.real(np.trace(grad @ (trial - x))))
-            if decrease < 0.0 and f_trial <= fx + 1e-4 * decrease:
-                x, fx = trial, f_trial
-                accepted = True
-                break
-            alpha *= 0.5
-        history.append(fx)
-        kkt = _face_kkt_residual(x, eta, gammas)
-        if len(history) > 10 and abs(history[-11] - fx) < 1e-9 * max(1.0, abs(fx)):
-            if kkt < tol:
-                converged = True
-                break
-            if abs(history[-11] - fx) < 1e-13 * max(1.0, abs(fx)):
-                # Machine-level stall without stationarity: boundary optimum.
-                break
-        if not accepted:
-            # No feasible descent step left; stationary or boundary-pinned.
-            converged = kkt < tol
-            break
-
-    residuals = np.abs(projector.residuals(x))
-    kkt = _face_kkt_residual(x, eta, gammas)
+    residuals = np.abs(np.einsum("iab,ba->i", ops, rho) - values)
+    allowance = _PSD_ALLOWANCE * _EPS * (s[0] / s[-1]) * t
     return MinimizationReport(
-        rho_star=x,
-        f_star=fx,
-        iterations=iterations,
-        converged=converged and bool(residuals.max() <= 1e-8),
+        rho_star=rho,
+        f_star=_objective_block(rho, eta),
+        iterations=0,
+        converged=bool(residuals.max() <= 1e-8 and np.linalg.eigvalsh(rho)[0] >= -allowance),
         constraint_residuals=residuals,
-        kkt_residual=kkt,
-        projection_sweeps=projector.sweeps,
-        projection_cap_hits=projector.cap_hits,
+        kkt_residual=_face_kkt_residual(rho, eta, gammas),
     )
 
 

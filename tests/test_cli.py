@@ -497,3 +497,25 @@ def test_subnormal_mismatch_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: eta = ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e300", "-1.5"])
+def test_verify_checks_perturb_before_any_check_runs(capsys, monkeypatch, value):
+    import bb84_mismatch.cli as cli
+
+    def no_checks(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_verify_checks", no_checks)
+    code, out, err = run(capsys, "verify", "--grid-density", "1", f"--perturb={value}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: --perturb = {float(value)} outside [-1, 1]")
+
+
+def test_unwritable_out_path_exits_one(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "rate", "--qz", "0.05", "--qx", "0.05", "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write output file {path}: ")

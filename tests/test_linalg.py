@@ -113,6 +113,17 @@ def test_psd_project_idempotent():
         assert np.linalg.norm(psd_project(P) - P) <= 1e-12
 
 
+def test_psd_project_validates_and_returns_exactly_hermitian():
+    rng = np.random.default_rng(41)
+    for dim in (2, 4, 6):
+        P = psd_project(random_hermitian(rng, dim))
+        np.testing.assert_array_equal(P, P.conj().T)
+    with pytest.raises(ValueError):
+        psd_project(np.triu(np.ones((4, 4))))
+    with pytest.raises(ValueError):
+        psd_project(np.diag([1.0, math.inf, 0.0, 0.0]))
+
+
 @pytest.mark.parametrize(
     "p,expected",
     [(0.5, 1.0), (0.0, 0.0), (1.0, 0.0), (2 / 3, 0.9182958340544896)],

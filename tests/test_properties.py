@@ -1,6 +1,7 @@
 """Property tests of the key-rate method dispatcher, the rates behind it,
-`decoy-sim`, the error contract of the entry points that take a mismatch
-eta, and the exit-code contract of the CLI."""
+`decoy-sim`, the oracle `minimize` against the closed form, the error
+contract of the entry points that take a mismatch eta, and the exit-code
+contract of the CLI."""
 
 import contextlib
 import io
@@ -12,12 +13,14 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bb84_mismatch import (  # noqa: E402
     ChannelModel,
     DecoyConfig,
+    FeasibilityError,
+    build_gamma_set,
     channel_G,
     effective_phase_error,
     eigenvalues_check,
@@ -26,6 +29,7 @@ from bb84_mismatch import (  # noqa: E402
     ignorance_term,
     keyrate_two_detectors,
     kkt_orthogonality_check,
+    minimize,
     objective,
     optimal_attack_state,
     simulate_observations,
@@ -117,6 +121,44 @@ def test_decoy_sim_limit_is_finite_and_dominates_either_detector_order(eta0, eta
         assert _decoy_sim_rows(eta1, eta0, dark1, dark0, e_det, l_max) == (code, rows)
 
 
+@st.composite
+def _oracle_point(draw):
+    """(eta, t, delta, q_x) with q_x in the feasible interval of delta, half
+    the time on its lower edge 2*q_x = 1 - sqrt(1 - delta^2)."""
+    eta = draw(st.floats(min_value=0.01, max_value=1.0))
+    t = draw(st.floats(min_value=1e-3, max_value=1.0))
+    # At eta = 1 the pass rate carries no imbalance.
+    delta = 0.0 if eta == 1.0 else draw(st.floats(min_value=-0.999999, max_value=0.999999))
+    root = math.sqrt(1.0 - delta * delta)
+    lower = (1.0 - root) / 2.0
+    q_x = lower if draw(st.booleans()) else draw(st.floats(min_value=lower, max_value=(1.0 + root) / 2.0))
+    return eta, t, delta, q_x
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(_oracle_point())
+def test_minimize_attains_the_closed_form_over_the_domain(point):
+    eta, t, delta, q_x = point
+    p_pass = t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)
+    try:
+        report = minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass))
+    except FeasibilityError:
+        return
+    except ValueError as exc:
+        # For 1 - eta below about 3e-15, Gamma_1 and Gamma_3 agree to rounding
+        # on the invariant states, and the solve declines.
+        assert "do not pin the minimum" in str(exc) and 1.0 - eta < 2.0**-48
+        return
+    assert report.converged
+    assert report.constraint_residuals.max() <= 1e-14
+    # p_pass carries delta only through t*(1 - eta)*delta/2, so the rounding
+    # of the inputs fixes delta to about eps/(1 - eta), for the solve and for
+    # the closed form alike; the slack is 128 such units of t.
+    slack = 0.0 if eta == 1.0 else 2.0**-45 * t / (1.0 - eta)
+    assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 1e-9 + slack
+
+
 _RHO = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
 _MODEL = ChannelModel(0.2, 20.0, 5.0, 0.01, 0.1, 0.07, (1e-6, 1e-6))
 _CFG = DecoyConfig(mu=0.5, nu1=0.1, nu2=0.0)
@@ -172,16 +214,18 @@ _CHANNEL_VALUES = {"--eta0": _UNIT, "--eta1": _UNIT, "--f-ec": _value(0.0, 2.0),
                    "--nu1": _value(0.0, 0.15), "--nu2": _value(0.0, 0.05), "--alpha-db-km": _value(0.0, 0.5),
                    "--bob-loss-db": _value(0.0, 10.0), "--e-det": _value(0.0, 0.1), "--dark0": _value(0.0, 1e-4),
                    "--dark1": _value(0.0, 1e-4)}
+_VERIFY_VALUES = {"--eta": _UNIT, "--grid-density": st.integers(-1, 3).map(str), "--perturb": _value(-1.0, 1.0)}
 # A flag that each subcommand does not read.
-_UNREAD = {"rate": "--mu=0.5", "sweep": "--l-max=50", "decoy-sim": "--eta=0.5"}
+_UNREAD = {"rate": "--mu=0.5", "sweep": "--l-max=50", "decoy-sim": "--eta=0.5", "verify": "--qz=0.1"}
 _SWEEP_RANGES = {"eta": (0.0, 1.0), "q": (0.0, 0.5), "distance_km": (0.0, 200.0)}
 
 
 @st.composite
 def _cli_argv(draw):
-    """A ``rate``, ``sweep`` (at most 3 steps) or ``decoy-sim`` (2 distances)
-    argument list, and whether it carries a flag the subcommand does not read."""
-    command = draw(st.sampled_from(["rate", "sweep", "decoy-sim"]))
+    """A ``rate``, ``sweep`` (at most 3 steps), ``decoy-sim`` (2 distances) or
+    ``verify`` (grid density at most 3) argument list, and whether it carries a
+    flag the subcommand does not read."""
+    command = draw(st.sampled_from(["rate", "sweep", "decoy-sim", "verify"]))
     if command == "rate":
         argv, optional = ["rate", f"--qz={draw(_UNIT)}", f"--qx={draw(_UNIT)}"], _RATE_VALUES
     elif command == "sweep":
@@ -195,12 +239,14 @@ def _cli_argv(draw):
                 f"--steps={draw(st.integers(2, 3))}", f"--methods={','.join(methods)}"]
         optional = {**_RATE_VALUES, "--qz": _UNIT, "--qx": _UNIT, **_CHANNEL_VALUES}
         del optional["--eta0"], optional["--eta1"]
-    else:
+    elif command == "decoy-sim":
         argv = ["decoy-sim", "--l-steps=2", f"--l-min={draw(_value(0.0, 50.0))}",
                 f"--l-max={draw(_value(50.0, 200.0))}"]
         optional = _CHANNEL_VALUES
+    else:
+        argv, optional = ["verify"], _VERIFY_VALUES
     flags = draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4))
-    if command != "decoy-sim":
+    if command in ("rate", "sweep"):
         # The mismatch as --eta or as the pair --eta0/--eta1, mostly not both.
         flags += draw(st.sampled_from([[], ["--eta"], ["--eta0", "--eta1"], ["--eta", "--eta0", "--eta1"]]))
     argv += [f"{flag}={draw(optional.get(flag, _UNIT))}" for flag in flags]
@@ -210,7 +256,7 @@ def _cli_argv(draw):
     return argv, unread
 
 
-# About 2 s on a 2-core host; the budget is 5 s.
+# About 4 s on a 2-core host; the budget is 5 s.
 @settings(max_examples=300, deadline=None)
 @given(_cli_argv())
 def test_cli_exits_zero_to_three_without_warnings(case):
@@ -226,3 +272,5 @@ def test_cli_exits_zero_to_three_without_warnings(case):
     if argv[0] == "rate" and code == 0:
         (k,) = [line.split(" = ")[1] for line in out.getvalue().splitlines() if line.startswith("K = ")]
         assert math.isfinite(float(k))
+    if argv[0] == "verify" and code == 0:
+        assert "nan" not in out.getvalue()

@@ -8,7 +8,6 @@ from bb84_mismatch import (
     binary_entropy,
     build_gamma_set,
     channel_G,
-    depolarizing_state,
     eigenvalues_check,
     error_correction_leak,
     gamma_expectations,
@@ -22,8 +21,7 @@ from bb84_mismatch import (
     pinch_Z,
     psd_project,
 )
-from bb84_mismatch.linalg import _psd_project
-from bb84_mismatch.verifier import _ConstraintProjector, _gram
+from bb84_mismatch.protocol import GammaSet
 
 h = binary_entropy
 
@@ -201,10 +199,7 @@ def test_minimize_ideal_case():
 def test_minimize_never_beats_certified_minimum():
     eta, qx, delta, t = 0.7, 0.08, 0.05, 1.0
     p_pass = t * ((1 + eta) / 2 + delta * (1 - eta) / 2)
-    init = depolarizing_state(qx, t)
-    report = minimize(
-        build_gamma_set(eta), (t * eta, t * eta * qx, p_pass), init=photon_block(init)
-    )
+    report = minimize(build_gamma_set(eta), (t * eta, t * eta * qx, p_pass))
     analytic = ignorance_term(qx, eta, t, p_pass)
     assert report.f_star >= analytic - 1e-6
 
@@ -327,102 +322,55 @@ def test_minimize_zero_values_raise_without_warning():
         minimize(build_gamma_set(0.5), [0.0, 0.0, 0.0])
 
 
-def test_minimize_validates_and_reduces_init():
-    gammas = build_gamma_set(0.7)
-    values = (0.7, 0.7 * 0.08, 0.85 + 0.05 * 0.15)
-    full = depolarizing_state(0.08, 1.0)
-    from_full = minimize(gammas, values, init=full)
-    from_block = minimize(gammas, values, init=photon_block(full))
-    assert from_full.rho_star.tobytes() == from_block.rho_star.tobytes()
-    assert from_full.f_star == from_block.f_star
-    bad_inits = [
-        np.eye(5) / 5,  # neither 4x4 nor 6x6
-        np.triu(np.ones((4, 4))) / 4,  # not Hermitian
-        np.full((4, 4), math.nan),
-    ]
-    for init in bad_inits:
-        with pytest.raises(ValueError):
-            minimize(gammas, values, init=init)
+@pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+def test_minimize_is_exact_on_the_boundary_and_inside(eta):
+    # At q_x = 0 the feasible set has no interior; the solve needs none.
+    for qx in (0.0, 0.03, 0.3):
+        values = (eta, eta * qx, (1 + eta) / 2)
+        report = minimize(build_gamma_set(eta), values)
+        assert report.iterations == 0 and report.converged
+        assert report.constraint_residuals.max() <= 1e-15
+        assert report.kkt_residual <= 1e-8
+        assert abs(report.f_star - ignorance_term(qx, eta, 1.0, (1 + eta) / 2)) <= 1e-13
+        assert np.array_equal(report.rho_star, report.rho_star.T)
 
 
-def test_minimize_counts_projection_sweeps():
-    interior = minimize(build_gamma_set(0.5), (0.5, 0.5 * 0.05, 0.75))
-    # One projection before the first iteration and at least one in each.
-    assert interior.projection_sweeps >= interior.iterations + 1
-    assert interior.projection_sweeps >= 500 * interior.projection_cap_hits
-    # Slater's condition fails at q_x = 0, where the projection crawls.
-    boundary = minimize(build_gamma_set(0.9), (0.9, 0.0, 0.95))
-    assert boundary.projection_cap_hits > 0
-    assert boundary.projection_sweeps >= 500 * boundary.projection_cap_hits
-
-
-class _ParentProjector:
-    """The Dykstra projection before its loop ran on unvalidated kernels,
-    kept verbatim (public ``psd_project``) as the reference it must match
-    bit for bit."""
-
-    def __init__(self, gammas, values):
-        self.gammas = gammas.as_list()
-        self.values = np.asarray(values, dtype=float)
-        self.gram_pinv = np.linalg.pinv(_gram(self.gammas), rcond=1e-12)
-
-    def residuals(self, X):
-        return (
-            np.array([float(np.real(np.trace(g @ X))) for g in self.gammas])
-            - self.values
-        )
-
-    def affine(self, X):
-        coef = self.gram_pinv @ self.residuals(X)
-        out = X.astype(complex).copy()
-        for c, g in zip(coef, self.gammas):
-            out -= c * g
-        return out
-
-    def onto_feasible(self, X, cap=500, tol=1e-10):
-        p = np.zeros_like(X, dtype=complex)
-        q = np.zeros_like(X, dtype=complex)
-        y = X.astype(complex)
-        for _ in range(cap):
-            a = self.affine(y + p)
-            p = y + p - a
-            b = psd_project(a + q)
-            q = a + q - b
-            y = b
-            if np.linalg.norm(a - b) < tol:
-                break
-        return y
-
-
-@pytest.mark.parametrize("eta", [0.3, 0.7, 1.0])
-def test_projection_matches_parent_loop_bitwise(eta):
-    rng = np.random.default_rng(int(eta * 10))
+def test_minimize_state_is_invariant_and_minimal():
+    # rho* is invariant under Z(x)Z and X(x)I, and no feasible state found by
+    # mixing in a direction that keeps the constraints does better.
+    eta, t, qx, delta = 0.6, 0.8, 0.07, 0.1
     gammas = build_gamma_set(eta)
-    t = 1.0
-    interior = (t * eta, t * eta * 0.06, t * ((1 + eta) / 2 + 0.03 * (1 - eta) / 2))
-    boundary = (t * eta, 0.0, t * (1 + eta) / 2)  # q_x = 0
-    for values in (interior, boundary):
-        new = _ConstraintProjector(gammas, values)
-        parent = _ParentProjector(gammas, values)
-        for cap in (500, 2000):
-            for X in (random_state_block(rng), random_direction(rng, 4)):
-                assert new.residuals(X).tobytes() == parent.residuals(X).tobytes()
-                got = new.onto_feasible(X, cap=cap)
-                want = parent.onto_feasible(X, cap=cap)
-                assert got.tobytes() == want.tobytes()
-    assert new.cap_hits > 0  # the boundary values run into the cap
+    p_pass = t * ((1 + eta) / 2 + delta * (1 - eta) / 2)
+    report = minimize(gammas, (t * eta, t * eta * qx, p_pass))
+    rho = report.rho_star
+    zz, xi = np.diag([1.0, -1.0, -1.0, 1.0]), np.eye(4)[[2, 3, 0, 1]]
+    for p in (zz, xi):
+        np.testing.assert_array_equal(p @ rho @ p.T, rho)
+    rng = np.random.default_rng(5)
+    ops = np.array(gammas.as_list()).reshape(3, 16)
+    checked = 0
+    for _ in range(200):
+        d = random_direction(rng, 4)
+        # Remove the part that changes the constraint values.
+        d -= (ops.T @ np.linalg.lstsq(ops.T, d.real.ravel(), rcond=None)[0]).reshape(4, 4)
+        trial = rho + 0.02 * d
+        assert np.abs(gamma_expectations(trial, gammas) - gamma_expectations(rho, gammas)).max() <= 1e-15
+        if np.linalg.eigvalsh(trial)[0] >= 0:
+            checked += 1
+            assert objective(trial, eta) >= report.f_star - 1e-12
+    assert checked >= 100
 
 
-def test_psd_project_kernel_matches_public_bitwise():
-    rng = np.random.default_rng(41)
-    for dim in (2, 4, 6):
-        for _ in range(20):
-            H = random_direction(rng, dim)
-            assert _psd_project(H).tobytes() == psd_project(H).tobytes()
-    with pytest.raises(ValueError):
-        psd_project(np.triu(np.ones((4, 4))))
-    with pytest.raises(ValueError):
-        psd_project(np.diag([1.0, math.inf, 0.0, 0.0]))
+def test_minimize_rejects_constraints_that_do_not_pin_the_minimum():
+    # Gamma_3 = Gamma_1 at eta = 0.5: the weights break Bob's bit flip, so the
+    # invariant states have 3 directions but the constraints fix only 2.
+    eta = 0.5
+    ops = build_gamma_set(eta)
+    with pytest.raises(ValueError, match="rank 2 on the 3 invariant directions") as info:
+        minimize(GammaSet(ops.gamma1, ops.gamma2, ops.gamma1), (0.5, 0.025, 0.75))
+    assert not isinstance(info.value, FeasibilityError)
+    with pytest.raises(ValueError, match="must be real"):
+        minimize(GammaSet(ops.gamma1, 1j * np.triu(ops.gamma2), ops.gamma3), (0.5, 0.025, 0.75))
 
 
 def _signed_permutation_group(generators):
