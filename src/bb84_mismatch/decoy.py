@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, TruncationError, _require_in
-from .keyrates import KeyRateResult, _entropy_args, _golden_steps, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _entropy_args, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -316,8 +316,8 @@ def _singles_rate(q1_0, q1_1, q: float, eta: float, ec_term: float):
 
 
 def _where(ok, x, fill):
-    """``np.where(ok, x, fill)``; a scalar ``ok`` (the refine's single points)
-    picks without it, as ``np.where`` costs more than the formula itself."""
+    """``np.where(ok, x, fill)``; a scalar ``ok`` (``_box_result``'s single
+    point) picks without it, as ``np.where`` costs more than the formula itself."""
     return np.where(ok, x, fill) if isinstance(ok, np.ndarray) else (x if ok else fill)
 
 
@@ -353,104 +353,61 @@ def decoy_keyrate(
     The rate is minimized over Q_1^{s z beta} between the decoy lower bound
     and the trivial upper bound for each outcome, with the error parameter
     fixed at its upper bound (the rate decreases monotonically in it). A
-    64x64 grid over the box is evaluated as one array; its first minimum in
-    row-major order (outcome-0 gain outer), the point a strict-< scan keeps,
-    seeds a coordinate-descent refine. The result records the argmin and
-    whether it sits at the lower-bound corner.
+    64x64 grid over the box seeds the search with its first minimum in
+    row-major order (outcome-0 gain outer). Sixteen zoom levels follow, each
+    a 9x9 grid over +-2 steps of the previous grid around the best point so
+    far, clipped to the box; the window halves at each level, and a point
+    replaces the best only if its rate is strictly lower. The result records
+    the argmin and whether it sits at the lower-bound corner.
     """
     return _decoy_keyrates([obs], cfg, eta, f_ec)[0]
 
 
 def _decoy_keyrates(observations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
-    """``decoy_keyrate`` of each of ``observations``, with every box's refine
-    run in lockstep: each step evaluates the pending point of every unfinished
-    refine in one ``_singles_rate`` call. A box sees the same points in the
-    same order as it would alone, and the formula is elementwise, so each
-    result equals ``decoy_keyrate``'s bit for bit.
+    """``decoy_keyrate`` of each of ``observations``: one 64x64 seed scan per
+    box, then each zoom level as one ``_singles_rate`` call over every box
+    with a feasible seed; a box whose seed grid is all infeasible is
+    infeasible. The formula is elementwise, so each result equals
+    ``decoy_keyrate``'s bit for bit.
     """
-    bounds, terms = [], []
+    boxes, seeds = [], []
     for obs in observations:
-        bounds.append((*bound_Q1(obs, cfg, 0), *bound_Q1(obs, cfg, 1)))
-        terms.append((gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec)))
-
-    argmins = [None] * len(bounds)
-    pending = {}  # box index -> (its refine, the point it waits on)
-    for k, ((lo0, up0, lo1, up1), (q, ec)) in enumerate(zip(bounds, terms)):
+        (lo0, up0), (lo1, up1) = bound_Q1(obs, cfg, 0), bound_Q1(obs, cfg, 1)
+        q, ec = gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec)
+        boxes.append((lo0, up0, lo1, up1, q, ec))
         grid0 = np.linspace(lo0, up0, 64)
         grid1 = np.linspace(lo1, up1, 64)
         rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
         if np.isnan(rates).all():
+            seeds.append(None)
             continue
         k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
-        refine = _descend(lo0, up0, lo1, up1, float(rates[k0, k1]), (float(grid0[k0]), float(grid1[k1])))
-        pending[k] = (refine, next(refine))
+        seeds.append((grid0[k0], grid1[k1], rates[k0, k1]))
 
-    while pending:
-        ks = list(pending)
-        if len(ks) == 1:
-            # A lone refine (one box, or the last to finish) goes by scalars:
-            # numpy's per-call cost makes a small array call about seven
-            # times as dear as a scalar one.
-            (a, b), (q, ec) = pending[ks[0]][1], terms[ks[0]]
-            rates = [float(_singles_rate(a, b, q, eta, ec)[0])]
-        else:
-            a, b = np.array([pending[k][1] for k in ks]).T
-            q, ec = np.array([terms[k] for k in ks]).T
-            rates = _singles_rate(a, b, q, eta, ec)[0].tolist()
-        for k, rate in zip(ks, rates):
-            refine = pending[k][0]
-            try:
-                pending[k] = (refine, refine.send(math.inf if math.isnan(rate) else rate))
-            except StopIteration as stop:
-                argmins[k] = stop.value
-                del pending[k]
+    found = [k for k, seed in enumerate(seeds) if seed is not None]
+    lo0, up0, lo1, up1, q, ec = np.array([boxes[k] for k in found]).reshape(-1, 6).T
+    a, b, best = np.array([seeds[k] for k in found]).reshape(-1, 3).T
+    lo, up, x = np.stack([lo0, lo1], 1), np.stack([up0, up1], 1), np.stack([a, b], 1)
+    half = 2.0 * (up - lo) / 63.0  # +-2 steps of the seed grid
+    rows, q, ec = np.arange(len(found)), q[:, None, None], ec[:, None, None]
+    for _ in range(16):
+        grid = np.linspace(np.maximum(x - half, lo), np.minimum(x + half, up), 9, axis=-1)
+        rates = _singles_rate(grid[:, 0, :, None], grid[:, 1, None, :], q, eta, ec)[0]
+        rates = np.where(np.isnan(rates), np.inf, rates).reshape(-1, 81)
+        k = rates.argmin(axis=1)  # the first minimum in row-major order
+        better = rates[rows, k] < best
+        best = np.where(better, rates[rows, k], best)
+        x = np.where(better[:, None], np.stack([grid[rows, 0, k // 9], grid[rows, 1, k % 9]], 1), x)
+        half = half / 2.0
 
-    results = []
-    for (lo0, up0, lo1, up1), (q, ec), arg in zip(bounds, terms, argmins):
-        if arg is None:
-            results.append(KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy"))
-            continue
-        a, b = arg
+    results = [KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy")] * len(boxes)
+    for k, (a, b) in zip(found, x.tolist()):
+        lo0, up0, lo1, up1, q, ec = boxes[k]
         atol0 = 1e-7 * max(up0 - lo0, 1e-300)
         atol1 = 1e-7 * max(up1 - lo1, 1e-300)
         corner = abs(a - lo0) <= atol0 and abs(b - lo1) <= atol1
-        results.append(replace(_box_result(a, b, q, eta, ec, "decoy"), at_lower_corner=bool(corner)))
+        results[k] = replace(_box_result(a, b, q, eta, ec, "decoy"), at_lower_corner=bool(corner))
     return results
-
-
-def _descend(lo0: float, up0: float, lo1: float, up1: float, best: float, arg: tuple):
-    """Coordinate descent over the box from ``arg``, whose rate is ``best``.
-
-    A generator: it yields each point (a, b) to evaluate, receives its rate
-    (inf where infeasible) and returns the final argmin. Each round runs a
-    golden-section search over the outcome-0 gain, then the outcome-1 gain;
-    it stops after 40 rounds, or when a round's point is worse or gains less
-    than 1e-12.
-    """
-    a, b = arg
-    for _ in range(40):
-        prev = best
-        a = yield from _along(_golden_steps(lo0, up0), lambda x: (x, b))
-        b = yield from _along(_golden_steps(lo1, up1), lambda y: (a, y))
-        candidate = yield a, b
-        if candidate > best:
-            break
-        best, arg = candidate, (a, b)
-        if prev - best < 1e-12:
-            break
-    return arg
-
-
-def _along(steps, point):
-    """Run the golden-section search ``steps`` inside ``_descend``: yield
-    ``point(x)`` for each of its points x, pass the value back, return its result."""
-    x = next(steps)
-    while True:
-        value = yield point(x)
-        try:
-            x = steps.send(value)
-        except StopIteration as stop:
-            return stop.value
 
 
 def theoretical_limit(

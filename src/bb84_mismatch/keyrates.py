@@ -116,7 +116,10 @@ def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float)
     clamped at 0; below -1e-12 it raises ValueError (inconsistent observations).
     """
     a = t * (1.0 + delta) / 2.0
-    _, arg, lam = _entropy_args(a, p_pass - a, t, t * q_x, eta)
+    # The gains can cancel to p = 0 (eta = 1 accepts |p_pass - t| <= 1e-12
+    # at any scale); lambda is then -inf or nan and is rejected below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, arg, lam = _entropy_args(a, p_pass - a, t, t * q_x, eta)
     if lam < -1e-12:
         raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
     return float(arg), max(float(lam), 0.0)
@@ -158,12 +161,25 @@ def keyrate_balanced(
 ) -> KeyRateResult:
     """Key rate at the balanced pass rate p_pass = t*(1+eta)/2:
     p_pass * [h(1/(1+eta)) - h(lambda(q_x, eta)) - f_ec*h(q_z)].
+
+    The discard-optimized kernel at eta1 = 1, so ``keyrate_discard_optimized``,
+    which has eta1 = 1 among its candidates, is never below it.
+
+    Raises:
+        ValueError: if an input is out of range or t*eta underflows to 0.
+        ConfigError: unless f_ec is finite and non-negative.
     """
-    p_pass = t * (1.0 + eta) / 2.0
-    # The balanced premise is checked, not assumed; nan and rounding at tiny t fail it.
-    if not abs(detection_imbalance(p_pass, t, eta)) < 1e-12:
-        raise ValueError(f"no balanced pass rate at t = {t}, eta = {eta}")
-    return replace(keyrate_general(q_z, q_x, eta, t, p_pass, f_ec=f_ec), method="balanced")
+    rate, lam = _discarded_rate(q_x, eta, t, 1.0, _balanced_ec(q_z, q_x, eta, t, f_ec))
+    return KeyRateResult(rate=float(rate), feasible=True, delta=0.0, lam=float(lam), method="balanced")
+
+
+def _balanced_ec(q_z: float, q_x: float, eta: float, t: float, f_ec: float) -> float:
+    """Check the inputs of a balanced rate; return its leakage f_ec*h(q_z)."""
+    _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=t * (1.0 + eta) / 2.0)
+    _require_f_ec(f_ec)
+    if not eta * t / 2.0 > 0.0:
+        raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}")
+    return f_ec * binary_entropy(q_z)
 
 
 def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
@@ -194,11 +210,7 @@ def keyrate_discard_optimized(
         ValueError: if an input is out of range or t*eta underflows to 0.
         ConfigError: unless f_ec is finite and non-negative.
     """
-    _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=t * (1.0 + eta) / 2.0)
-    _require_f_ec(f_ec)
-    if not eta * t / 2.0 > 0.0:
-        raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}")
-    ec = f_ec * binary_entropy(q_z)
+    ec = _balanced_ec(q_z, q_x, eta, t, f_ec)
 
     def loss(eta1):
         return -_discarded_rate(q_x, eta, t, eta1, ec)[0]
@@ -215,40 +227,24 @@ def keyrate_discard_optimized(
     )
 
 
-def _golden_steps(a: float, b: float):
-    """Golden-section search on [a, b], to absolute tolerance 1e-10, as a
-    generator: it yields each point to evaluate, receives that point's value
-    through ``send`` and returns the midpoint of the final bracket. Ties move
-    the bracket's upper end down, so of two equal values the lower point is
-    kept. ``_golden_min`` drives it with one function; ``decoy`` drives many
-    searches in lockstep.
+def _golden_min(fn, a: float, b: float) -> float:
+    """Golden-section minimizer of ``fn`` on [a, b], to absolute tolerance
+    1e-10; returns the midpoint of the final bracket. Ties move the bracket's
+    upper end down, so of two equal values the lower point is kept.
     """
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = yield x1
-    f2 = yield x2
+    f1, f2 = fn(x1), fn(x2)
     while b - a > 1e-10:
         if f1 > f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = yield x2
+            f2 = fn(x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = yield x1
+            f1 = fn(x1)
     return (a + b) / 2.0
-
-
-def _golden_min(fn, a: float, b: float) -> float:
-    """Golden-section minimizer of ``fn`` on [a, b]; see ``_golden_steps``."""
-    steps = _golden_steps(a, b)
-    x = next(steps)
-    while True:
-        value = fn(x)
-        try:
-            x = steps.send(value)
-        except StopIteration as stop:
-            return stop.value
 
 
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:

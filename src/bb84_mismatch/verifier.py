@@ -325,8 +325,9 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     fix the imbalance only to about eps / (1 - eta).
 
     Raises:
-        FeasibilityError: if ``values`` is not three finite numbers or
-            violates the existence condition.
+        FeasibilityError: if ``values`` is not three finite numbers, its
+            detection rate gamma_1 is not positive, or it violates the
+            existence condition.
         ValueError: if the constraint system on the invariant states has
             rank below k, so that the argument does not pin the minimum.
     """
@@ -338,9 +339,11 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
         raise FeasibilityError(
             f"constraint values must be three finite numbers, got {values.tolist()}"
         )
+    if not values[0] > 0.0:
+        raise FeasibilityError(f"detection rate gamma_1 = {values[0]} must be positive")
     eta = float(np.real(gammas.gamma1[0, 0]))
     t = values[0] / eta
-    qx_eff = values[1] / values[0] if values[0] > 0 else 0.0
+    qx_eff = values[1] / values[0]
     try:
         delta = detection_imbalance(values[2], t, eta)
     except ValueError as exc:

@@ -477,8 +477,8 @@ def _seeded_boxes(seed, count):
 
 
 def _decoy_argmin_loop(obs, cfg, eta, f_ec):
-    """decoy_keyrate's grid scan and coordinate descent as they were before the
-    refines ran in lockstep, one point at a time, kept as the reference."""
+    """The grid scan and coordinate descent of golden-section searches that
+    decoy_keyrate ran before its array zoom, kept as the reference."""
     from bb84_mismatch.decoy import _ec_term, _singles_rate
     from bb84_mismatch.keyrates import _golden_min
 
@@ -512,7 +512,13 @@ def _decoy_argmin_loop(obs, cfg, eta, f_ec):
     return arg
 
 
-def test_lockstep_refines_match_one_box_at_a_time():
+def _rate_at(a, b, obs, cfg, eta, f_ec):
+    from bb84_mismatch.decoy import _box_result, _ec_term
+
+    return _box_result(a, b, gamma2_upper(obs, cfg, eta) / eta, eta, _ec_term(obs, f_ec), "decoy").rate
+
+
+def test_batched_boxes_match_one_box_at_a_time():
     off_corner = 0
     for seed in range(12):
         observations, cfg, eta = _seeded_boxes(seed, 8)
@@ -525,8 +531,35 @@ def test_lockstep_refines_match_one_box_at_a_time():
                 alone.rate, alone.lam, alone.delta, alone.argmin, alone.at_lower_corner
             )
             assert res.feasible == alone.feasible
-            assert alone.argmin == _decoy_argmin_loop(obs, cfg, eta, f_ec)
+            # The coordinate descent is the reference: the zoom never reports
+            # a higher rate, and keeps every minimum the descent found at the lower corner.
+            reference = _decoy_argmin_loop(obs, cfg, eta, f_ec)
+            assert (reference is None) == (alone.argmin is None)
+            if reference is not None:
+                assert alone.rate <= _rate_at(*reference, obs, cfg, eta, f_ec)
+                if reference == (bound_Q1(obs, cfg, 0)[0], bound_Q1(obs, cfg, 1)[0]):
+                    assert alone.argmin == reference
             off_corner += res.at_lower_corner is False
-    # The multi-round refines (minima off the corner) are exercised too.
+    # Minima off the corner, where the zoom moves, are exercised too.
     assert off_corner > 0
     assert _decoy_keyrates([], BENCHMARK_CFG, 0.7, 1.0) == []
+
+
+def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
+    from bb84_mismatch.decoy import _ec_term, _singles_rate
+
+    feasible = 0
+    for seed in range(12):
+        observations, cfg, eta = _seeded_boxes(seed, 8)
+        f_ec = (1.0, 1.16, 0.0)[seed % 3]
+        for obs in observations:
+            (lo0, up0), (lo1, up1) = bound_Q1(obs, cfg, 0), bound_Q1(obs, cfg, 1)
+            q, ec = gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec)
+            grid0, grid1 = np.linspace(lo0, up0, 257), np.linspace(lo1, up1, 257)
+            rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
+            if np.isnan(rates).all():
+                continue
+            feasible += 1
+            dense = float(np.nanmin(rates))
+            assert decoy_keyrate(obs, cfg, eta, f_ec).rate <= dense + 1e-12 * max(abs(dense), ec)
+    assert feasible > 100

@@ -128,6 +128,17 @@ def test_balanced_matches_general_at_balanced_point():
             assert math.isclose(res_b.rate, res_g.rate, abs_tol=1e-14)
 
 
+def test_discard_optimized_is_never_below_balanced():
+    # eta1 = 1 is one of the discard search's candidates and is the balanced
+    # rate's kernel, so the order holds exactly, with no slack. The first
+    # point printed as 0.476944781901 against 0.476944781902 in an eta sweep.
+    points = [(0.026977300935659195, 0.03011598942990113, 0.61, 1.0)]
+    rng = np.random.default_rng(14)
+    points += [tuple(rng.uniform((0, 0, 0.01, 0.01), (0.11, 0.11, 1, 1))) for _ in range(300)]
+    for q_z, q_x, eta, t in points:
+        assert keyrate_discard_optimized(q_z, q_x, eta, t).rate >= keyrate_balanced(q_z, q_x, eta, t).rate
+
+
 def test_balanced_dominates_fung1_across_mismatch_range():
     for q in (0.0, 0.05):
         for eta in np.linspace(0.05, 1.0, 40):
@@ -356,6 +367,14 @@ def test_underflow_and_nan_raise_value_error(call):
     # by zero without raising, so they are covered apart from Python floats.
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_general_rejects_gains_that_cancel_without_warning():
+    # At eta = 1, p_pass = 1.2e-307 passes the 1e-12 test against t = 1.2e-38,
+    # and the outcome gains t/2 and p_pass - t/2 sum to 0.
+    with pytest.raises(ValueError, match="inconsistent"):
+        keyrate_general(0.0, 0.0, 1.0, 1.1754943508222875e-38, 1.1550564397656548e-307)
 
 
 def _golden_min_loop(fn, a, b):

@@ -322,6 +322,13 @@ def test_minimize_zero_values_raise_without_warning():
         minimize(build_gamma_set(0.5), [0.0, 0.0, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [(-0.5, 0.0, -0.75), (0.0, 0.0, 0.0)])
+def test_minimize_rejects_a_non_positive_detection_rate(values):
+    with pytest.raises(FeasibilityError, match="detection rate"):
+        minimize(build_gamma_set(0.5), values)
+
+
 @pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
 def test_minimize_is_exact_on_the_boundary_and_inside(eta):
     # At q_x = 0 the feasible set has no interior; the solve needs none.
