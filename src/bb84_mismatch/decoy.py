@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, TruncationError, _require_in
-from .keyrates import KeyRateResult, _entropy_args, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _entropy_args, _entropy_grad, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -352,44 +352,101 @@ def decoy_keyrate(
 
     The rate is minimized over Q_1^{s z beta} between the decoy lower bound
     and the trivial upper bound for each outcome, with the error parameter
-    fixed at its upper bound (the rate decreases monotonically in it). A
-    64x64 grid over the box seeds the search with its first minimum in
-    row-major order (outcome-0 gain outer). Sixteen zoom levels follow, each
-    a 9x9 grid over +-2 steps of the previous grid around the best point so
-    far, clipped to the box; the window halves at each level, and a point
-    replaces the best only if its rate is strictly lower. The result records
-    the argmin and whether it sits at the lower-bound corner.
+    fixed at its upper bound (the rate decreases monotonically in it).
+
+    The rate is convex in the two gains, so the lower-bound corner is the
+    minimum whenever both partials there are positive beyond their rounding
+    allowance (``keyrates._entropy_grad``, at most 2^-48 times a condition
+    number of the point): the rate is then certified at the corner, and
+    ``rate_lower`` equals ``rate``. Any other box is searched. A 64x64 grid
+    over the box seeds the search with its first minimum in row-major order
+    (outcome-0 gain outer). Sixteen zoom levels follow, each a 9x9 grid over
+    +-2 steps of the previous grid around the best point so far, clipped to
+    the box; the window halves at each level, and a point replaces the best
+    only if its rate is strictly lower. A searched box's ``rate_lower`` is the
+    Frank-Wolfe bound at the point found. The result records the argmin and
+    whether it sits at the lower-bound corner.
     """
     return _decoy_keyrates([obs], cfg, eta, f_ec)[0]
 
 
 def _decoy_keyrates(observations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
-    """``decoy_keyrate`` of each of ``observations``: one 64x64 seed scan per
-    box, then each zoom level as one ``_singles_rate`` call over every box
-    with a feasible seed; a box whose seed grid is all infeasible is
-    infeasible. The formula is elementwise, so each result equals
-    ``decoy_keyrate``'s bit for bit.
+    """``decoy_keyrate`` of each of ``observations``, with the corner test of
+    every box as one array call and the search over the boxes it leaves.
+
+    Why the corner test certifies: the rate is R(a, b) = f*(gamma(a, b)) - ec,
+    f* the value of the convex program ``verifier.minimize`` solves (Winick,
+    Luetkenhaus & Coles, Quantum 2, 77 (2018)), as a function of the program's
+    right-hand side gamma = (eta*a + b, eta*q, a + b). That function is
+    convex, and gamma is affine in the gains (a, b) at fixed q, so R is convex
+    on the feasible part of the box, itself convex (lambda >= 0 says that a
+    norm of an affine map is at most the affine p). At the lower corner c,
+    R(x) >= R(c) + grad R(c).(x - c) >= R(c) for every feasible x of the box
+    when both partials are >= 0. The test asks each computed partial to
+    exceed its rounding allowance (``keyrates._entropy_grad``), so that the
+    exact partial is positive, and fails wherever the corner is infeasible or
+    has a zero gain.
+
+    The same inequality at a searched box's final point y, with each partial
+    g_i widened by its allowance s_i, gives rate_lower = R(y) +
+    sum_i min((g_i + s_i)*(lo_i - y_i), (g_i - s_i)*(up_i - y_i)), up to the
+    rounding of R(y) itself, and None where it is not finite; at a certified
+    corner both terms are 0. The formulas are elementwise, so each result
+    equals ``decoy_keyrate``'s bit for bit.
     """
-    boxes, seeds = [], []
-    for obs in observations:
-        (lo0, up0), (lo1, up1) = bound_Q1(obs, cfg, 0), bound_Q1(obs, cfg, 1)
-        q, ec = gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec)
-        boxes.append((lo0, up0, lo1, up1, q, ec))
+    boxes = np.array([
+        (*bound_Q1(obs, cfg, 0), *bound_Q1(obs, cfg, 1), gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec))
+        for obs in observations
+    ]).reshape(-1, 6)
+    lo, up, q, ec = boxes[:, [0, 2]], boxes[:, [1, 3]], boxes[:, 4], boxes[:, 5]
+    grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
+    certified = (grad > slack).all(axis=1)
+    x, found = lo.copy(), certified.copy()
+    x[~certified], found[~certified] = _search_boxes(boxes[~certified], eta)
+
+    grad, slack = _entropy_grad(x[:, 0], x[:, 1], q, eta)
+    with np.errstate(invalid="ignore"):
+        gap = np.minimum((grad + slack) * (lo - x), (grad - slack) * (up - x)).sum(axis=1)
+    corner = (np.abs(x - lo) <= 1e-7 * np.maximum(up - lo, 1e-300)).all(axis=1)
+    results = []
+    for (a, b), q_k, ec_k, ok, at_corner, width in zip(x.tolist(), q.tolist(), ec.tolist(), found, corner, gap):
+        if not ok:
+            results.append(KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy"))
+            continue
+        res = _box_result(a, b, q_k, eta, ec_k, "decoy")
+        lower = res.rate + float(width)
+        results.append(replace(
+            res, at_lower_corner=bool(at_corner), rate_lower=lower if math.isfinite(lower) else None
+        ))
+    return results
+
+
+def _search_boxes(boxes: np.ndarray, eta: float):
+    """The seed scan and zoom of ``decoy_keyrate`` over the rows
+    (lo0, up0, lo1, up1, q, ec) of ``boxes``: one 64x64 scan per box, then
+    each zoom level as one ``_singles_rate`` call over every box with a
+    feasible seed. Returns the final points, shape (n, 2), and which boxes
+    have a feasible seed; a box whose seed grid is all infeasible is
+    infeasible, and its point nan.
+    """
+    seeds = np.full((len(boxes), 3), np.nan)
+    for k, (lo0, up0, lo1, up1, q, ec) in enumerate(boxes.tolist()):
         grid0 = np.linspace(lo0, up0, 64)
         grid1 = np.linspace(lo1, up1, 64)
         rates = _singles_rate(grid0[:, None], grid1[None, :], q, eta, ec)[0]
-        if np.isnan(rates).all():
-            seeds.append(None)
-            continue
-        k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
-        seeds.append((grid0[k0], grid1[k1], rates[k0, k1]))
+        if not np.isnan(rates).all():
+            k0, k1 = np.unravel_index(np.nanargmin(rates), rates.shape)
+            seeds[k] = grid0[k0], grid1[k1], rates[k0, k1]
+    found = ~np.isnan(seeds[:, 2])
+    points = seeds[:, :2]
+    if not found.any():
+        return points, found
 
-    found = [k for k, seed in enumerate(seeds) if seed is not None]
-    lo0, up0, lo1, up1, q, ec = np.array([boxes[k] for k in found]).reshape(-1, 6).T
-    a, b, best = np.array([seeds[k] for k in found]).reshape(-1, 3).T
+    lo0, up0, lo1, up1, q, ec = boxes[found].T
+    a, b, best = seeds[found].T
     lo, up, x = np.stack([lo0, lo1], 1), np.stack([up0, up1], 1), np.stack([a, b], 1)
     half = 2.0 * (up - lo) / 63.0  # +-2 steps of the seed grid
-    rows, q, ec = np.arange(len(found)), q[:, None, None], ec[:, None, None]
+    rows, q, ec = np.arange(len(x)), q[:, None, None], ec[:, None, None]
     for _ in range(16):
         grid = np.linspace(np.maximum(x - half, lo), np.minimum(x + half, up), 9, axis=-1)
         rates = _singles_rate(grid[:, 0, :, None], grid[:, 1, None, :], q, eta, ec)[0]
@@ -399,15 +456,8 @@ def _decoy_keyrates(observations, cfg: DecoyConfig, eta: float, f_ec: float) -> 
         best = np.where(better, rates[rows, k], best)
         x = np.where(better[:, None], np.stack([grid[rows, 0, k // 9], grid[rows, 1, k % 9]], 1), x)
         half = half / 2.0
-
-    results = [KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy")] * len(boxes)
-    for k, (a, b) in zip(found, x.tolist()):
-        lo0, up0, lo1, up1, q, ec = boxes[k]
-        atol0 = 1e-7 * max(up0 - lo0, 1e-300)
-        atol1 = 1e-7 * max(up1 - lo1, 1e-300)
-        corner = abs(a - lo0) <= atol0 and abs(b - lo1) <= atol1
-        results[k] = replace(_box_result(a, b, q, eta, ec, "decoy"), at_lower_corner=bool(corner))
-    return results
+    points[found] = x
+    return points, found
 
 
 def theoretical_limit(

@@ -32,7 +32,8 @@ class KeyRateResult:
     ``rate`` is None when ``feasible`` is False. ``delta`` is the detection
     imbalance, ``lam`` the effective phase-error argument entering h().
     ``optimizer_args`` holds (eta1, eta2) for the discard-optimized rate;
-    ``argmin`` and ``at_lower_corner`` describe the decoy box minimum.
+    ``argmin`` and ``at_lower_corner`` describe the decoy box minimum, and
+    ``rate_lower`` is a certified lower bound on it (None where it has none).
     """
 
     rate: float | None
@@ -43,6 +44,7 @@ class KeyRateResult:
     optimizer_args: tuple[float, float] | None = None
     argmin: tuple[float, float] | None = None
     at_lower_corner: bool | None = None
+    rate_lower: float | None = None
 
     @property
     def operational_rate(self) -> float:
@@ -75,14 +77,14 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
     consistent observation is p_pass = t, for which 0 is returned.
 
     Raises:
-        ValueError: if eta = 1 but p_pass differs from t beyond 1e-12, or
-            t*(1-eta) underflows to 0.
+        ValueError: if eta = 1 but p_pass differs from t by more than 1e-12*t,
+            or t*(1-eta) underflows to 0.
     """
     if eta == 1.0:
-        if abs(p_pass - t) <= 1e-12:
+        if abs(p_pass - t) <= 1e-12 * t:
             return 0.0
         raise ValueError(
-            f"eta = 1 requires p_pass = t, got p_pass = {p_pass}, t = {t}"
+            f"eta = 1 requires p_pass = t, got p_pass = {p_pass}, t = {t}: observations are inconsistent"
         )
     denominator = t * (1.0 - eta)
     if denominator == 0.0:
@@ -110,14 +112,48 @@ def _entropy_args(a, b, t, x, eta):
     return p, np.divide(a, p), 0.5 - np.hypot(a - b, np.sqrt(eta) * (t - 2.0 * x)) / (2.0 * p)
 
 
+def _entropy_grad(a, b, x, eta):
+    """Partials in a and b of the formula's p*[h(a/p) - h(lambda)] along the
+    single-photon transparency t = a + b/eta, at a fixed x-error gain x >= 0,
+    with a rounding allowance for each; elementwise, never raising.
+
+    With d = t - 2x and r = hypot(a - b, sqrt(eta)*d) = p*(1 - 2*lambda):
+      d/da = log2(p/a) - [(1 - r_a)*log2(1/lambda) + (1 + r_a)*log2(1/(1 - lambda))]/2,
+    r_a = (a - b + eta*d)/r; d/db is the same with log2(p/b) and r_b = (b - a + d)/r.
+
+    Allowance: every argument of the root is within a few ulps of
+    S = p + t + 2x, so r is off by at most 6u*S (u = 2^-53), lambda by 4u*S/p
+    and r_i by 7u*S*(1 + |r_i|)/r. Carried through the logarithms, the computed
+    partial i is within a quarter of
+      2^-48 * [1 + |log2(p/gain_i)| + (1 + |r_i|)*S*((L1 + L2)/r + 1/(p*lambda*(1 - lambda)))]
+    of the exact one (L1, L2 the two logarithms), to first order. The
+    allowance is inf or nan wherever a gain is 0, r = 0 or lambda <= 0, so the
+    test ``partial > allowance`` fails at such points.
+
+    Returns (partials, allowances), each with a last axis of 2: (a, b).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, t = a + b, a + b / eta
+        d = t - 2.0 * x
+        r = np.hypot(a - b, np.sqrt(eta) * d)
+        lam = 0.5 - r / (2.0 * p)
+        l1, l2 = -np.log2(lam), -np.log2(1.0 - lam)
+        cond = (p + t + 2.0 * x) * ((l1 + l2) / r + 1.0 / (p * lam * (1.0 - lam)))
+        partials, allowances = [], []
+        for gain, r_i in ((a, (a - b + eta * d) / r), (b, (b - a + d) / r)):
+            head = np.log2(p / gain)
+            partials.append(head - ((1.0 - r_i) * l1 + (1.0 + r_i) * l2) / 2.0)
+            allowances.append(2.0**-48 * (1.0 + np.abs(head) + (1.0 + np.abs(r_i)) * cond))
+    return np.stack(partials, axis=-1), np.stack(allowances, axis=-1)
+
+
 def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float):
     """(h argument, lambda) at pass rate p_pass and imbalance delta: the kernel at
     gains a = t*(1+delta)/2, b = p_pass - a and x-error gain t*q_x. lambda is
     clamped at 0; below -1e-12 it raises ValueError (inconsistent observations).
     """
     a = t * (1.0 + delta) / 2.0
-    # The gains can cancel to p = 0 (eta = 1 accepts |p_pass - t| <= 1e-12
-    # at any scale); lambda is then -inf or nan and is rejected below.
+    # Gains that cancel to p = 0 give a lambda of -inf or nan, rejected below.
     with np.errstate(divide="ignore", invalid="ignore"):
         _, arg, lam = _entropy_args(a, p_pass - a, t, t * q_x, eta)
     if lam < -1e-12:

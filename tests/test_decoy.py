@@ -527,8 +527,8 @@ def test_batched_boxes_match_one_box_at_a_time():
         assert len(together) == len(observations)
         for obs, res in zip(observations, together):
             alone = decoy_keyrate(obs, cfg, eta, f_ec)
-            assert (res.rate, res.lam, res.delta, res.argmin, res.at_lower_corner) == (
-                alone.rate, alone.lam, alone.delta, alone.argmin, alone.at_lower_corner
+            assert (res.rate, res.lam, res.delta, res.argmin, res.at_lower_corner, res.rate_lower) == (
+                alone.rate, alone.lam, alone.delta, alone.argmin, alone.at_lower_corner, alone.rate_lower
             )
             assert res.feasible == alone.feasible
             # The coordinate descent is the reference: the zoom never reports
@@ -548,7 +548,7 @@ def test_batched_boxes_match_one_box_at_a_time():
 def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
     from bb84_mismatch.decoy import _ec_term, _singles_rate
 
-    feasible = 0
+    feasible = certified = 0
     for seed in range(12):
         observations, cfg, eta = _seeded_boxes(seed, 8)
         f_ec = (1.0, 1.16, 0.0)[seed % 3]
@@ -561,5 +561,89 @@ def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
                 continue
             feasible += 1
             dense = float(np.nanmin(rates))
-            assert decoy_keyrate(obs, cfg, eta, f_ec).rate <= dense + 1e-12 * max(abs(dense), ec)
-    assert feasible > 100
+            res = decoy_keyrate(obs, cfg, eta, f_ec)
+            # A certified corner and a searched point alike.
+            assert res.rate <= dense + 1e-12 * max(abs(dense), ec)
+            assert res.rate_lower <= min(res.rate, dense + 1e-12 * max(abs(dense), ec))
+            certified += res.rate_lower == res.rate and res.argmin == (lo0, lo1)
+    assert feasible > 100 and certified > 50
+
+
+def test_entropy_grad_matches_central_differences():
+    from bb84_mismatch.decoy import _singles_rate
+    from bb84_mismatch.keyrates import _entropy_grad
+
+    rng = np.random.default_rng(2)
+    checked = 0
+    for seed in range(10):
+        observations, cfg, eta = _seeded_boxes(seed, 8)
+        for obs in observations:
+            (lo0, up0), (lo1, up1) = bound_Q1(obs, cfg, 0), bound_Q1(obs, cfg, 1)
+            q = gamma2_upper(obs, cfg, eta) / eta
+            a, b = rng.uniform(lo0, up0, 16), rng.uniform(lo1, up1, 16)
+            # Away from the edge lambda = 0, where the third derivatives blow up.
+            inside = (_singles_rate(a, b, q, eta, 0.0)[1] > 1e-3) & (a > 0.0) & (b > 0.0)
+            a, b = a[inside], b[inside]
+            grads, slacks = _entropy_grad(a, b, q, eta)
+            da, db = 1e-6 * a, 1e-6 * b
+            for grad, slack, plus, minus, step in (
+                (grads[:, 0], slacks[:, 0], _singles_rate(a + da, b, q, eta, 0.0)[0],
+                 _singles_rate(a - da, b, q, eta, 0.0)[0], da),
+                (grads[:, 1], slacks[:, 1], _singles_rate(a, b + db, q, eta, 0.0)[0],
+                 _singles_rate(a, b - db, q, eta, 0.0)[0], db),
+            ):
+                scale = np.maximum(np.abs(grad), 1.0)
+                assert np.all(np.abs((plus - minus) / (2.0 * step) - grad) <= 1e-6 * scale)
+                assert np.all(slack <= 1e-9 * scale)
+            checked += a.size
+    assert checked > 1000
+    # A zero gain, or a corner outside the cone (lambda < 0), is never certified.
+    grad, slack = _entropy_grad(
+        np.array([0.0, 1e-3, 1e-3]), np.array([1e-3, 0.0, 1e-3]), np.array([1e-4, 1e-4, 3e-3]), 0.5
+    )
+    assert not (grad > slack).all(axis=1).any()
+
+
+def test_singles_rate_is_midpoint_convex_on_seeded_boxes():
+    # The corner certificate rests on this convexity, and on the convexity of
+    # each box's feasible part: the midpoint of two feasible points is feasible.
+    from bb84_mismatch.decoy import _singles_rate
+
+    pairs = 0
+    for seed in range(60):
+        rng = np.random.default_rng(1000 + seed)
+        observations, cfg, eta = _seeded_boxes(seed, 8)
+        for obs in observations:
+            (lo0, up0), (lo1, up1) = bound_Q1(obs, cfg, 0), bound_Q1(obs, cfg, 1)
+            q = gamma2_upper(obs, cfg, eta) / eta
+            u = rng.uniform(size=(2, 2, 64))
+            a, b = lo0 + (up0 - lo0) * u[:, 0], lo1 + (up1 - lo1) * u[:, 1]
+            ends = _singles_rate(a, b, q, eta, 0.0)[0]
+            mid = _singles_rate((a[0] + a[1]) / 2.0, (b[0] + b[1]) / 2.0, q, eta, 0.0)[0]
+            ok = ~np.isnan(ends).any(axis=0)
+            assert not np.isnan(mid[ok]).any()
+            chord = (ends[0, ok] + ends[1, ok]) / 2.0
+            assert np.all(mid[ok] <= chord + 1e-12 * np.abs(ends[:, ok]).max(axis=0))
+            pairs += int(ok.sum())
+    assert pairs > 30000
+
+
+def test_corner_certificate_holds_exactly_where_the_search_ends_at_the_corner():
+    from bb84_mismatch.decoy import _ec_term, _search_boxes
+    from bb84_mismatch.keyrates import _entropy_grad
+
+    certified = feasible = 0
+    for seed in range(60):
+        observations, cfg, eta = _seeded_boxes(seed, 8)
+        f_ec = (1.0, 1.16, 0.0)[seed % 3]
+        boxes = np.array([
+            (*bound_Q1(obs, cfg, 0), *bound_Q1(obs, cfg, 1), gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec))
+            for obs in observations
+        ])
+        points, found = _search_boxes(boxes, eta)
+        grad, slack = _entropy_grad(boxes[:, 0], boxes[:, 2], boxes[:, 4], eta)
+        corner = (grad > slack).all(axis=1)
+        assert np.array_equal(corner, found & (points == boxes[:, [0, 2]]).all(axis=1))
+        certified += int(corner.sum())
+        feasible += int(found.sum())
+    assert (certified, feasible) == (637, 713)

@@ -377,6 +377,14 @@ def test_general_rejects_gains_that_cancel_without_warning():
         keyrate_general(0.0, 0.0, 1.0, 1.1754943508222875e-38, 1.1550564397656548e-307)
 
 
+def test_eta_one_pass_rate_tolerance_is_relative_to_t():
+    # An absolute 1e-12 accepted p_pass = 9 t here and rated it 1.29e-14.
+    with pytest.raises(ValueError, match="eta = 1 requires p_pass = t"):
+        keyrate_general(0.0, 0.0, 1.0, 1e-13, 9e-13)
+    for t in (1e-13, 0.7):
+        assert keyrate_general(0.05, 0.05, 1.0, t, t * (1.0 + 1e-15)).feasible
+
+
 def _golden_min_loop(fn, a, b):
     """The golden-section loop as it was before it became a generator, kept
     verbatim as the reference for ``_golden_min``."""

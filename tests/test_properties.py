@@ -105,6 +105,7 @@ dark_count = st.floats(min_value=1e-8, max_value=1e-4)
 
 
 # Few examples: each makes two decoy-sim runs.
+@seed(20261019)
 @settings(max_examples=12, deadline=None)
 @given(efficiency, efficiency, dark_count, dark_count, st.floats(min_value=0.0, max_value=0.1),
        st.floats(min_value=1.0, max_value=200.0))
@@ -257,6 +258,7 @@ def _cli_argv(draw):
 
 
 # About 4 s on a 2-core host; the budget is 5 s.
+@seed(20261020)
 @settings(max_examples=300, deadline=None)
 @given(_cli_argv())
 def test_cli_exits_zero_to_three_without_warnings(case):
