@@ -17,13 +17,14 @@ configuration error, 2 infeasible inputs, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .decoy import ChannelModel, DecoyConfig, _decoy_keyrates, simulate_observations, theoretical_limit
+from .decoy import ChannelModel, DecoyConfig, DecoyObservations, _decoy_keyrates, _limits, _simulate
 from .errors import ConfigError, FeasibilityError, NoKeyError, _require_in
 from .keyrates import (
     _common_loss,
@@ -100,7 +101,7 @@ _FLAGS = {
     "l-min": dict(type=float, default=0.0, help="shortest distance, km"),
     "l-max": dict(type=float, default=120.0, help="longest distance, km"),
     "l-steps": dict(type=int, default=13, help="number of distances"),
-    "grid-density": dict(type=int, default=2, help="x-error grid points (default 2)"),
+    "grid-density": dict(type=int, default=2, help="x-error grid points, 1 to 1000 (default 2)"),
     "perturb": dict(type=float, help="adversarial perturbation size, finite, |perturb| <= 1"),
 }
 # The flags each subcommand reads, in --help order.
@@ -186,6 +187,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The process's one parser: main parses every call with it, as parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if args.out == "stdout":
@@ -266,47 +271,34 @@ def _decoy_flags(args) -> dict:
 
 def _distance_rates(d: dict, lengths, f_ec: float, columns) -> list[list[float | None]]:
     """Each distance's row of rates, one per name in ``columns``: ``decoy``,
-    ``theoretical_limit`` or ``no_mismatch_limit`` (the limit with both
-    detectors at the mean efficiency), on the channels of the flags ``d``.
+    ``theoretical_limit`` or ``no_mismatch_limit`` (the limit with both detectors
+    at the mean efficiency; only with ``theoretical_limit``), on the channels of
+    the flags ``d``, simulated together as arrays over channel and distance.
 
-    Each channel is simulated once. The estimator needs outcome 1 to be the
-    less efficient detector's, so a pair with eta0 < eta1 is relabelled:
-    swapping the outcomes' efficiencies and dark counts together is a
-    symmetry of BB84.
+    The estimator needs outcome 1 to be the less efficient detector's, so a
+    pair with eta0 < eta1 is relabelled: swapping the outcomes' efficiencies
+    and dark counts together is a symmetry of BB84.
     """
     # Checked before relabelling, so that an error names the flag as given.
     _require_ranges(eta0=d["eta0"], eta1=d["eta1"])
     eta, dark = (d["eta0"], d["eta1"]), (d["dark0"], d["dark1"])
     if eta[0] < eta[1]:
         eta, dark = eta[::-1], dark[::-1]
-    models = [
-        ChannelModel(
-            alpha_db_per_km=d["alpha_db_km"],
-            length_km=float(length),
-            bob_loss_db=d["bob_loss_db"],
-            e_det=d["e_det"],
-            eta0=eta[0],
-            eta1=eta[1],
-            dark=dark,
-        )
-        for length in lengths
-    ]
-    cfg = DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
-    observations = [simulate_observations(model, cfg) for model in models]
-    rates = {}
-    if "decoy" in columns:
-        rates["decoy"] = [res.rate for res in _decoy_keyrates(observations, cfg, models[0].eta, f_ec)]
-    if "theoretical_limit" in columns:
-        rates["theoretical_limit"] = [
-            theoretical_limit(model, obs, cfg, f_ec=f_ec).rate for model, obs in zip(models, observations)
-        ]
+    # The shortest distance's model checks the flags for every distance.
+    models = [ChannelModel(d["alpha_db_km"], float(lengths[0]), d["bob_loss_db"], d["e_det"], *eta, dark)]
     if "no_mismatch_limit" in columns:
         avg = (eta[0] + eta[1]) / 2.0
-        matched = [replace(model, eta0=avg, eta1=avg) for model in models]
-        rates["no_mismatch_limit"] = [
-            theoretical_limit(model, simulate_observations(model, cfg), cfg, f_ec=f_ec).rate for model in matched
-        ]
-    return [[rates[c][i] for c in columns] for i in range(len(models))]
+        models.append(replace(models[0], eta0=avg, eta1=avg))
+    cfg = DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
+    obs = _simulate(models, cfg, lengths)
+    rates = {}
+    if "decoy" in columns:
+        channel = DecoyObservations(obs.gains[0], obs.error_rates[0])
+        rates["decoy"] = [res.rate for res in _decoy_keyrates(channel, cfg, models[0].eta, f_ec)]
+    if "theoretical_limit" in columns:
+        limits = _limits(models, [m.eta for m in models], cfg, lengths, obs, f_ec)[0]
+        rates.update(zip(("theoretical_limit", "no_mismatch_limit"), limits.tolist()))
+    return [[rates[c][i] for c in columns] for i in range(len(lengths))]
 
 
 def _rows(xs, rates) -> list[str]:
@@ -461,8 +453,10 @@ def cmd_verify(args) -> int:
     if args.perturb is not None:
         # Checked before any check runs; a non-finite or huge shift breaks the state.
         _require_in("--perturb", args.perturb, -1.0, 1.0, error=UsageError)
+    if not 1 <= args.grid_density <= 1000:
+        raise UsageError(f"--grid-density = {args.grid_density} outside [1, 1000]")
     etas = (0.5, 0.8, 1.0) if args.eta is None else (args.eta,)
-    qx_grid = tuple(np.linspace(0.02, 0.11, max(args.grid_density, 1)))
+    qx_grid = tuple(np.linspace(0.02, 0.11, args.grid_density))
     lines = [f"# bb84-mismatch {__version__} verify"]
     failed = None
     for name, discrepancy, passed in _verify_checks(etas, qx_grid, (0.0, 0.05, -0.05), args.perturb):
@@ -477,7 +471,7 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

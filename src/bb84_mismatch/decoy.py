@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,11 @@ class DecoyConfig:
 
 @dataclass(frozen=True)
 class DecoyObservations:
-    """Gains Q^{v b beta} and error rates E^{v b beta}, shape (3, 2, 2).
+    """Gains Q^{v b beta} and error rates E^{v b beta}, shape (3, 2, 2), or
+    (..., 3, 2, 2) for observations stacked over leading axes.
 
-    Axes: intensity (s, d1, d2), basis (z, x), Bob's outcome (0, 1).
+    Axes: intensity (s, d1, d2), basis (z, x), Bob's outcome (0, 1). The
+    accessors ``gain``, ``error_rate`` and ``error_gain`` read one observation.
     """
 
     gains: np.ndarray
@@ -75,8 +77,8 @@ class DecoyObservations:
         for name in ("gains", "error_rates"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if arr.shape != (3, 2, 2):
-                raise ValueError(f"{name} must have shape (3, 2, 2), got {arr.shape}")
+            if arr.shape[-3:] != (3, 2, 2) or arr.shape != self.gains.shape:
+                raise ValueError(f"{name} must have shape (..., 3, 2, 2), as gains, got {arr.shape}")
             if np.any(arr < 0.0) or np.any(arr > 1.0):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
 
@@ -124,24 +126,28 @@ class ChannelModel:
     def eta(self) -> float:
         return self.eta1 / self.eta0
 
-    def efficiency(self, beta: int) -> float:
-        return (self.eta0, self.eta1)[beta]
-
 
 def transmittance(model: ChannelModel) -> float:
     """Probability that a photon reaches Bob's detectors."""
-    return 10.0 ** (-(model.alpha_db_per_km * model.length_km + model.bob_loss_db) / 10.0)
+    return _transmittance(model, model.length_km)
 
 
-def _photon_yields(model: ChannelModel, i, beta: int):
-    """Yield Y_i and error-weighted yield e_i * Y_i on detector beta, for a
-    photon number ``i`` or an integer array of them; dark counts are errors
-    half the time. Formulas in ``simulate_yield`` and ``simulate_error``.
-    """
-    arrived = i * transmittance(model)
-    eff = model.efficiency(beta)
-    y = np.minimum(model.dark[beta] + arrived * eff / 2.0, 1.0)
-    ey = (model.dark[beta] + arrived * model.e_det * eff) / 2.0
+def _transmittance(model: ChannelModel, length_km: float) -> float:
+    return 10.0 ** (-(model.alpha_db_per_km * length_km + model.bob_loss_db) / 10.0)
+
+
+def _yields(models, lengths, photons: np.ndarray):
+    """Yields Y_i and error-weighted yields e_i * Y_i, shape (len(models),
+    len(lengths), 2 detectors, len(photons)), of each model at each length (km,
+    in place of its own); dark counts are errors half the time. Formulas in
+    ``simulate_yield`` and ``simulate_error``."""
+    t = np.array([[_transmittance(m, length) for length in map(float, lengths)] for m in models])
+    arrived = t[:, :, None, None] * photons
+    eff = np.array([(m.eta0, m.eta1) for m in models])[:, None, :, None]
+    dark = np.array([m.dark for m in models])[:, None, :, None]
+    e_det = np.array([m.e_det for m in models])[:, None, None, None]
+    y = np.minimum(dark + arrived * eff / 2.0, 1.0)
+    ey = (dark + arrived * e_det * eff) / 2.0
     return y, ey
 
 
@@ -156,7 +162,7 @@ def simulate_yield(model: ChannelModel, i: int, b: str, beta: int) -> float:
         raise ValueError("photon number must be non-negative")
     if b not in BASES:
         raise ValueError(f"unknown basis {b!r}")
-    return float(_photon_yields(model, i, beta)[0])
+    return float(_yields([model], [model.length_km], np.array([i]))[0][0, 0, beta, 0])
 
 
 def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
@@ -168,7 +174,7 @@ def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
     y = simulate_yield(model, i, b, beta)
     if y <= 0.0:
         raise ValueError(f"yield vanishes for i = {i}, beta = {beta}; error rate undefined")
-    return float(_photon_yields(model, i, beta)[1]) / y
+    return float(_yields([model], [model.length_km], np.array([i]))[1][0, 0, beta, 0]) / y
 
 
 def poisson_pmf(i: int, mu: float) -> float:
@@ -210,37 +216,46 @@ def poisson_gain(yields, mu_v: float, i_max: int) -> float:
 
 
 def simulate_observations(model: ChannelModel, cfg: DecoyConfig) -> DecoyObservations:
-    """Observed gains and error rates for all intensities, bases and outcomes.
-
-    The yields and error-weighted yields are arrays over photon number, built
-    once per outcome; the Poisson weights once per intensity. Each gain is one
-    dot product over i = 0..i_max. The model is basis-independent, so both
-    bases get the same values.
+    """Observed gains and error rates for all intensities, bases and outcomes:
+    ``_simulate`` of the one model at its own length.
 
     Raises:
         TruncationError: if an intensity leaves Poisson tail mass >= 1e-12
             beyond ``cfg.i_max``.
     """
-    per_outcome = [_photon_yields(model, np.arange(cfg.i_max + 1), beta) for beta in (0, 1)]
-    gains = np.zeros((3, 2, 2))
-    errors = np.zeros((3, 2, 2))
-    for vi, v in enumerate(INTENSITIES):
-        weights = _poisson_weights(cfg.intensity(v), cfg.i_max)
-        for beta, (y, ey) in enumerate(per_outcome):
-            q = float(np.dot(y, weights))
-            gains[vi, :, beta] = q
-            errors[vi, :, beta] = float(np.dot(ey, weights)) / q if q > 0.0 else 0.0
-    return DecoyObservations(gains=gains, error_rates=errors)
+    obs = _simulate([model], cfg, [model.length_km])
+    return DecoyObservations(gains=obs.gains[0, 0], error_rates=obs.error_rates[0, 0])
+
+
+def _simulate(models, cfg: DecoyConfig, lengths) -> DecoyObservations:
+    """The observations of each of ``models`` at each of ``lengths`` (km),
+    stacked as (len(models), len(lengths), 3, 2, 2) and checked once; the
+    model is basis-independent, so both bases get the same values.
+
+    Each gain dots one row of yields over photon number with an intensity's
+    Poisson weights, as a stack of (1, n) @ (n, 1) products: numpy computes
+    each scalar output with the vector dot kernel of ``np.dot``, so the bits are
+    those of one ``np.dot`` per row; an (m, n) @ (n,) gemv would round otherwise.
+    """
+    weights = np.stack([_poisson_weights(cfg.intensity(v), cfg.i_max) for v in INTENSITIES])
+    rows = np.stack(_yields(models, lengths, np.arange(cfg.i_max + 1)))
+    q, eq = (rows[..., None, None, :] @ weights[..., None])[..., 0, 0].swapaxes(-1, -2)
+    errors = np.divide(eq, q, out=np.zeros_like(q), where=q > 0.0)
+    return DecoyObservations(*(np.repeat(a[..., None, :], 2, axis=-2) for a in (q, errors)))
 
 
 def bound_Y0(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
     """Lower bound on the vacuum yield from the two decoy gains in the z basis."""
-    q1 = obs.gain("d1", "z", beta)
-    q2 = obs.gain("d2", "z", beta)
-    raw = (cfg.nu1 * q2 * math.exp(cfg.nu2) - cfg.nu2 * q1 * math.exp(cfg.nu1)) / (
+    return float(_y0_lower(obs, cfg)[beta])
+
+
+def _y0_lower(obs: DecoyObservations, cfg: DecoyConfig):
+    """``bound_Y0`` of both outcomes (last axis) of stacked observations."""
+    z = obs.gains[..., 0, :]
+    raw = (cfg.nu1 * z[..., 2, :] * math.exp(cfg.nu2) - cfg.nu2 * z[..., 1, :] * math.exp(cfg.nu1)) / (
         cfg.nu1 - cfg.nu2
     )
-    return max(raw, 0.0)
+    return np.maximum(raw, 0.0)
 
 
 def bound_Q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> tuple[float, float]:
@@ -249,14 +264,17 @@ def bound_Q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> tuple[float
     The upper bound is the full signal gain; the lower bound combines the
     decoy gains with the vacuum-yield bound and is clamped into [0, upper].
     """
+    lower, upper = _q1_bounds(obs, cfg)
+    return float(lower[beta]), float(upper[beta])
+
+
+def _q1_bounds(obs: DecoyObservations, cfg: DecoyConfig):
+    """``bound_Q1`` of both outcomes (last axis) of stacked observations."""
     mu, nu1, nu2 = cfg.mu, cfg.nu1, cfg.nu2
     den = mu * nu1 - mu * nu2 - nu1**2 + nu2**2
     if den <= 0.0:
         raise ConfigError("degenerate decoy intensities: mu*nu1 - mu*nu2 - nu1^2 + nu2^2 <= 0")
-    qs = obs.gain("s", "z", beta)
-    qd1 = obs.gain("d1", "z", beta)
-    qd2 = obs.gain("d2", "z", beta)
-    y0 = bound_Y0(obs, cfg, beta)
+    qs, qd1, qd2 = (obs.gains[..., v, 0, :] for v in range(3))
     lower = (
         mu**2
         * math.exp(-mu)
@@ -264,11 +282,10 @@ def bound_Q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> tuple[float
         * (
             qd1 * math.exp(nu1)
             - qd2 * math.exp(nu2)
-            - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - y0)
+            - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - _y0_lower(obs, cfg))
         )
     )
-    upper = qs
-    return (min(max(lower, 0.0), upper), upper)
+    return np.minimum(np.maximum(lower, 0.0), qs), qs
 
 
 def bound_e1q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
@@ -287,20 +304,26 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
     Outcome 1's error gains are divided by eta: it is the less efficient
     detector's.
     """
+    return float(_gamma2_upper(obs, cfg, eta))
+
+
+def _gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float):
+    """``gamma2_upper`` of each of stacked observations."""
     _require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
+    eg = obs.error_rates[..., 1, :] * obs.gains[..., 1, :]  # x basis: (..., intensity, outcome)
     q = (
-        (obs.error_gain("d1", "x", 0) + obs.error_gain("d1", "x", 1) / eta)
+        (eg[..., 1, 0] + eg[..., 1, 1] / eta)
         * math.exp(nu1)
-        - (obs.error_gain("d2", "x", 0) + obs.error_gain("d2", "x", 1) / eta)
+        - (eg[..., 2, 0] + eg[..., 2, 1] / eta)
         * math.exp(nu2)
     ) * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2)
-    return max(q, 0.0) * eta
+    return np.maximum(q, 0.0) * eta
 
 
-def _singles_rate(q1_0, q1_1, q: float, eta: float, ec_term: float):
+def _singles_rate(q1_0, q1_1, q, eta, ec_term):
     """Key rate from single-photon gains (q1_0, q1_1) and x-error gain q: the
-    closed form ``keyrates._entropy_args``, elementwise over scalars or arrays.
+    closed form ``keyrates._entropy_args``, elementwise over arrays.
 
     Returns (rate, lambda_of_q), both nan where the point is infeasible: no
     detections, or a phase-error argument below -1e-15. ``ec_term`` is the
@@ -310,39 +333,39 @@ def _singles_rate(q1_0, q1_1, q: float, eta: float, ec_term: float):
         p_pass, arg, lam_q = _entropy_args(q1_0, q1_1, q1_0 + q1_1 / eta, q, eta)
     ok = (p_pass > 0.0) & (lam_q >= -1e-15)
     # Infeasible points get entropy arguments of 0, so h() sees no nan.
-    lam_q = _where(ok, np.maximum(lam_q, 0.0), 0.0)
-    rate = p_pass * (binary_entropy(_where(ok, arg, 0.0)) - binary_entropy(lam_q)) - ec_term
-    return _where(ok, rate, np.nan), _where(ok, lam_q, np.nan)
+    lam_q = np.where(ok, np.maximum(lam_q, 0.0), 0.0)
+    rate = p_pass * (binary_entropy(np.where(ok, arg, 0.0)) - binary_entropy(lam_q)) - ec_term
+    return np.where(ok, rate, np.nan), np.where(ok, lam_q, np.nan)
 
 
-def _where(ok, x, fill):
-    """``np.where(ok, x, fill)``; a scalar ``ok`` (``_box_result``'s single
-    point) picks without it, as ``np.where`` costs more than the formula itself."""
-    return np.where(ok, x, fill) if isinstance(ok, np.ndarray) else (x if ok else fill)
-
-
-def _ec_term(obs: DecoyObservations, f_ec: float) -> float:
+def _ec_term(obs: DecoyObservations, f_ec: float):
+    """Error-correction leakage f_ec * Q * h(E) of the signal's z-basis gain Q and
+    error rate E, both summed over outcomes (0 where Q = 0), per stacked observation."""
     _require_f_ec(f_ec)
-    q_total = obs.gain("s", "z", 0) + obs.gain("s", "z", 1)
-    if q_total <= 0.0:
-        return 0.0
-    e_total = (obs.error_gain("s", "z", 0) + obs.error_gain("s", "z", 1)) / q_total
-    return f_ec * q_total * binary_entropy(min(e_total, 1.0))
+    q, eq = obs.gains[..., 0, 0, :], obs.error_rates[..., 0, 0, :] * obs.gains[..., 0, 0, :]
+    q_total = q[..., 0] + q[..., 1]
+    empty = q_total <= 0.0  # not nan, so that a nan gain reaches binary_entropy and raises
+    e_total = np.divide(eq[..., 0] + eq[..., 1], q_total, out=np.zeros_like(q_total), where=~empty)
+    return np.where(empty, 0.0, f_ec * q_total * binary_entropy(np.minimum(e_total, 1.0)))
 
 
-def _box_result(a: float, b: float, q: float, eta: float, ec: float, method: str) -> KeyRateResult:
-    """The rate at single-photon gains (a, b), as a result with argmin (a, b)."""
-    rate, lam_q = _singles_rate(a, b, q, eta, ec)
+def _point_rates(a, b, q, eta, ec):
+    """(rate, lambda, delta) at single-photon gains (a, b) and x-error gain q,
+    elementwise over arrays and nan where infeasible: one ``_singles_rate``
+    call, and ``detection_imbalance`` (which may raise) at each feasible point."""
+    rate, lam = _singles_rate(a, b, q, eta, ec)
+    ok = ~np.isnan(rate)
+    p, t, eta = np.broadcast_arrays(a + b, a + b / eta, eta)
+    delta = np.full(rate.shape, np.nan)
+    delta[ok] = [detection_imbalance(*point) for point in zip(p[ok].tolist(), t[ok].tolist(), eta[ok].tolist())]
+    return rate, lam, delta
+
+
+def _result(method: str, rate: float, lam: float, delta: float, a: float, b: float, **extra) -> KeyRateResult:
+    """One point of ``_point_rates`` as a result with argmin (a, b)."""
     if math.isnan(rate):
         return KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method=method)
-    return KeyRateResult(
-        rate=float(rate),
-        feasible=True,
-        delta=detection_imbalance(a + b, a + b / eta, eta),
-        lam=float(lam_q),
-        method=method,
-        argmin=(a, b),
-    )
+    return KeyRateResult(rate=rate, feasible=True, delta=delta, lam=lam, method=method, argmin=(a, b), **extra)
 
 
 def decoy_keyrate(
@@ -367,12 +390,13 @@ def decoy_keyrate(
     Frank-Wolfe bound at the point found. The result records the argmin and
     whether it sits at the lower-bound corner.
     """
-    return _decoy_keyrates([obs], cfg, eta, f_ec)[0]
+    return _decoy_keyrates(obs, cfg, eta, f_ec)[0]
 
 
-def _decoy_keyrates(observations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
-    """``decoy_keyrate`` of each of ``observations``, with the corner test of
-    every box as one array call and the search over the boxes it leaves.
+def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
+    """``decoy_keyrate`` of each of stacked observations, in row-major order.
+    The box bounds, the corner test and the final rates are each one array
+    call over every box; the search runs over the boxes the corner test leaves.
 
     Why the corner test certifies: the rate is R(a, b) = f*(gamma(a, b)) - ec,
     f* the value of the convex program ``verifier.minimize`` solves (Winick,
@@ -394,31 +418,23 @@ def _decoy_keyrates(observations, cfg: DecoyConfig, eta: float, f_ec: float) -> 
     corner both terms are 0. The formulas are elementwise, so each result
     equals ``decoy_keyrate``'s bit for bit.
     """
-    boxes = np.array([
-        (*bound_Q1(obs, cfg, 0), *bound_Q1(obs, cfg, 1), gamma2_upper(obs, cfg, eta) / eta, _ec_term(obs, f_ec))
-        for obs in observations
-    ]).reshape(-1, 6)
-    lo, up, q, ec = boxes[:, [0, 2]], boxes[:, [1, 3]], boxes[:, 4], boxes[:, 5]
+    lo, up = (v.reshape(-1, 2) for v in _q1_bounds(obs, cfg))
+    q = _gamma2_upper(obs, cfg, eta).reshape(-1) / eta
+    boxes = np.column_stack([lo[:, 0], up[:, 0], lo[:, 1], up[:, 1], q, _ec_term(obs, f_ec).reshape(-1)])
     grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
     certified = (grad > slack).all(axis=1)
-    x, found = lo.copy(), certified.copy()
-    x[~certified], found[~certified] = _search_boxes(boxes[~certified], eta)
+    x = lo.copy()
+    x[~certified] = _search_boxes(boxes[~certified], eta)[0]
 
     grad, slack = _entropy_grad(x[:, 0], x[:, 1], q, eta)
     with np.errstate(invalid="ignore"):
         gap = np.minimum((grad + slack) * (lo - x), (grad - slack) * (up - x)).sum(axis=1)
     corner = (np.abs(x - lo) <= 1e-7 * np.maximum(up - lo, 1e-300)).all(axis=1)
-    results = []
-    for (a, b), q_k, ec_k, ok, at_corner, width in zip(x.tolist(), q.tolist(), ec.tolist(), found, corner, gap):
-        if not ok:
-            results.append(KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method="decoy"))
-            continue
-        res = _box_result(a, b, q_k, eta, ec_k, "decoy")
-        lower = res.rate + float(width)
-        results.append(replace(
-            res, at_lower_corner=bool(at_corner), rate_lower=lower if math.isfinite(lower) else None
-        ))
-    return results
+    rate, lam, delta = _point_rates(x[:, 0], x[:, 1], q, eta, boxes[:, 5])
+    return [
+        _result("decoy", *point, at_lower_corner=at_corner, rate_lower=lower if math.isfinite(lower) else None)
+        for *point, at_corner, lower in zip(*(v.tolist() for v in (rate, lam, delta, *x.T, corner, rate + gap)))
+    ]
 
 
 def _search_boxes(boxes: np.ndarray, eta: float):
@@ -475,9 +491,19 @@ def theoretical_limit(
     ``simulate_observations(model, cfg)``; they supply the error-correction
     term, so that a channel is simulated once for both rates.
     """
-    eta = _require_in("eta", model.eta if eta is None else eta, _ETA_MIN, 1.0, open_lo=True)
-    w1 = poisson_pmf(1, cfg.mu)
-    q1 = [simulate_yield(model, 1, "z", beta) * w1 for beta in (0, 1)]
-    e1 = [simulate_error(model, 1, "x", beta) for beta in (0, 1)]
-    q_actual = (eta * e1[0] * q1[0] + e1[1] * q1[1]) / eta
-    return _box_result(q1[0], q1[1], q_actual, eta, _ec_term(obs, f_ec), "theoretical_limit")
+    point = _limits([model], [model.eta if eta is None else eta], cfg, [model.length_km], obs, f_ec)
+    return _result("theoretical_limit", *(v.item() for v in point))
+
+
+def _limits(models, etas, cfg: DecoyConfig, lengths, obs: DecoyObservations, f_ec: float):
+    """``theoretical_limit`` of each of ``models``, with mismatch ``etas[c]``, at
+    each of ``lengths`` (km), whose observations ``obs`` give the error-correction
+    terms: ``_point_rates`` and the true single-photon gains (a, b), each an array
+    of shape (len(models), len(lengths))."""
+    eta = np.array([[_require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)] for eta in etas])
+    y, ey = (v[..., 0] for v in _yields(models, lengths, np.array([1])))
+    for *_, beta in np.argwhere(y <= 0.0)[:1]:  # as simulate_error raises
+        raise ValueError(f"yield vanishes for i = 1, beta = {beta}; error rate undefined")
+    (a, b), e1 = np.moveaxis(y * poisson_pmf(1, cfg.mu), -1, 0), ey / y
+    q_actual = (eta * e1[..., 0] * a + e1[..., 1] * b) / eta
+    return (*_point_rates(a, b, q_actual, eta, _ec_term(obs, f_ec)), a, b)

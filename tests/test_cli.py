@@ -519,3 +519,62 @@ def test_unwritable_out_path_exits_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: cannot write output file {path}: ")
+
+
+def test_parser_is_built_once_and_calls_match_fresh_parsers(capsys, tmp_path, monkeypatch):
+    import bb84_mismatch.cli as cli
+
+    config = tmp_path / "run.cfg"
+    config.write_text("qz = 0.05\nqx = 0.05\neta = 0.7\n")
+    calls = [
+        ["rate", "--qz", "0.05", "--qx", "0.05", "--eta", "0.7"],
+        ["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "3", "--methods", "balanced"],
+        ["decoy-sim", "--l-steps", "3"],
+        ["verify", "--grid-density", "1", "--eta", "0.6"],
+        ["rate", "--config", str(config), "--eta", "0.5"],
+        ["rate", "--qz", "0.05", "--qx", "0.05", "--mu", "0.5"],
+        ["rate", "--qz", "0.05", "--qx", "0.6", "--eta", "0.7", "--p-pass", "0.5"],
+        ["sweep", "--variable", "distance_km", "--start", "0", "--stop", "60", "--steps", "3",
+         "--methods", "decoy,theoretical_limit"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 1, 2, 0]
+
+    registrations = []
+    add_argument = cli._Parser.add_argument
+    monkeypatch.setattr(
+        cli._Parser, "add_argument", lambda self, *a, **k: registrations.append(a) or add_argument(self, *a, **k)
+    )
+    cli._parser.cache_clear()
+    try:
+        assert [run(capsys, *argv) for argv in calls] == alone
+    finally:
+        cli._parser.cache_clear()
+    # One parser: 54 flags, --version, and --help on it and its four subparsers.
+    assert len(registrations) == 54 + 1 + 5
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1001", "1000000000", "1" + "0" * 400])
+def test_verify_rejects_grid_density_outside_one_to_a_thousand(capsys, monkeypatch, value):
+    import bb84_mismatch.cli as cli
+
+    def no_checks(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_verify_checks", no_checks)
+    assert run(capsys, "verify", "--grid-density", value) == (
+        1, "", f"error: --grid-density = {int(value)} outside [1, 1000]\n"
+    )
+
+
+def test_verify_accepts_grid_density_from_one_to_a_thousand(capsys, monkeypatch):
+    import bb84_mismatch.cli as cli
+
+    sizes = []
+    monkeypatch.setattr(cli, "_verify_checks", lambda etas, qx_grid, deltas, perturb: sizes.append(len(qx_grid)) or [])
+    for value in ("1", "1000"):
+        assert run(capsys, "verify", "--grid-density", value)[0] == 0
+    assert sizes == [1, 1000]

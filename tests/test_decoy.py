@@ -442,6 +442,15 @@ def test_channel_model_asks_to_relabel_swapped_detectors():
         benchmark_model(20.0, eta0=0.07, eta1=0.1)
 
 
+def test_observations_stack_only_with_matching_shapes():
+    obs = simulate_observations(benchmark_model(20.0), BENCHMARK_CFG)
+    stacked = DecoyObservations(gains=np.stack([obs.gains] * 2), error_rates=np.stack([obs.error_rates] * 2))
+    assert stacked.gains.shape == (2, 3, 2, 2)
+    for gains, error_rates in ((stacked.gains, obs.error_rates), (obs.gains[0], obs.error_rates[0])):
+        with pytest.raises(ValueError, match="must have shape"):
+            DecoyObservations(gains=gains, error_rates=error_rates)
+
+
 def test_poisson_weights_are_cached_read_only():
     weights = _poisson_weights(0.5, 25)
     assert _poisson_weights(0.5, 25) is weights
@@ -513,9 +522,17 @@ def _decoy_argmin_loop(obs, cfg, eta, f_ec):
 
 
 def _rate_at(a, b, obs, cfg, eta, f_ec):
-    from bb84_mismatch.decoy import _box_result, _ec_term
+    from bb84_mismatch.decoy import _ec_term, _singles_rate
 
-    return _box_result(a, b, gamma2_upper(obs, cfg, eta) / eta, eta, _ec_term(obs, f_ec), "decoy").rate
+    return float(_singles_rate(a, b, gamma2_upper(obs, cfg, eta) / eta, eta, _ec_term(obs, f_ec))[0])
+
+
+def _stack(observations):
+    """The observations as one stacked ``DecoyObservations``, as ``_decoy_keyrates`` takes them."""
+    return DecoyObservations(
+        gains=np.array([obs.gains for obs in observations]).reshape(-1, 3, 2, 2),
+        error_rates=np.array([obs.error_rates for obs in observations]).reshape(-1, 3, 2, 2),
+    )
 
 
 def test_batched_boxes_match_one_box_at_a_time():
@@ -523,7 +540,7 @@ def test_batched_boxes_match_one_box_at_a_time():
     for seed in range(12):
         observations, cfg, eta = _seeded_boxes(seed, 8)
         f_ec = (1.0, 1.16, 0.0)[seed % 3]
-        together = _decoy_keyrates(observations, cfg, eta, f_ec)
+        together = _decoy_keyrates(_stack(observations), cfg, eta, f_ec)
         assert len(together) == len(observations)
         for obs, res in zip(observations, together):
             alone = decoy_keyrate(obs, cfg, eta, f_ec)
@@ -542,7 +559,7 @@ def test_batched_boxes_match_one_box_at_a_time():
             off_corner += res.at_lower_corner is False
     # Minima off the corner, where the zoom moves, are exercised too.
     assert off_corner > 0
-    assert _decoy_keyrates([], BENCHMARK_CFG, 0.7, 1.0) == []
+    assert _decoy_keyrates(_stack([]), BENCHMARK_CFG, 0.7, 1.0) == []
 
 
 def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
@@ -647,3 +664,138 @@ def test_corner_certificate_holds_exactly_where_the_search_ends_at_the_corner():
         certified += int(corner.sum())
         feasible += int(found.sum())
     assert (certified, feasible) == (637, 713)
+
+
+def _parity_channels(seed):
+    """Seeded channels under one config, at distances from 0 km: both detector
+    orders, the ascending ones relabelled as ``decoy-sim`` relabels them (the
+    efficiencies and dark counts swapped together), zero and non-zero dark
+    counts, e_det = 0, and a lossless link whose yields clamp at 1."""
+    rng = np.random.default_rng(seed)
+    mu = float(rng.uniform(0.3, 0.8))
+    cfg = DecoyConfig(mu=mu, nu1=0.2 * mu, nu2=float(rng.uniform(0.0, 0.05)) * mu)
+    models = []
+    for k in range(6):
+        eta = sorted(rng.uniform(0.05, 1.0, 2), reverse=k % 2 == 0)
+        dark = list(10.0 ** rng.uniform(-8.0, -4.0, 2)) if k % 3 else [0.0, 0.0]
+        if eta[0] < eta[1]:
+            eta, dark = eta[::-1], dark[::-1]
+        e_det = 0.0 if k % 2 else float(rng.uniform(0.0, 0.08))
+        models.append(ChannelModel(0.2, 0.0, float(rng.uniform(0.0, 6.0)), e_det, *map(float, eta), tuple(dark)))
+    models.append(ChannelModel(0.0, 0.0, 0.0, 0.01, 1.0, 1.0, (0.5, 0.3)))
+    return models, cfg, [0.0, *rng.uniform(0.0, 150.0, 4)]
+
+
+def _simulate_loop(model, cfg):
+    """``simulate_observations`` as one ``np.dot`` per (intensity, outcome) in
+    a loop, the form the array simulation must reproduce bit for bit."""
+    from bb84_mismatch.decoy import INTENSITIES
+
+    gains, errors = np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+    arrived = np.arange(cfg.i_max + 1) * transmittance(model)
+    for beta, (eff, dark) in enumerate(zip((model.eta0, model.eta1), model.dark)):
+        y = np.minimum(dark + arrived * eff / 2.0, 1.0)
+        ey = (dark + arrived * model.e_det * eff) / 2.0
+        for vi, v in enumerate(INTENSITIES):
+            weights = _poisson_weights(cfg.intensity(v), cfg.i_max)
+            q = float(np.dot(y, weights))
+            gains[vi, :, beta] = q
+            errors[vi, :, beta] = float(np.dot(ey, weights)) / q if q > 0.0 else 0.0
+    return gains, errors
+
+
+def _scalar_references(model, obs, cfg, f_ec):
+    """The vacuum-yield and single-photon gain bounds of each outcome,
+    gamma2_upper, the error-correction term and the theoretical limit's
+    (rate, lambda), as the scalar formulas they were before the array ones."""
+    from bb84_mismatch.decoy import _singles_rate
+
+    mu, nu1, nu2, eta = cfg.mu, cfg.nu1, cfg.nu2, model.eta
+    den = mu * nu1 - mu * nu2 - nu1**2 + nu2**2
+    y0, q1_bounds = [], []
+    for beta in (0, 1):
+        qs, qd1, qd2 = (obs.gain(v, "z", beta) for v in ("s", "d1", "d2"))
+        y0.append(max((nu1 * qd2 * math.exp(nu2) - nu2 * qd1 * math.exp(nu1)) / (nu1 - nu2), 0.0))
+        lower = mu**2 * math.exp(-mu) / den * (
+            qd1 * math.exp(nu1) - qd2 * math.exp(nu2) - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - y0[-1])
+        )
+        q1_bounds.append((min(max(lower, 0.0), qs), qs))
+    eg = {(v, beta): obs.error_gain(v, "x", beta) for v in ("d1", "d2") for beta in (0, 1)}
+    gamma2 = max((
+        (eg["d1", 0] + eg["d1", 1] / eta) * math.exp(nu1) - (eg["d2", 0] + eg["d2", 1] / eta) * math.exp(nu2)
+    ) * mu * math.exp(-mu) / (nu1 - nu2), 0.0) * eta
+    q_total = obs.gain("s", "z", 0) + obs.gain("s", "z", 1)
+    e_total = (obs.error_gain("s", "z", 0) + obs.error_gain("s", "z", 1)) / q_total
+    ec = f_ec * q_total * h(min(e_total, 1.0)) if q_total > 0.0 else 0.0
+    w1 = poisson_pmf(1, mu)
+    q1 = [simulate_yield(model, 1, "z", beta) * w1 for beta in (0, 1)]
+    e1 = [simulate_error(model, 1, "x", beta) for beta in (0, 1)]
+    limit = _singles_rate(q1[0], q1[1], (eta * e1[0] * q1[0] + e1[1] * q1[1]) / eta, eta, ec)
+    return y0, q1_bounds, gamma2, ec, tuple(map(float, limit))
+
+
+def _same(x, y):
+    """Equal, or both nan (None standing for nan)."""
+    x, y = (math.nan if v is None else v for v in (x, y))
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def test_array_simulation_matches_the_per_model_loop_bitwise():
+    from dataclasses import replace
+
+    from bb84_mismatch.decoy import _simulate
+
+    for seed in range(6):
+        models, cfg, lengths = _parity_channels(seed)
+        stacked = _simulate(models, cfg, lengths)
+        assert stacked.gains.shape == stacked.error_rates.shape == (len(models), len(lengths), 3, 2, 2)
+        for c, model in enumerate(models):
+            for k, length in enumerate(lengths):
+                at = replace(model, length_km=float(length))
+                alone = simulate_observations(at, cfg)
+                loop = _simulate_loop(at, cfg)
+                for got in (stacked.gains[c, k], alone.gains), (stacked.error_rates[c, k], alone.error_rates):
+                    assert np.array_equal(*got)
+                assert np.array_equal(alone.gains, loop[0]) and np.array_equal(alone.error_rates, loop[1])
+    # The lossless link's yields clamp at 1 from two photons on.
+    assert simulate_yield(models[-1], 2, "z", 1) == 1.0 < 0.3 + 2 / 2
+
+
+def test_array_bounds_and_limits_match_one_row_calls_and_scalar_formulas_bitwise():
+    from dataclasses import replace
+
+    from bb84_mismatch.decoy import _ec_term, _gamma2_upper, _limits, _q1_bounds, _simulate, _y0_lower
+
+    for seed in range(6):
+        models, cfg, lengths = _parity_channels(seed)
+        f_ec = (1.0, 1.16, 0.0)[seed % 3]
+        stacked = _simulate(models, cfg, lengths)
+        y0, (lower, upper), ec = _y0_lower(stacked, cfg), _q1_bounds(stacked, cfg), _ec_term(stacked, f_ec)
+        rate, lam, delta, a, b = _limits(models, [m.eta for m in models], cfg, lengths, stacked, f_ec)
+        for c, model in enumerate(models):
+            channel = DecoyObservations(stacked.gains[c], stacked.error_rates[c])
+            gamma2 = _gamma2_upper(channel, cfg, model.eta)
+            for k, length in enumerate(lengths):
+                at = replace(model, length_km=float(length))
+                obs = simulate_observations(at, cfg)
+                ref_y0, ref_q1, ref_gamma2, ref_ec, ref_limit = _scalar_references(at, obs, cfg, f_ec)
+                for beta in (0, 1):
+                    assert y0[c, k, beta] == bound_Y0(obs, cfg, beta) == ref_y0[beta]
+                    assert (lower[c, k, beta], upper[c, k, beta]) == bound_Q1(obs, cfg, beta) == ref_q1[beta]
+                assert gamma2[k] == gamma2_upper(obs, cfg, model.eta) == ref_gamma2
+                assert ec[c, k] == _ec_term(obs, f_ec) == ref_ec
+                one = theoretical_limit(at, obs, cfg, f_ec=f_ec)
+                assert _same(rate[c, k], one.rate) and _same(rate[c, k], ref_limit[0])
+                assert _same(lam[c, k], one.lam) and _same(lam[c, k], ref_limit[1])
+                assert _same(delta[c, k], one.delta)
+                assert one.argmin is None or one.argmin == (a[c, k], b[c, k])
+
+
+def test_decoy_sim_truncation_error_keeps_exit_code_and_stderr(capsys):
+    from bb84_mismatch.cli import main
+    from bb84_mismatch.decoy import _simulate
+
+    with pytest.raises(TruncationError):
+        _simulate([benchmark_model(0.0)], DecoyConfig(mu=8.0, nu1=0.1, nu2=0.0), [0.0, 10.0])
+    assert main(["decoy-sim", "--mu", "8"]) == 1
+    assert capsys.readouterr() == ("", "error: Poisson tail mass 3.551e-07 beyond i_max = 25 exceeds 1e-12\n")

@@ -54,6 +54,7 @@ def _rate_or_error(fn, *args):
         return type(exc)
 
 
+@seed(20261021)
 @props
 @given(qber, qber, unit_open, unit_open, st.sampled_from(METHODS), unit_open, f_ec)
 def test_two_detectors_scale_the_normalized_rate(q_z, q_x, eta0, eta1, method, t, f):
@@ -66,6 +67,7 @@ def test_two_detectors_scale_the_normalized_rate(q_z, q_x, eta0, eta1, method, t
         assert got == base
 
 
+@seed(20261022)
 @props
 @given(qber, qber, unit_open, unit_open, st.sampled_from(METHODS), unit_open, f_ec)
 def test_detector_relabelling_leaves_rate_unchanged(q_z, q_x, eta0, eta1, method, t, f):
@@ -76,6 +78,7 @@ def test_detector_relabelling_leaves_rate_unchanged(q_z, q_x, eta0, eta1, method
 
 # f_ec stays at or below 1: fung2 is the pure-discarding rate at the Shannon
 # limit, so with f_ec > 1 the optimized rate pays a larger leak than fung2.
+@seed(20261023)
 @props
 @given(qber, qber, unit_open, unit_open, st.floats(min_value=0.0, max_value=1.0))
 def test_discard_optimized_dominates_balanced_and_fung2(q_z, q_x, eta, t, f):
@@ -185,6 +188,7 @@ any_eta = st.one_of(
 )
 
 
+@seed(20261024)
 @props
 @given(any_eta)
 def test_eta_entry_points_return_finite_or_raise_value_error(eta):
