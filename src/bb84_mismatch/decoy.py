@@ -79,7 +79,8 @@ class DecoyObservations:
             object.__setattr__(self, name, arr)
             if arr.shape[-3:] != (3, 2, 2) or arr.shape != self.gains.shape:
                 raise ValueError(f"{name} must have shape (..., 3, 2, 2), as gains, got {arr.shape}")
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            # Written so that nan fails it.
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValueError(f"{name} entries must lie in [0, 1]")
 
     def gain(self, v: str, b: str, beta: int) -> float:

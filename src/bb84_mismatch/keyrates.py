@@ -15,7 +15,7 @@ inefficiency factor ``f_ec`` (default 1, the Shannon limit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,25 +303,6 @@ def keyrate_fung2(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateR
         * (1.0 - binary_entropy(q_z) - binary_entropy(q_x))
     )
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung2")
-
-
-def keyrate_two_detectors(
-    q_z: float,
-    q_x: float,
-    eta0: float,
-    eta1: float,
-    method: str = "balanced",
-    t: float = 1.0,
-    f_ec: float = 1.0,
-) -> KeyRateResult:
-    """Rate for two imperfect detectors: max(eta0, eta1) * K(q_z, q_x, min/max).
-
-    The common loss max(eta0, eta1) is folded into the transmission; the
-    residual mismatch enters K through the chosen method.
-    """
-    eta, scale = _common_loss(eta0, eta1)
-    base = _method_rate(method, q_z, q_x, eta, t, f_ec)
-    return replace(base, rate=scale * base.rate if base.rate is not None else None)
 
 
 def _common_loss(eta0: float, eta1: float) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Dense Hermitian linear algebra for small (dim <= 6) operators: input
 validation, PSD projection, matrix relative entropy and logarithm on a
-support, and the binary entropy. Eigendecompositions call ``np.linalg.eigh``
-directly.
+support, and the binary entropy. The relative entropy and the logarithm
+are kernels on eigendecompositions (``_relative_entropy``,
+``_log2_on_support``), which the verifier feeds from its own spectra.
 
 All entropic quantities are in bits (log base 2). Eigenvalues below
 ``SUPPORT_CUTOFF`` times the largest one are treated as exact zeros when a
@@ -80,12 +81,10 @@ def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
     return np.where((p == 0.0) | (p == 1.0), 0.0, h)
 
 
-def _validate_psd(H: np.ndarray, name: str) -> np.ndarray:
-    H = require_hermitian(H)
-    w = np.linalg.eigvalsh(H)
+def _require_psd(w: np.ndarray, name: str) -> None:
+    """Raise unless the ascending eigenvalues ``w`` are PSD up to 1e-10 of the largest."""
     if w.size and w[0] < -1e-10 * max(1.0, float(w[-1])):
         raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    return H
 
 
 def relative_entropy(sigma: np.ndarray, tau: np.ndarray) -> float:
@@ -93,38 +92,42 @@ def relative_entropy(sigma: np.ndarray, tau: np.ndarray) -> float:
 
     Both arguments must be PSD and sigma's support must lie inside tau's;
     kernel eigenvalues follow the 0*log(0) = 0 rule. Validates its inputs,
-    then evaluates the unvalidated kernel ``_relative_entropy``, which the
-    verifier's objective shares.
+    then evaluates the kernel ``_relative_entropy`` on their spectra, which
+    the verifier's objective shares.
 
     Raises:
         SupportError: if sigma carries weight >= 1e-8 outside tau's support
             (the relative entropy is +infinity there).
     """
-    sigma = _validate_psd(sigma, "sigma")
-    tau = _validate_psd(tau, "tau")
+    sigma = require_hermitian(sigma)
+    tau = require_hermitian(tau)
+    ws = np.linalg.eigvalsh(sigma)
+    _require_psd(ws, "sigma")
+    wt, Vt = np.linalg.eigh(tau)
+    _require_psd(wt, "tau")
     if sigma.shape != tau.shape:
         raise ValueError("sigma and tau must share dimensions")
-    return _relative_entropy(sigma, tau)
+    return _relative_entropy(ws, sigma, wt, Vt)
 
 
-def _relative_entropy(sigma: np.ndarray, tau: np.ndarray) -> float:
-    """``relative_entropy`` on trusted complex Hermitian PSD input of equal shape."""
+def _relative_entropy(ws: np.ndarray, sigma: np.ndarray, wt: np.ndarray, Vt: np.ndarray) -> float:
+    """``relative_entropy`` from trusted spectra: ``ws`` the eigenvalues of
+    sigma, (``wt``, ``Vt``) the eigendecomposition of tau, as ``np.linalg.eigh``
+    returns them."""
     # x*log(x) is continuous at 0, so every positive eigenvalue counts: a cut
     # at SUPPORT_CUTOFF would drop 3.3e-9 bits with an eigenvalue of 1e-10.
-    ws = np.linalg.eigvalsh(sigma)
     pos = ws[ws > 0.0]
-    term1 = float(np.sum(pos * np.log2(pos)))
+    term1 = float((pos * np.log2(pos)).sum())
 
-    wt, Vt = np.linalg.eigh(tau)
     cut_t = SUPPORT_CUTOFF * max(float(wt[-1]), 1e-300)
-    sigma_in_tau = np.real(np.einsum("ij,jk,ki->i", Vt.conj().T, sigma, Vt))
+    sigma_in_tau = np.einsum("ij,jk,ki->i", Vt.conj().T, sigma, Vt).real
     on_support = wt > cut_t
-    outside = float(np.sum(np.clip(sigma_in_tau[~on_support], 0.0, None)))
+    outside = float(sigma_in_tau[~on_support].clip(0.0, None).sum())
     if outside >= 1e-8:
         raise SupportError(
             f"sigma has weight {outside:.3e} outside tau's support; relative entropy diverges"
         )
-    term2 = float(np.sum(sigma_in_tau[on_support] * np.log2(wt[on_support])))
+    term2 = float((sigma_in_tau[on_support] * np.log2(wt[on_support])).sum())
     return term1 - term2
 
 
@@ -133,8 +136,13 @@ def support_log2(H: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
 
     Kernel directions (eigenvalues below ``cutoff`` times the largest) map to zero.
     """
-    w, V = np.linalg.eigh(require_hermitian(H))
-    cut = cutoff * max(float(w[-1]), 1e-300)
+    return _log2_on_support(*np.linalg.eigh(require_hermitian(H)), cutoff)
+
+
+def _log2_on_support(w: np.ndarray, V: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """``support_log2`` from an eigendecomposition (w, V), or from a stack of
+    them as ``np.linalg.eigh`` returns it for a stack of matrices."""
+    cut = cutoff * np.maximum(w[..., -1:], 1e-300)
     lw = np.where(w > cut, np.log2(np.maximum(w, 1e-300)), 0.0)
-    L = (V * lw) @ V.conj().T
-    return (L + L.conj().T) / 2
+    L = (V * lw[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    return (L + L.conj().swapaxes(-1, -2)) / 2

@@ -13,9 +13,11 @@ operators of ``build_gamma_set``, so it is the residual ``minimize`` reports
 and holds at every eta, eta = 1 (where two of the operators coincide)
 included.
 
-The objective and the minimizer share one relative-entropy kernel,
-``linalg._relative_entropy``, and one gradient, ``_gradient_block``; the
-public ``objective`` and ``gradient`` validate their input and then call them.
+The objective, the gradient (``_gradient``), the stationarity residual and
+``minimize``'s PSD test are all read off one ``np.linalg.eigh`` call on the
+stack (rho, G(rho), Z(G(rho))) (``_spectra``). ``minimize`` and the public
+``objective``, ``gradient`` and ``kkt_orthogonality_check`` share these
+kernels; the public functions validate their input first.
 
 The objective only depends on the 4x4 photon block (vacuum components drop
 out of the post-selection map), so the minimizer works on that block; 6x6
@@ -32,10 +34,11 @@ import numpy as np
 from .errors import FeasibilityError, _require_in
 from .keyrates import _check_ranges, _general_args, detection_imbalance, effective_phase_error
 from .keyrates import feasible as _feasible
-from .linalg import _relative_entropy, binary_entropy, relative_entropy, require_hermitian, support_log2
+from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
 from .protocol import ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_block
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
+_BOB_BIT_SUMS = BOB_BITS[:, None] + BOB_BITS[None, :]
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,10 @@ class MinimizationReport:
     ``constraint_residuals`` are |Tr Gamma_i rho* - gamma_i|; ``kkt_residual``
     is the norm of the gradient projected onto the allowed directions at
     rho_star (restricted to the support face when rho_star is singular).
-    ``iterations`` is always 0: the minimum comes from one linear solve.
+    ``f_star`` and ``kkt_residual`` are ``objective`` and
+    ``kkt_orthogonality_check`` at rho_star, from a real instead of a complex
+    eigendecomposition. ``iterations`` is always 0: the minimum comes from
+    one linear solve.
     """
 
     rho_star: np.ndarray
@@ -58,8 +64,7 @@ class MinimizationReport:
 
 def _weights(eta: float) -> np.ndarray:
     """Entrywise weights eta^((j+l)/2) indexed by Bob's bits of row and column."""
-    root = np.sqrt(eta)
-    return root ** (BOB_BITS[:, None] + BOB_BITS[None, :])
+    return np.sqrt(eta) ** _BOB_BIT_SUMS
 
 
 def channel_G(rho: np.ndarray, eta: float) -> np.ndarray:
@@ -85,25 +90,35 @@ def objective(rho: np.ndarray, eta: float) -> float:
     """Relative entropy of coherence D(G(rho) || Z(G(rho))) in bits.
 
     Always finite: the pinching's kernel lies inside the kernel of G(rho).
+
+    Raises:
+        ValueError: if G(rho) or Z(G(rho)) is not positive semidefinite.
     """
     rho = require_hermitian(rho)
-    g = channel_G(rho, eta)
-    value = relative_entropy(g, pinch_Z(g))
-    return max(value, 0.0)
+    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
+    g, w, V = _spectra(photon_block(rho), eta)
+    _require_psd(w[1], "sigma")
+    _require_psd(w[2], "tau")
+    return _objective(g, w, V)
 
 
-def _objective_block(block: np.ndarray, eta: float) -> float:
-    """Objective on a trusted photon block, skipping input validation."""
+def _spectra(block: np.ndarray, eta: float):
+    """(g, w, V): g = G(block), and the eigendecompositions of the stack
+    (block, g, Z(g)) from one ``np.linalg.eigh`` call, real for a real block."""
     g = _weights(eta) * block
-    return max(_relative_entropy(g, pinch_Z(g)), 0.0)
+    return (g, *np.linalg.eigh(np.array([block, g, g * _PINCH_MASK])))
 
 
-def _gradient_block(block: np.ndarray, eta: float) -> np.ndarray:
-    """Gradient on a trusted photon block: the post-selection weights applied
-    to log G(rho) - log Z(G(rho)), each log taken on its support."""
-    g = _weights(eta) * block
-    L = support_log2(g) - support_log2(pinch_Z(g))
-    return _weights(eta) * L
+def _objective(g: np.ndarray, w: np.ndarray, V: np.ndarray) -> float:
+    """The objective D(g || Z(g)) from ``_spectra``."""
+    return max(_relative_entropy(w[1], g, w[2], V[2]), 0.0)
+
+
+def _gradient(eta: float, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The gradient from ``_spectra``: the post-selection weights applied to
+    log G(rho) - log Z(G(rho)), each log taken on its support."""
+    logs = _log2_on_support(w[1:], V[1:])
+    return _weights(eta) * (logs[0] - logs[1])
 
 
 def gradient(rho: np.ndarray, eta: float) -> np.ndarray:
@@ -117,7 +132,7 @@ def gradient(rho: np.ndarray, eta: float) -> np.ndarray:
     rho = require_hermitian(rho)
     _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     out = np.zeros(rho.shape, dtype=complex)
-    out[:4, :4] = _gradient_block(photon_block(rho), eta)
+    out[:4, :4] = _gradient(eta, *_spectra(photon_block(rho), eta)[1:])
     return out
 
 
@@ -145,7 +160,8 @@ def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
     boundary the gradient is only defined by continuity and the residual
     loses meaning.
     """
-    return _face_kkt_residual(_checked_block(rho_bar), eta, build_gamma_set(eta))
+    ops = np.array(build_gamma_set(eta).as_list())
+    return _face_kkt_residual(eta, *_spectra(_checked_block(rho_bar), eta)[1:], ops)
 
 
 def _extract_attack_parameters(block: np.ndarray, eta: float):
@@ -204,48 +220,42 @@ def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
     return joint - marg
 
 
-def _gram(ops: list[np.ndarray]) -> np.ndarray:
-    """Real Gram matrix Re Tr(a b) of a list of Hermitian operators."""
-    return np.array([[float(np.real(np.trace(a @ b))) for b in ops] for a in ops])
-
-
 def _face_kkt_residual(
-    x: np.ndarray, eta: float, gammas: GammaSet, cutoff: float = 1e-7
+    eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray, cutoff: float = 1e-7
 ) -> float:
-    """Norm of the gradient projected onto the directions allowed at x.
+    """Norm of the gradient projected onto the directions allowed at a state,
+    given the state's ``_spectra`` (w, V) and the stack ``ops`` of the
+    constraint operators.
 
-    At a singular x the two-sided directions are those preserving the
+    At a singular state the two-sided directions are those preserving the
     support face, so the gradient is compressed onto the face before the
     constraint span is projected out. ``cutoff`` is the relative eigenvalue
     noise floor separating the face from projection round-off.
     """
-    w, V = np.linalg.eigh(x)
-    keep = w > cutoff * max(float(w[-1]), 1e-300)
-    U = V[:, keep]
+    keep = w[0] > cutoff * max(float(w[0][-1]), 1e-300)
+    U = V[0][:, keep]
     if U.shape[1] == 0:
         return float("inf")
-    grad4 = _gradient_block(x, eta)
-    Mg = U.conj().T @ grad4 @ U
-    Cs = [U.conj().T @ G @ U for G in gammas.as_list()]
-    coef = np.linalg.pinv(_gram(Cs), rcond=1e-12) @ np.array(
-        [float(np.real(np.trace(c @ Mg))) for c in Cs]
-    )
-    residual = Mg - sum(c * C for c, C in zip(coef, Cs))
-    return float(np.linalg.norm(residual))
+    # The Gram matrix Re Tr(a b) of the Hermitian compressions in one product.
+    # Near eta = 1 it is ill-conditioned: lstsq's SVD solve rounds about ten
+    # times less there than an explicit pinv, with the same rcond cut.
+    Cs = U.conj().T @ np.array([_gradient(eta, w, V), *ops]) @ U
+    flat = Cs.reshape(len(Cs), -1)
+    gram = (flat @ flat.conj().T).real
+    coef = np.linalg.lstsq(gram[1:, 1:], gram[1:, 0], rcond=1e-12)[0]
+    return float(np.linalg.norm(Cs[0] - np.einsum("i,ijk->jk", coef, Cs[1:])))
 
 
 # The signed permutations Z(x)Z, X(x)I (Alice's bit flip) and I(x)X (Bob's
 # bit flip) of the photon block, each acting as rho -> P rho P^T.
-_GENERATORS = (
-    np.diag([1.0, -1.0, -1.0, 1.0]),
-    np.eye(4)[[2, 3, 0, 1]],
-    np.eye(4)[[1, 0, 3, 2]],
+_GENERATORS = np.array(
+    [np.diag([1.0, -1.0, -1.0, 1.0]), np.eye(4)[[2, 3, 0, 1]], np.eye(4)[[1, 0, 3, 2]]]
 )
 
 _EPS = np.finfo(float).eps
 # Allowed negative eigenvalue of the solved state, in units of eps * kappa * t
 # (kappa the condition number of the constraint solve): the solve's rounding,
-# and that of ``eigvalsh`` on entries of size t.
+# and that of ``eigh`` on entries of size t.
 _PSD_ALLOWANCE = 8.0
 
 
@@ -258,11 +268,10 @@ def _kept_generators(ops: np.ndarray, eta: float) -> tuple[int, ...]:
     permutation |P| leaves M unchanged.
     """
     masks = np.array([_weights(eta), _PINCH_MASK])
-    return tuple(
-        i
-        for i, P in enumerate(_GENERATORS)
-        if np.array_equal(P @ ops @ P.T, ops) and np.array_equal(abs(P) @ masks @ abs(P).T, masks)
-    )
+    P = _GENERATORS[:, None]
+    A, axes = abs(P), (1, 2, 3)
+    kept = (P @ ops @ P.swapaxes(-1, -2) == ops).all(axes) & (A @ masks @ A.swapaxes(-1, -2) == masks).all(axes)
+    return tuple(np.flatnonzero(kept).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -335,13 +344,13 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
         values = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FeasibilityError(f"constraint values must be three numbers: {exc}") from None
-    if values.shape != (3,) or not np.all(np.isfinite(values)):
+    if values.shape != (3,) or not np.isfinite(values).all():
         raise FeasibilityError(
             f"constraint values must be three finite numbers, got {values.tolist()}"
         )
     if not values[0] > 0.0:
         raise FeasibilityError(f"detection rate gamma_1 = {values[0]} must be positive")
-    eta = float(np.real(gammas.gamma1[0, 0]))
+    eta = float(gammas.gamma1[0, 0].real)
     t = values[0] / eta
     qx_eff = values[1] / values[0]
     try:
@@ -362,23 +371,25 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     # rank test is np.linalg.matrix_rank's.
     system = np.einsum("iab,kab->ik", ops, basis)
     u, s, vt = np.linalg.svd(system, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(system.shape) * _EPS))
+    rank = int((s > s[0] * max(system.shape) * _EPS).sum())
     if rank < len(basis):
         raise ValueError(
             f"the constraints have rank {rank} on the {len(basis)} invariant "
             "directions and do not pin the minimum"
         )
-    rho = np.tensordot(vt.T @ (u.T @ values / s), basis, axes=1)
+    # np.tensordot's own product, without its wrapper.
+    rho = np.dot((vt.T @ (u.T @ values / s))[None], basis.reshape(len(basis), -1)).reshape(4, 4)
 
     residuals = np.abs(np.einsum("iab,ba->i", ops, rho) - values)
     allowance = _PSD_ALLOWANCE * _EPS * (s[0] / s[-1]) * t
+    g, w, V = _spectra(rho, eta)
     return MinimizationReport(
         rho_star=rho,
-        f_star=_objective_block(rho, eta),
+        f_star=_objective(g, w, V),
         iterations=0,
-        converged=bool(residuals.max() <= 1e-8 and np.linalg.eigvalsh(rho)[0] >= -allowance),
+        converged=bool(residuals.max() <= 1e-8 and w[0][0] >= -allowance),
         constraint_residuals=residuals,
-        kkt_residual=_face_kkt_residual(rho, eta, gammas),
+        kkt_residual=_face_kkt_residual(eta, w, V, ops),
     )
 
 

@@ -38,6 +38,7 @@ from bb84_mismatch import (
     eigenvalues_check,
 )
 from bb84_mismatch.decoy import ChannelModel, DecoyConfig, poisson_pmf
+from bb84_mismatch.verifier import _invariant_basis, _kept_generators
 
 h = binary_entropy
 
@@ -159,6 +160,33 @@ def test_criterion_4_kkt_certification():
         f"25 points, max residual = {worst:.3e} (< 1e-8), perturbed residual = "
         f"{detected:.3e} (> 1e-4), {elapsed:.1f}s (< 30s)",
     )
+
+
+def test_oracle_report_matches_the_public_checks():
+    # minimize reads f*, the KKT residual and its PSD test off one real
+    # eigendecomposition; the public objective and KKT check decompose the
+    # same state as a complex matrix. The two LAPACK paths round each
+    # eigenvalue differently by a few eps (states of trace <= 1 here), which
+    # x*log2(x) carries into f with a slope below 64 down to x = eps.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20261019)
+    interior = zip(
+        rng.uniform(0.3, 1.0, 40), rng.uniform(0.02, 0.11, 40), rng.uniform(-0.05, 0.05, 40), rng.uniform(0.5, 1.0, 40)
+    )
+    # The grid holds eta = 1 and the q_x = 0 boundary.
+    points = feasible_grid() + [tuple(map(float, p)) for p in interior]
+    for eta, qx, delta, t in points:
+        gammas = build_gamma_set(eta)
+        p_pass = t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)
+        rep = minimize(gammas, (t * eta, t * eta * qx, p_pass))
+        assert abs(rep.f_star - objective(rep.rho_star, eta)) <= 64 * eps
+        kkt = kkt_orthogonality_check(rep.rho_star, eta)
+        assert max(kkt, rep.kkt_residual) <= 1e-8 or abs(kkt - rep.kkt_residual) <= 64 * eps
+        # converged as minimize's docstring states it, with eigvalsh.
+        ops = np.array(gammas.as_list())
+        kappa = np.linalg.cond(np.einsum("iab,kab->ik", ops, _invariant_basis(_kept_generators(ops, eta))))
+        rule = rep.constraint_residuals.max() <= 1e-8 and np.linalg.eigvalsh(rep.rho_star)[0] >= -8 * eps * kappa * t
+        assert rep.converged == rule
 
 
 def test_criterion_5_gradient_finite_differences():

@@ -451,6 +451,19 @@ def test_observations_stack_only_with_matching_shapes():
             DecoyObservations(gains=gains, error_rates=error_rates)
 
 
+def test_observations_reject_non_finite_entries():
+    # A nan entry used to pass the range check, and a nan d1 z-basis gain then
+    # gave an optimistic feasible rate.
+    obs = simulate_observations(benchmark_model(20.0), BENCHMARK_CFG)
+    for name in ("gains", "error_rates"):
+        for index in np.ndindex(3, 2, 2):
+            for bad in (math.nan, math.inf):
+                arrays = {"gains": obs.gains.copy(), "error_rates": obs.error_rates.copy()}
+                arrays[name][index] = bad
+                with pytest.raises(ValueError, match="must lie in"):
+                    DecoyObservations(**arrays)
+
+
 def test_poisson_weights_are_cached_read_only():
     weights = _poisson_weights(0.5, 25)
     assert _poisson_weights(0.5, 25) is weights

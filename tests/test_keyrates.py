@@ -15,9 +15,9 @@ from bb84_mismatch import (
     keyrate_fung1,
     keyrate_fung2,
     keyrate_general,
-    keyrate_two_detectors,
     mismatch_penalty_ratio,
 )
+from bb84_mismatch.cli import main
 from bb84_mismatch.keyrates import _GOLDEN, _golden_min
 
 h = binary_entropy
@@ -206,17 +206,15 @@ def test_discard_dominates_both_endpoints():
             assert res.rate >= discard_all - 1e-10
 
 
-def test_two_detectors_scaling():
-    res = keyrate_two_detectors(0.02, 0.02, 0.1, 0.1)
-    base = keyrate_balanced(0.02, 0.02, 1.0)
-    assert math.isclose(res.rate, 0.1 * base.rate, abs_tol=1e-14)
-
-    res = keyrate_two_detectors(0.02, 0.02, 0.1, 0.07)
-    base = keyrate_balanced(0.02, 0.02, 0.7)
-    assert math.isclose(res.rate, 0.1 * base.rate, abs_tol=1e-14)
-
-    res = keyrate_two_detectors(0.02, 0.02, 1.0, 0.5)
-    assert math.isclose(res.rate, keyrate_balanced(0.02, 0.02, 0.5).rate, abs_tol=1e-14)
+def test_two_detectors_scaling(capsys):
+    # `rate --eta0 --eta1` prints the common loss max(eta0, eta1) times the
+    # rate at the mismatch min/max; K is printed to 12 significant digits.
+    for eta0, eta1, eta in ((0.1, 0.1, 1.0), (0.1, 0.07, 0.7), (1.0, 0.5, 0.5)):
+        argv = ["rate", "--qz", "0.02", "--qx", "0.02", "--eta0", str(eta0), "--eta1", str(eta1)]
+        assert main(argv) == 0
+        k = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("K = "))
+        expected = max(eta0, eta1) * keyrate_balanced(0.02, 0.02, eta).rate
+        assert math.isclose(float(k[4:]), expected, rel_tol=1e-11)
 
 
 def test_penalty_ratio_no_mismatch_is_one():

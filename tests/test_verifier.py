@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from bb84_mismatch import linalg, protocol, verifier
 from bb84_mismatch import (
     FeasibilityError,
     binary_entropy,
@@ -340,6 +342,31 @@ def test_minimize_is_exact_on_the_boundary_and_inside(eta):
         assert report.kkt_residual <= 1e-8
         assert abs(report.f_star - ignorance_term(qx, eta, 1.0, (1 + eta) / 2)) <= 1e-13
         assert np.array_equal(report.rho_star, report.rho_star.T)
+
+
+def test_minimize_decomposes_once_and_validates_nothing(monkeypatch):
+    # f*, the gradient, the PSD test and the KKT face all come from one
+    # eigendecomposition of the stack (rho*, G(rho*), Z(G(rho*))), and the
+    # solved state is trusted: a second spectral pass would show here.
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    hermitian = counted("require_hermitian", linalg.require_hermitian)
+    for module in (linalg, protocol, verifier):
+        monkeypatch.setattr(module, "require_hermitian", hermitian)
+    for eta, qx in ((0.5, 0.05), (0.5, 0.0), (1.0, 0.05)):
+        gammas = build_gamma_set(eta)
+        calls.clear()
+        minimize(gammas, (eta, eta * qx, (1 + eta) / 2))
+        assert calls == {"eigh": 1}
 
 
 def test_minimize_state_is_invariant_and_minimal():
