@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .decoy import ChannelModel, DecoyConfig, DecoyObservations, _decoy_keyrates, _limits, _simulate
+from .decoy import ChannelModel, DecoyConfig, _channel_rates
 from .errors import ConfigError, FeasibilityError, NoKeyError, _require_in
 from .keyrates import (
     _common_loss,
@@ -129,7 +130,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
+    if x is None or (isinstance(x, float) and not math.isfinite(x)):
         return "nan"
     return f"{x:.12g}"
 
@@ -269,11 +270,11 @@ def _decoy_flags(args) -> dict:
     return {k: v if getattr(args, k) is None else getattr(args, k) for k, v in _BENCHMARK_DEFAULTS.items()}
 
 
-def _distance_rates(d: dict, lengths, f_ec: float, columns) -> list[list[float | None]]:
-    """Each distance's row of rates, one per name in ``columns``: ``decoy``,
-    ``theoretical_limit`` or ``no_mismatch_limit`` (the limit with both detectors
-    at the mean efficiency; only with ``theoretical_limit``), on the channels of
-    the flags ``d``, simulated together as arrays over channel and distance.
+def _distance_rates(d: dict, lengths, f_ec: float, columns) -> np.ndarray:
+    """Each distance's row of rates (nan where infeasible), one per name in
+    ``columns``: ``decoy``, ``theoretical_limit`` or ``no_mismatch_limit`` (the
+    limit with both detectors at the mean efficiency; only with
+    ``theoretical_limit``), on the channels of the flags ``d``: one array pass.
 
     The estimator needs outcome 1 to be the less efficient detector's, so a
     pair with eta0 < eta1 is relabelled: swapping the outcomes' efficiencies
@@ -290,19 +291,14 @@ def _distance_rates(d: dict, lengths, f_ec: float, columns) -> list[list[float |
         avg = (eta[0] + eta[1]) / 2.0
         models.append(replace(models[0], eta0=avg, eta1=avg))
     cfg = DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
-    obs = _simulate(models, cfg, lengths)
-    rates = {}
-    if "decoy" in columns:
-        channel = DecoyObservations(obs.gains[0], obs.error_rates[0])
-        rates["decoy"] = [res.rate for res in _decoy_keyrates(channel, cfg, models[0].eta, f_ec)]
-    if "theoretical_limit" in columns:
-        limits = _limits(models, [m.eta for m in models], cfg, lengths, obs, f_ec)[0]
-        rates.update(zip(("theoretical_limit", "no_mismatch_limit"), limits.tolist()))
-    return [[rates[c][i] for c in columns] for i in range(len(lengths))]
+    rates = _channel_rates(models, cfg, lengths, f_ec, "decoy" in columns, "theoretical_limit" in columns)
+    names = [c for c in ("decoy", "theoretical_limit", "no_mismatch_limit") if c in columns]
+    return rates[[names.index(c) for c in columns]].T
 
 
 def _rows(xs, rates) -> list[str]:
-    return [",".join([_fmt(float(x)), *map(_fmt, row)]) for x, row in zip(xs, rates)]
+    table = np.column_stack([xs, np.asarray(rates, dtype=float)])
+    return [",".join(map(_fmt, row)) for row in table.tolist()]
 
 
 def cmd_sweep(args) -> int:

@@ -130,19 +130,20 @@ class ChannelModel:
 
 def transmittance(model: ChannelModel) -> float:
     """Probability that a photon reaches Bob's detectors."""
-    return _transmittance(model, model.length_km)
+    return _transmittance(model, [model.length_km])[0]
 
 
-def _transmittance(model: ChannelModel, length_km: float) -> float:
-    return 10.0 ** (-(model.alpha_db_per_km * length_km + model.bob_loss_db) / 10.0)
+def _transmittance(model: ChannelModel, lengths) -> list[float]:
+    return [10.0 ** (-(model.alpha_db_per_km * length + model.bob_loss_db) / 10.0) for length in lengths]
 
 
 def _yields(models, lengths, photons: np.ndarray):
     """Yields Y_i and error-weighted yields e_i * Y_i, shape (len(models),
     len(lengths), 2 detectors, len(photons)), of each model at each length (km,
     in place of its own); dark counts are errors half the time. Formulas in
-    ``simulate_yield`` and ``simulate_error``."""
-    t = np.array([[_transmittance(m, length) for length in map(float, lengths)] for m in models])
+    ``simulate_yield`` and ``simulate_error``; each transmittance is one scalar
+    ``**``, as numpy's array power rounds some in the last bit otherwise."""
+    t = np.array([_transmittance(m, map(float, lengths)) for m in models])
     arrived = t[:, :, None, None] * photons
     eff = np.array([(m.eta0, m.eta1) for m in models])[:, None, :, None]
     dark = np.array([m.dark for m in models])[:, None, :, None]
@@ -196,9 +197,7 @@ def _poisson_weights(mu: float, i_max: int) -> np.ndarray:
     weights = np.array([poisson_pmf(i, mu) for i in range(i_max + 1)])
     tail = 1.0 - float(weights.sum())
     if tail >= 1e-12:
-        raise TruncationError(
-            f"Poisson tail mass {tail:.3e} beyond i_max = {i_max} exceeds 1e-12"
-        )
+        raise TruncationError(f"Poisson tail mass {tail:.3e} beyond i_max = {i_max} exceeds 1e-12")
     weights.flags.writeable = False
     return weights
 
@@ -224,14 +223,15 @@ def simulate_observations(model: ChannelModel, cfg: DecoyConfig) -> DecoyObserva
         TruncationError: if an intensity leaves Poisson tail mass >= 1e-12
             beyond ``cfg.i_max``.
     """
-    obs = _simulate([model], cfg, [model.length_km])
+    obs = _simulate([model], cfg, [model.length_km])[0]
     return DecoyObservations(gains=obs.gains[0, 0], error_rates=obs.error_rates[0, 0])
 
 
-def _simulate(models, cfg: DecoyConfig, lengths) -> DecoyObservations:
+def _simulate(models, cfg: DecoyConfig, lengths) -> tuple[DecoyObservations, np.ndarray]:
     """The observations of each of ``models`` at each of ``lengths`` (km),
-    stacked as (len(models), len(lengths), 3, 2, 2) and checked once; the
-    model is basis-independent, so both bases get the same values.
+    stacked as (len(models), len(lengths), 3, 2, 2) and checked once, and their
+    single-photon (yields, error-weighted yields), shape (2, len(models),
+    len(lengths), 2). The model is basis-independent: both bases get the same values.
 
     Each gain dots one row of yields over photon number with an intensity's
     Poisson weights, as a stack of (1, n) @ (n, 1) products: numpy computes
@@ -242,7 +242,7 @@ def _simulate(models, cfg: DecoyConfig, lengths) -> DecoyObservations:
     rows = np.stack(_yields(models, lengths, np.arange(cfg.i_max + 1)))
     q, eq = (rows[..., None, None, :] @ weights[..., None])[..., 0, 0].swapaxes(-1, -2)
     errors = np.divide(eq, q, out=np.zeros_like(q), where=q > 0.0)
-    return DecoyObservations(*(np.repeat(a[..., None, :], 2, axis=-2) for a in (q, errors)))
+    return DecoyObservations(*(np.repeat(a[..., None, :], 2, axis=-2) for a in (q, errors))), rows[..., 1]
 
 
 def bound_Y0(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
@@ -253,10 +253,8 @@ def bound_Y0(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
 def _y0_lower(obs: DecoyObservations, cfg: DecoyConfig):
     """``bound_Y0`` of both outcomes (last axis) of stacked observations."""
     z = obs.gains[..., 0, :]
-    raw = (cfg.nu1 * z[..., 2, :] * math.exp(cfg.nu2) - cfg.nu2 * z[..., 1, :] * math.exp(cfg.nu1)) / (
-        cfg.nu1 - cfg.nu2
-    )
-    return np.maximum(raw, 0.0)
+    raw = cfg.nu1 * z[..., 2, :] * math.exp(cfg.nu2) - cfg.nu2 * z[..., 1, :] * math.exp(cfg.nu1)
+    return np.maximum(raw / (cfg.nu1 - cfg.nu2), 0.0)
 
 
 def bound_Q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> tuple[float, float]:
@@ -276,15 +274,9 @@ def _q1_bounds(obs: DecoyObservations, cfg: DecoyConfig):
     if den <= 0.0:
         raise ConfigError("degenerate decoy intensities: mu*nu1 - mu*nu2 - nu1^2 + nu2^2 <= 0")
     qs, qd1, qd2 = (obs.gains[..., v, 0, :] for v in range(3))
-    lower = (
-        mu**2
-        * math.exp(-mu)
-        / den
-        * (
-            qd1 * math.exp(nu1)
-            - qd2 * math.exp(nu2)
-            - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - _y0_lower(obs, cfg))
-        )
+    y0 = _y0_lower(obs, cfg)
+    lower = mu**2 * math.exp(-mu) / den * (
+        qd1 * math.exp(nu1) - qd2 * math.exp(nu2) - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - y0)
     )
     return np.minimum(np.maximum(lower, 0.0), qs), qs
 
@@ -292,11 +284,8 @@ def _q1_bounds(obs: DecoyObservations, cfg: DecoyConfig):
 def bound_e1q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
     """Upper bound on the single-photon error-gain product e_1 * Q_1^{s x beta}."""
     nu1, nu2 = cfg.nu1, cfg.nu2
-    raw = (
-        obs.error_gain("d1", "x", beta) * math.exp(nu1)
-        - obs.error_gain("d2", "x", beta) * math.exp(nu2)
-    ) * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2)
-    return max(raw, 0.0)
+    raw = obs.error_gain("d1", "x", beta) * math.exp(nu1) - obs.error_gain("d2", "x", beta) * math.exp(nu2)
+    return max(raw * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2), 0.0)
 
 
 def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
@@ -313,13 +302,8 @@ def _gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float):
     _require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
     eg = obs.error_rates[..., 1, :] * obs.gains[..., 1, :]  # x basis: (..., intensity, outcome)
-    q = (
-        (eg[..., 1, 0] + eg[..., 1, 1] / eta)
-        * math.exp(nu1)
-        - (eg[..., 2, 0] + eg[..., 2, 1] / eta)
-        * math.exp(nu2)
-    ) * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2)
-    return np.maximum(q, 0.0) * eta
+    q = (eg[..., 1, 0] + eg[..., 1, 1] / eta) * math.exp(nu1) - (eg[..., 2, 0] + eg[..., 2, 1] / eta) * math.exp(nu2)
+    return np.maximum(q * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2), 0.0) * eta
 
 
 def _singles_rate(q1_0, q1_1, q, eta, ec_term):
@@ -350,20 +334,19 @@ def _ec_term(obs: DecoyObservations, f_ec: float):
     return np.where(empty, 0.0, f_ec * q_total * binary_entropy(np.minimum(e_total, 1.0)))
 
 
-def _point_rates(a, b, q, eta, ec):
-    """(rate, lambda, delta) at single-photon gains (a, b) and x-error gain q,
-    elementwise over arrays and nan where infeasible: one ``_singles_rate``
-    call, and ``detection_imbalance`` (which may raise) at each feasible point."""
-    rate, lam = _singles_rate(a, b, q, eta, ec)
+def _imbalance(rate, a, b, eta):
+    """``detection_imbalance`` at each feasible point (``rate`` not nan) of
+    gains (a, b) and mismatch eta, nan elsewhere, raising at the first
+    failing one in row-major order."""
     ok = ~np.isnan(rate)
     p, t, eta = np.broadcast_arrays(a + b, a + b / eta, eta)
     delta = np.full(rate.shape, np.nan)
-    delta[ok] = [detection_imbalance(*point) for point in zip(p[ok].tolist(), t[ok].tolist(), eta[ok].tolist())]
-    return rate, lam, delta
+    delta[ok] = detection_imbalance(p[ok], t[ok], eta[ok])
+    return delta
 
 
 def _result(method: str, rate: float, lam: float, delta: float, a: float, b: float, **extra) -> KeyRateResult:
-    """One point of ``_point_rates`` as a result with argmin (a, b)."""
+    """One point's (rate, lambda, delta) as a result with argmin (a, b)."""
     if math.isnan(rate):
         return KeyRateResult(rate=None, feasible=False, delta=None, lam=None, method=method)
     return KeyRateResult(rate=rate, feasible=True, delta=delta, lam=lam, method=method, argmin=(a, b), **extra)
@@ -395,9 +378,9 @@ def decoy_keyrate(
 
 
 def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
-    """``decoy_keyrate`` of each of stacked observations, in row-major order.
-    The box bounds, the corner test and the final rates are each one array
-    call over every box; the search runs over the boxes the corner test leaves.
+    """``decoy_keyrate`` of each of stacked observations, in row-major order:
+    ``_box`` and ``_worst_points``, then the final rates and the Frank-Wolfe
+    gaps of the searched boxes, each one array call.
 
     Why the corner test certifies: the rate is R(a, b) = f*(gamma(a, b)) - ec,
     f* the value of the convex program ``verifier.minimize`` solves (Winick,
@@ -416,26 +399,44 @@ def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: 
     g_i widened by its allowance s_i, gives rate_lower = R(y) +
     sum_i min((g_i + s_i)*(lo_i - y_i), (g_i - s_i)*(up_i - y_i)), up to the
     rounding of R(y) itself, and None where it is not finite; at a certified
-    corner both terms are 0. The formulas are elementwise, so each result
-    equals ``decoy_keyrate``'s bit for bit.
+    corner both terms are 0, so its gap is not computed. The formulas are
+    elementwise, so each result equals ``decoy_keyrate``'s bit for bit.
     """
-    lo, up = (v.reshape(-1, 2) for v in _q1_bounds(obs, cfg))
-    q = _gamma2_upper(obs, cfg, eta).reshape(-1) / eta
-    boxes = np.column_stack([lo[:, 0], up[:, 0], lo[:, 1], up[:, 1], q, _ec_term(obs, f_ec).reshape(-1)])
-    grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
-    certified = (grad > slack).all(axis=1)
-    x = lo.copy()
-    x[~certified] = _search_boxes(boxes[~certified], eta)[0]
-
-    grad, slack = _entropy_grad(x[:, 0], x[:, 1], q, eta)
+    lo, up, q = _box(obs, cfg, eta)
+    ec = _ec_term(obs, f_ec).reshape(-1)
+    x, searched = _worst_points(lo, up, q, ec, eta)
+    grad, slack = _entropy_grad(x[searched, 0], x[searched, 1], q[searched], eta)
+    gap = np.zeros(len(x))
     with np.errstate(invalid="ignore"):
-        gap = np.minimum((grad + slack) * (lo - x), (grad - slack) * (up - x)).sum(axis=1)
+        terms = np.minimum((grad + slack) * (lo - x)[searched], (grad - slack) * (up - x)[searched])
+    gap[searched] = terms.sum(axis=1)
     corner = (np.abs(x - lo) <= 1e-7 * np.maximum(up - lo, 1e-300)).all(axis=1)
-    rate, lam, delta = _point_rates(x[:, 0], x[:, 1], q, eta, boxes[:, 5])
+    rate, lam = _singles_rate(x[:, 0], x[:, 1], q, eta, ec)
+    delta = _imbalance(rate, x[:, 0], x[:, 1], eta)
     return [
         _result("decoy", *point, at_lower_corner=at_corner, rate_lower=lower if math.isfinite(lower) else None)
         for *point, at_corner, lower in zip(*(v.tolist() for v in (rate, lam, delta, *x.T, corner, rate + gap)))
     ]
+
+
+def _box(obs: DecoyObservations, cfg: DecoyConfig, eta: float):
+    """Each stacked observation's estimated box: its lower and upper corners,
+    shape (n, 2), and its x-error gain ``gamma2_upper / eta``, shape (n,)."""
+    lo, up = (v.reshape(-1, 2) for v in _q1_bounds(obs, cfg))
+    return lo, up, _gamma2_upper(obs, cfg, eta).reshape(-1) / eta
+
+
+def _worst_points(lo, up, q, ec, eta: float):
+    """Each box's worst-case point, shape (n, 2), and which boxes were
+    searched: the lower corner where the corner test certifies it, else
+    ``_search_boxes``' point (nan on an infeasible box)."""
+    grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
+    searched = ~(grad > slack).all(axis=1)
+    x = lo.copy()
+    if searched.any():
+        boxes = np.column_stack([lo[:, 0], up[:, 0], lo[:, 1], up[:, 1], q, ec])
+        x[searched] = _search_boxes(boxes[searched], eta)[0]
+    return x, searched
 
 
 def _search_boxes(boxes: np.ndarray, eta: float):
@@ -492,19 +493,53 @@ def theoretical_limit(
     ``simulate_observations(model, cfg)``; they supply the error-correction
     term, so that a channel is simulated once for both rates.
     """
-    point = _limits([model], [model.eta if eta is None else eta], cfg, [model.length_km], obs, f_ec)
-    return _result("theoretical_limit", *(v.item() for v in point))
+    singles = np.stack(_yields([model], [model.length_km], np.array([1])))[..., 0]
+    a, b, q, eta = _limit_points(singles, [model.eta if eta is None else eta], cfg)
+    _require_yields(singles)
+    rate, lam = _singles_rate(a, b, q, eta, _ec_term(obs, f_ec))
+    return _result("theoretical_limit", *(v.item() for v in (rate, lam, _imbalance(rate, a, b, eta), a, b)))
 
 
-def _limits(models, etas, cfg: DecoyConfig, lengths, obs: DecoyObservations, f_ec: float):
-    """``theoretical_limit`` of each of ``models``, with mismatch ``etas[c]``, at
-    each of ``lengths`` (km), whose observations ``obs`` give the error-correction
-    terms: ``_point_rates`` and the true single-photon gains (a, b), each an array
-    of shape (len(models), len(lengths))."""
+def _limit_points(singles, etas, cfg: DecoyConfig):
+    """True single-photon gains (a, b), x-error gain q and mismatch, each
+    (len(etas), n), of channels with mismatch ``etas`` and single-photon (yields,
+    error-weighted yields) ``singles``, (2, len(etas), n, 2). A vanishing yield's
+    error rate counts as 0 here; ``_require_yields`` rejects it."""
     eta = np.array([[_require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)] for eta in etas])
-    y, ey = (v[..., 0] for v in _yields(models, lengths, np.array([1])))
-    for *_, beta in np.argwhere(y <= 0.0)[:1]:  # as simulate_error raises
+    y, ey = singles
+    a, b = np.moveaxis(y * poisson_pmf(1, cfg.mu), -1, 0)
+    e1 = np.divide(ey, y, out=np.zeros_like(y), where=y > 0.0)
+    q = (eta * e1[..., 0] * a + e1[..., 1] * b) / eta
+    return a, b, q, np.broadcast_to(eta, a.shape)
+
+
+def _require_yields(singles) -> None:
+    """Raise as ``simulate_error`` does where a single-photon yield vanishes."""
+    for *_, beta in np.argwhere(singles[0] <= 0.0)[:1]:
         raise ValueError(f"yield vanishes for i = 1, beta = {beta}; error rate undefined")
-    (a, b), e1 = np.moveaxis(y * poisson_pmf(1, cfg.mu), -1, 0), ey / y
-    q_actual = (eta * e1[..., 0] * a + e1[..., 1] * b) / eta
-    return (*_point_rates(a, b, q_actual, eta, _ec_term(obs, f_ec)), a, b)
+
+
+def _channel_rates(models, cfg: DecoyConfig, lengths, f_ec: float, decoy: bool, limits: bool) -> np.ndarray:
+    """Rates at each of ``lengths`` (km), nan where infeasible, one row each:
+    the decoy worst case of ``models[0]`` if ``decoy``, then the theoretical
+    limit of each of ``models`` if ``limits``. One simulation, one
+    ``_ec_term`` and one ``_singles_rate`` call, so each rate is its one-row
+    call's bit for bit; those calls' errors are raised, the decoy rows' first."""
+    obs, singles = _simulate(models, cfg, lengths)
+    ec = _ec_term(obs, f_ec)
+    points = []
+    if decoy:
+        eta = models[0].eta
+        lo, up, q = _box(DecoyObservations(obs.gains[0], obs.error_rates[0]), cfg, eta)
+        x = _worst_points(lo, up, q, ec[0], eta)[0]
+        points.append((x[None, :, 0], x[None, :, 1], q[None], np.full((1, len(q)), eta), ec[:1]))
+    if limits:
+        points.append((*_limit_points(singles, [m.eta for m in models], cfg), ec))
+    a, b, q, eta, ec = (np.concatenate(v) for v in zip(*points))
+    rate = _singles_rate(a, b, q, eta, ec)[0]
+    if limits and (singles[0] <= 0.0).any():
+        k = int(decoy)  # a vanishing yield's error comes after the decoy row's, before the limits'
+        _imbalance(rate[:k], a[:k], b[:k], eta[:k])
+        _require_yields(singles)
+    _imbalance(rate, a, b, eta)
+    return rate

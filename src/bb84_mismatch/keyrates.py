@@ -76,16 +76,24 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
     balanced point. For eta = 1 the expression degenerates: the only
     consistent observation is p_pass = t, for which 0 is returned.
 
+    Numpy arrays (broadcast together) give an array, equal entry by entry to the
+    scalar results, and raise the scalar error of their first failing entry.
+
     Raises:
         ValueError: if eta = 1 but p_pass differs from t by more than 1e-12*t,
             or t*(1-eta) underflows to 0.
     """
+    if isinstance(p_pass, np.ndarray) or isinstance(t, np.ndarray) or isinstance(eta, np.ndarray):
+        p_pass, t, eta = np.broadcast_arrays(p_pass, t, eta)
+        balanced, denominator = eta == 1.0, t * (1.0 - eta)
+        bad = np.where(balanced, ~(np.abs(p_pass - t) <= 1e-12 * t), denominator == 0.0)
+        for point in zip(*(v[bad][:1].tolist() for v in (p_pass, t, eta))):
+            detection_imbalance(*point)
+        return np.divide(2.0 * p_pass - t * (1.0 + eta), denominator, out=np.zeros(p_pass.shape), where=~balanced)
     if eta == 1.0:
         if abs(p_pass - t) <= 1e-12 * t:
             return 0.0
-        raise ValueError(
-            f"eta = 1 requires p_pass = t, got p_pass = {p_pass}, t = {t}: observations are inconsistent"
-        )
+        raise ValueError(f"eta = 1 requires p_pass = t, got p_pass = {p_pass}, t = {t}: observations are inconsistent")
     denominator = t * (1.0 - eta)
     if denominator == 0.0:
         raise ValueError(f"t*(1-eta) underflows to 0 at t = {t}, eta = {eta}")
@@ -132,7 +140,7 @@ def _entropy_grad(a, b, x, eta):
 
     Returns (partials, allowances), each with a last axis of 2: (a, b).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p, t = a + b, a + b / eta
         d = t - 2.0 * x
         r = np.hypot(a - b, np.sqrt(eta) * d)
@@ -149,14 +157,17 @@ def _entropy_grad(a, b, x, eta):
 
 def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float):
     """(h argument, lambda) at pass rate p_pass and imbalance delta: the kernel at
-    gains a = t*(1+delta)/2, b = p_pass - a and x-error gain t*q_x. lambda is
-    clamped at 0; below -1e-12 it raises ValueError (inconsistent observations).
+    gains a = t*(1+delta)/2, b = p_pass - a and x-error gain x = t*q_x. lambda
+    is clamped at 0; below -max(1e-12, 4u*(p + t + 2x)/p), its rounding
+    allowance (``_entropy_grad``; u = 2^-53, p = a + b), it raises ValueError
+    (inconsistent observations).
     """
-    a = t * (1.0 + delta) / 2.0
+    a, x = t * (1.0 + delta) / 2.0, t * q_x
     # Gains that cancel to p = 0 give a lambda of -inf or nan, rejected below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, arg, lam = _entropy_args(a, p_pass - a, t, t * q_x, eta)
-    if lam < -1e-12:
+        p, arg, lam = _entropy_args(a, p_pass - a, t, x, eta)
+    allowance = 2.0**-51 * (p + t + 2.0 * x) / p if p > 0.0 else 0.0
+    if lam < -max(1e-12, allowance):
         raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
     return float(arg), max(float(lam), 0.0)
 
@@ -286,22 +297,14 @@ def _golden_min(fn, a: float, b: float) -> float:
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Prior-work comparison rate p_pass*{2*eta/(1+eta)*[1-h(q_x)] - h(q_z)}."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
-    rate = p_pass * (
-        2.0 * eta / (1.0 + eta) * (1.0 - binary_entropy(q_x)) - binary_entropy(q_z)
-    )
+    rate = p_pass * (2.0 * eta / (1.0 + eta) * (1.0 - binary_entropy(q_x)) - binary_entropy(q_z))
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung1")
 
 
 def keyrate_fung2(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Pure-discarding comparison rate p_pass*2*eta/(1+eta)*[1-h(q_z)-h(q_x)]."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
-    rate = (
-        p_pass
-        * 2.0
-        * eta
-        / (1.0 + eta)
-        * (1.0 - binary_entropy(q_z) - binary_entropy(q_x))
-    )
+    rate = p_pass * 2.0 * eta / (1.0 + eta) * (1.0 - binary_entropy(q_z) - binary_entropy(q_x))
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung2")
 
 
@@ -340,8 +343,6 @@ def mismatch_penalty_ratio(q: float, eta: float) -> float:
     """
     reference = (1.0 + eta) / 2.0 * (1.0 - 2.0 * binary_entropy(q))
     if reference <= 0.0:
-        raise NoKeyError(
-            f"no-mismatch reference rate is {reference:.3e} <= 0 at q = {q}"
-        )
+        raise NoKeyError(f"no-mismatch reference rate is {reference:.3e} <= 0 at q = {q}")
     mismatch = keyrate_balanced(q, q, eta, 1.0)
     return mismatch.rate / reference

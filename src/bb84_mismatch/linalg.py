@@ -124,9 +124,7 @@ def _relative_entropy(ws: np.ndarray, sigma: np.ndarray, wt: np.ndarray, Vt: np.
     on_support = wt > cut_t
     outside = float(sigma_in_tau[~on_support].clip(0.0, None).sum())
     if outside >= 1e-8:
-        raise SupportError(
-            f"sigma has weight {outside:.3e} outside tau's support; relative entropy diverges"
-        )
+        raise SupportError(f"sigma has weight {outside:.3e} outside tau's support; relative entropy diverges")
     term2 = float((sigma_in_tau[on_support] * np.log2(wt[on_support])).sum())
     return term1 - term2
 

@@ -49,12 +49,7 @@ def build_gamma_set(eta: float) -> GammaSet:
     _require_in("eta", eta, 0.0, 1.0, open_lo=True)
     gamma1 = eta * np.eye(4)
     gamma2 = (eta / 2.0) * np.array(
-        [
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, -1.0, 0.0],
-            [0.0, -1.0, 1.0, 0.0],
-            [-1.0, 0.0, 0.0, 1.0],
-        ]
+        [[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]
     )
     gamma3 = np.diag([1.0, eta, 1.0, eta])
     return GammaSet(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3)
@@ -73,9 +68,7 @@ def photon_block(rho: np.ndarray) -> np.ndarray:
 def gamma_expectations(rho: np.ndarray, gammas: GammaSet) -> np.ndarray:
     """Expectation values Tr(Gamma_i rho) on the photon block, as a length-3 array."""
     block = photon_block(require_hermitian(rho))
-    return np.array(
-        [float(np.real(np.trace(g @ block))) for g in gammas.as_list()]
-    )
+    return np.array([float(np.real(np.trace(g @ block))) for g in gammas.as_list()])
 
 
 def _embed(block4: np.ndarray, t: float) -> np.ndarray:
@@ -111,12 +104,8 @@ def attack_block(q_z: float, q_x: float, delta: float, t: float = 1.0) -> np.nda
     Two 2x2 blocks on the (00,11) and (01,10) index pairs; not positive
     semidefinite when (1 - 2*q_x)^2 > 1 - delta^2.
     """
-    outer = (1.0 - q_z) / 2.0 * np.array(
-        [[1.0 + delta, 1.0 - 2.0 * q_x], [1.0 - 2.0 * q_x, 1.0 - delta]]
-    )
-    inner = q_z / 2.0 * np.array(
-        [[1.0 - delta, 1.0 - 2.0 * q_x], [1.0 - 2.0 * q_x, 1.0 + delta]]
-    )
+    outer = (1.0 - q_z) / 2.0 * np.array([[1.0 + delta, 1.0 - 2.0 * q_x], [1.0 - 2.0 * q_x, 1.0 - delta]])
+    inner = q_z / 2.0 * np.array([[1.0 - delta, 1.0 - 2.0 * q_x], [1.0 - 2.0 * q_x, 1.0 + delta]])
     block = np.zeros((4, 4))
     block[np.ix_([0, 3], [0, 3])] = outer
     block[np.ix_([1, 2], [1, 2])] = inner
@@ -146,7 +135,6 @@ def optimal_attack_state(
     _require_in("t", t, 0.0, 1.0, open_lo=True)
     if check_feasibility and (1.0 - 2.0 * q_x) ** 2 > 1.0 - delta**2 + 1e-15:
         raise FeasibilityError(
-            f"no PSD state exists for q_x = {q_x}, delta = {delta}: "
-            "2*q_x >= 1 - sqrt(1 - delta^2) is violated"
+            f"no PSD state exists for q_x = {q_x}, delta = {delta}: 2*q_x >= 1 - sqrt(1 - delta^2) is violated"
         )
     return _embed(attack_block(q_z, q_x, delta, t), t)

@@ -345,9 +345,7 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     except (TypeError, ValueError) as exc:
         raise FeasibilityError(f"constraint values must be three numbers: {exc}") from None
     if values.shape != (3,) or not np.isfinite(values).all():
-        raise FeasibilityError(
-            f"constraint values must be three finite numbers, got {values.tolist()}"
-        )
+        raise FeasibilityError(f"constraint values must be three finite numbers, got {values.tolist()}")
     if not values[0] > 0.0:
         raise FeasibilityError(f"detection rate gamma_1 = {values[0]} must be positive")
     eta = float(gammas.gamma1[0, 0].real)
@@ -358,9 +356,7 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     except ValueError as exc:
         raise FeasibilityError(str(exc)) from exc
     if not _feasible(qx_eff, delta):
-        raise FeasibilityError(
-            f"constraint values {values.tolist()} admit no PSD state"
-        )
+        raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
 
     ops = np.array(gammas.as_list())
     if np.iscomplexobj(ops) and ops.imag.any():
@@ -374,8 +370,7 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     rank = int((s > s[0] * max(system.shape) * _EPS).sum())
     if rank < len(basis):
         raise ValueError(
-            f"the constraints have rank {rank} on the {len(basis)} invariant "
-            "directions and do not pin the minimum"
+            f"the constraints have rank {rank} on the {len(basis)} invariant directions and do not pin the minimum"
         )
     # np.tensordot's own product, without its wrapper.
     rho = np.dot((vt.T @ (u.T @ values / s))[None], basis.reshape(len(basis), -1)).reshape(4, 4)

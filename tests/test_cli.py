@@ -578,3 +578,38 @@ def test_verify_accepts_grid_density_from_one_to_a_thousand(capsys, monkeypatch)
     for value in ("1", "1000"):
         assert run(capsys, "verify", "--grid-density", value)[0] == 0
     assert sizes == [1, 1000]
+
+
+_FAR = ["--dark0", "0", "--dark1", "0", "--eta1", "0.07", "--l-max", "120", "--l-steps", "13"]
+_UNDERFLOW = "error: t*(1-eta) underflows to 0 at t = 5e-324, eta = 0.7000000000000001\n"
+_VANISHES = "error: yield vanishes for i = 1, beta = 1; error rate undefined\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # A decoy row's imbalance fails before the far distances' vanishing yields.
+        (["decoy-sim", *_FAR, "--bob-loss-db", "3198"], _UNDERFLOW),
+        (["decoy-sim", *_FAR, "--bob-loss-db", "3198", "--dark0", "1e-320"], _VANISHES),
+        (["decoy-sim", *_FAR, "--bob-loss-db", "3198", "--eta0", "0.07", "--eta1", "0.1", "--dark1", "1e-320"],
+         _VANISHES),
+        (["sweep", "--variable", "distance_km", "--start", "0", "--stop", "120", "--steps", "13",
+          "--methods", "theoretical_limit", "--eta0", "0.1", *_FAR[:6], "--bob-loss-db", "3198"], _VANISHES),
+        # The limit row's imbalance, with every yield positive.
+        (["sweep", "--variable", "distance_km", "--start", "0", "--stop", "120", "--steps", "13",
+          "--methods", "theoretical_limit", "--eta0", "0.1", *_FAR[:6], "--bob-loss-db", "3195"], _UNDERFLOW),
+    ],
+    ids=["decoy_underflow_first", "vanishing_yield", "vanishing_yield_relabelled", "sweep_vanishing",
+         "sweep_underflow"],
+)
+def test_decoy_errors_at_subnormal_gains_keep_their_order(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
+def test_decoy_sim_at_subnormal_gains_prints_no_warning(capsys):
+    # The corner test's allowance overflows to inf here, which fails the test
+    # as intended; numpy's overflow warning must not reach stderr.
+    code, out, err = run(capsys, "decoy-sim", *_FAR[:6], "--l-max", "10", "--l-steps", "13", "--bob-loss-db", "3150")
+    assert (code, err) == (0, "")
+    _, data = parse_csv(out)
+    assert all(math.isfinite(x) for row in data for x in row)

@@ -760,8 +760,9 @@ def test_array_simulation_matches_the_per_model_loop_bitwise():
 
     for seed in range(6):
         models, cfg, lengths = _parity_channels(seed)
-        stacked = _simulate(models, cfg, lengths)
+        stacked, (y1, ey1) = _simulate(models, cfg, lengths)
         assert stacked.gains.shape == stacked.error_rates.shape == (len(models), len(lengths), 3, 2, 2)
+        assert y1.shape == ey1.shape == (len(models), len(lengths), 2)
         for c, model in enumerate(models):
             for k, length in enumerate(lengths):
                 at = replace(model, length_km=float(length))
@@ -770,6 +771,10 @@ def test_array_simulation_matches_the_per_model_loop_bitwise():
                 for got in (stacked.gains[c, k], alone.gains), (stacked.error_rates[c, k], alone.error_rates):
                     assert np.array_equal(*got)
                 assert np.array_equal(alone.gains, loop[0]) and np.array_equal(alone.error_rates, loop[1])
+                # The single-photon yields the limits read are the simulation's own.
+                for beta in (0, 1):
+                    assert y1[c, k, beta] == simulate_yield(at, 1, "z", beta)
+                    assert ey1[c, k, beta] / y1[c, k, beta] == simulate_error(at, 1, "z", beta)
     # The lossless link's yields clamp at 1 from two photons on.
     assert simulate_yield(models[-1], 2, "z", 1) == 1.0 < 0.3 + 2 / 2
 
@@ -777,14 +782,20 @@ def test_array_simulation_matches_the_per_model_loop_bitwise():
 def test_array_bounds_and_limits_match_one_row_calls_and_scalar_formulas_bitwise():
     from dataclasses import replace
 
-    from bb84_mismatch.decoy import _ec_term, _gamma2_upper, _limits, _q1_bounds, _simulate, _y0_lower
+    from bb84_mismatch.decoy import (
+        _channel_rates, _ec_term, _gamma2_upper, _imbalance, _limit_points, _q1_bounds, _simulate, _singles_rate,
+        _y0_lower,
+    )
 
     for seed in range(6):
         models, cfg, lengths = _parity_channels(seed)
         f_ec = (1.0, 1.16, 0.0)[seed % 3]
-        stacked = _simulate(models, cfg, lengths)
+        stacked, singles = _simulate(models, cfg, lengths)
         y0, (lower, upper), ec = _y0_lower(stacked, cfg), _q1_bounds(stacked, cfg), _ec_term(stacked, f_ec)
-        rate, lam, delta, a, b = _limits(models, [m.eta for m in models], cfg, lengths, stacked, f_ec)
+        a, b, q, eta = _limit_points(singles, [m.eta for m in models], cfg)
+        rate, lam = _singles_rate(a, b, q, eta, ec)
+        delta = _imbalance(rate, a, b, eta)
+        assert np.array_equal(_channel_rates(models, cfg, lengths, f_ec, False, True), rate, equal_nan=True)
         for c, model in enumerate(models):
             channel = DecoyObservations(stacked.gains[c], stacked.error_rates[c])
             gamma2 = _gamma2_upper(channel, cfg, model.eta)
@@ -812,3 +823,61 @@ def test_decoy_sim_truncation_error_keeps_exit_code_and_stderr(capsys):
         _simulate([benchmark_model(0.0)], DecoyConfig(mu=8.0, nu1=0.1, nu2=0.0), [0.0, 10.0])
     assert main(["decoy-sim", "--mu", "8"]) == 1
     assert capsys.readouterr() == ("", "error: Poisson tail mass 3.551e-07 beyond i_max = 25 exceeds 1e-12\n")
+
+
+def _one_row_results(d, lengths, f_ec, columns):
+    """Each distance's ``decoy_keyrate`` and ``theoretical_limit`` results for
+    the flags ``d``, one call per distance, relabelled as ``decoy-sim`` relabels."""
+    from dataclasses import replace
+
+    eta, dark = (d["eta0"], d["eta1"]), (d["dark0"], d["dark1"])
+    if eta[0] < eta[1]:
+        eta, dark = eta[::-1], dark[::-1]
+    cfg = DecoyConfig(mu=d["mu"], nu1=d["nu1"], nu2=d["nu2"])
+    rows = []
+    for length in lengths.tolist():
+        model = ChannelModel(d["alpha_db_km"], length, d["bob_loss_db"], d["e_det"], *eta, dark)
+        matched = replace(model, eta0=(eta[0] + eta[1]) / 2.0, eta1=(eta[0] + eta[1]) / 2.0)
+        obs = simulate_observations(model, cfg)
+        calls = {
+            "decoy": lambda: decoy_keyrate(obs, cfg, model.eta, f_ec),
+            "theoretical_limit": lambda: theoretical_limit(model, obs, cfg, f_ec=f_ec),
+            "no_mismatch_limit": lambda: theoretical_limit(
+                matched, simulate_observations(matched, cfg), cfg, f_ec=f_ec
+            ),
+        }
+        rows.append([calls[c]() for c in columns])
+    return rows
+
+
+def test_distance_rates_equal_the_one_row_calls_bitwise():
+    from bb84_mismatch.cli import _BENCHMARK_DEFAULTS, _distance_rates
+
+    every = ("decoy", "theoretical_limit", "no_mismatch_limit")
+    cases = [
+        ({}, np.linspace(0.0, 120.0, 25), 1.0, every),
+        # Ascending detectors, relabelled together with their dark counts.
+        ({"eta0": 0.07, "eta1": 0.1, "dark0": 3e-6}, np.linspace(0.0, 120.0, 25), 1.16, every),
+        # High optical error: some boxes fail the corner test and are searched.
+        ({"e_det": 0.3, "eta0": 0.04, "eta1": 0.1}, np.linspace(0.0, 400.0, 9), 1.0, every),
+        # Gains at the bottom of the subnormals: boxes with no feasible point.
+        ({"dark0": 0.0, "dark1": 0.0, "bob_loss_db": 3198.0, "eta1": 0.03}, np.linspace(0.0, 120.0, 13), 1.0,
+         ("decoy",)),
+        ({"e_det": 0.02, "nu2": 0.02}, np.linspace(10.0, 90.0, 7), 0.0, ("theoretical_limit", "decoy")),
+    ]
+    rng = np.random.default_rng(18)
+    for _ in range(6):
+        eta0, eta1 = rng.uniform(0.02, 0.3, 2)
+        flags = {"eta0": float(eta0), "eta1": float(eta1), "e_det": float(rng.uniform(0.0, 0.1))}
+        flags.update(dark0=float(10 ** rng.uniform(-8, -4)), dark1=float(10 ** rng.uniform(-8, -4)))
+        cases.append((flags, np.linspace(0.0, float(rng.uniform(50.0, 250.0)), 11), 1.0, every))
+    infeasible = searched = 0
+    for flags, lengths, f_ec, columns in cases:
+        d = {**_BENCHMARK_DEFAULTS, **flags}
+        got = _distance_rates(d, lengths, f_ec, columns)
+        assert got.shape == (len(lengths), len(columns))
+        for row, results in zip(got.tolist(), _one_row_results(d, lengths, f_ec, columns)):
+            assert all(_same(x, res.rate) for x, res in zip(row, results))
+            infeasible += sum(res.rate is None for res in results)
+            searched += sum(res.method == "decoy" and res.at_lower_corner is False for res in results)
+    assert infeasible > 0 and searched > 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,27 @@ def test_imbalance_eta_one_guard():
     assert detection_imbalance(0.7, 0.7, 1.0) == 0.0
     with pytest.raises(ValueError):
         detection_imbalance(0.8, 0.7, 1.0)
+
+
+def test_imbalance_of_arrays_is_the_scalar_call_entry_by_entry():
+    rng = np.random.default_rng(5)
+    eta = np.append(rng.uniform(0.01, 1.0, 300), 1.0)
+    t = rng.uniform(1e-6, 1.0, eta.size)
+    p = t * ((1.0 + eta) / 2.0 + rng.uniform(-1.0, 1.0, eta.size) * (1.0 - eta) / 2.0)
+    p[-1] = t[-1]
+    scalar = [detection_imbalance(*point) for point in zip(p.tolist(), t.tolist(), eta.tolist())]
+    assert detection_imbalance(p, t, eta).tolist() == scalar
+    # A float broadcasts against the arrays.
+    assert detection_imbalance(p[:3], 1.0, eta[:3]).tolist() == [
+        detection_imbalance(x, 1.0, e) for x, e in zip(p.tolist(), eta[:3].tolist())
+    ]
+    # The first failing entry, in row-major order, raises the scalar call's error.
+    bad = tuple(map(np.array, ([[0.8, 0.9], [2.5e-324, 0.8]], [[1.0, 0.7], [5e-324, 0.7]], [[0.5, 1.0], [0.5, 1.0]])))
+    for got, first in ((bad, (0.9, 0.7, 1.0)), ((bad[0][1:], bad[1][1:], bad[2][1:]), (2.5e-324, 5e-324, 0.5))):
+        with pytest.raises(ValueError) as scalar_error:
+            detection_imbalance(*first)
+        with pytest.raises(ValueError, match=re.escape(str(scalar_error.value))):
+            detection_imbalance(*got)
 
 
 def test_feasible_conditions():

@@ -477,3 +477,30 @@ def test_theorem_by_symmetry_without_the_oracle():
         state = np.tensordot(coef, basis, axes=1)
         assert np.linalg.eigvalsh(state)[0] >= -1e-12 * t
         assert abs(objective(state, eta) - ignorance_term(q_x, eta, t, p_pass)) <= 1e-11
+
+
+def test_ignorance_term_accepts_every_converged_minimize_at_tiny_eta():
+    # With delta near -1 and eta down to 1e-9, t = a + b/eta is far above
+    # p = a + b, and lambda's rounding grows with (p + t + 2x)/p beyond an
+    # absolute 1e-12; the closed form must still accept what minimize accepts.
+    from bb84_mismatch.keyrates import _entropy_args, detection_imbalance
+
+    rng = np.random.default_rng(20261019)
+    converged = beyond_absolute = 0
+    for _ in range(600):
+        eta, t = float(10 ** rng.uniform(-9, -2)), float(rng.uniform(1e-3, 1.0))
+        delta = -1.0 + float(rng.uniform(0.0, 1e-3))
+        root = math.sqrt(1.0 - delta * delta)
+        q_x = (1.0 - root) / 2.0 if rng.random() < 0.5 else float(rng.uniform((1.0 - root) / 2.0, (1.0 + root) / 2.0))
+        p_pass = t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)
+        try:
+            report = minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass))
+        except FeasibilityError:
+            continue
+        if not report.converged:
+            continue
+        converged += 1
+        a = t * (1.0 + detection_imbalance(p_pass, t, eta)) / 2.0
+        beyond_absolute += _entropy_args(a, p_pass - a, t, t * q_x, eta)[2] < -1e-12
+        assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 1e-12
+    assert converged > 400 and beyond_absolute > 0
