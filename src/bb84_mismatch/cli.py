@@ -7,7 +7,7 @@ flag names without the leading dashes. Each line is parsed as the flag
 ``--key=value`` placed before the given flags: it gets the flag's type, choices
 and range checks, a key the subcommand does not take is an error, and a given
 flag wins over the file. Range endpoints (``--start``, ``--stop``, ``--l-min``,
-``--l-max``) must be finite.
+``--l-max``) must be finite; a swept eta lies in (0, 1] and a swept q in [0, 1].
 
 Output is plain CSV with '#'-prefixed metadata lines, 12 significant digits,
 byte-deterministic for a fixed invocation. Exit codes: 0 success, 1 usage or
@@ -153,13 +153,13 @@ def _load_config(path: str) -> list[str]:
     return out
 
 
-def _require_ranges(**named):
+def _require_ranges(closed=("qz", "qx"), **named):
     """Flag-level range validation; failures are usage errors, not physics.
-    --qz and --qx lie in [0, 1], the other flags in (0, 1]; None is skipped."""
+    Flags named in ``closed`` lie in [0, 1], the others in (0, 1]; None is skipped."""
     for name, value in named.items():
         if value is not None:
             flag = "--" + name.replace("_", "-")
-            _require_in(flag, value, 0.0, 1.0, open_lo=name not in ("qz", "qx"), error=UsageError)
+            _require_in(flag, value, 0.0, 1.0, open_lo=name not in closed, error=UsageError)
 
 
 def _require_endpoints(**named):
@@ -317,6 +317,8 @@ def cmd_sweep(args) -> int:
     if args.p_pass is not None:
         fixed["p_pass"] = args.p_pass
     _require_endpoints(start=args.start, stop=args.stop)
+    if variable != "distance_km":
+        _require_ranges(closed=("start", "stop") if variable == "q" else (), start=args.start, stop=args.stop)
     if not args.start < args.stop:
         raise ConfigError("sweep requires start < stop")
     if args.steps < 2:

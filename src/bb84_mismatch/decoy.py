@@ -160,10 +160,10 @@ def simulate_yield(model: ChannelModel, i: int, b: str, beta: int) -> float:
     multiple photons surviving the line, which is accurate for lossy links.
     Basis-independent in this model.
     """
-    if i < 0:
-        raise ValueError("photon number must be non-negative")
+    _require_in("i", i, 0, math.inf, integer=True)
     if b not in BASES:
         raise ValueError(f"unknown basis {b!r}")
+    _require_in("beta", beta, 0, 1, integer=True)
     return float(_yields([model], [model.length_km], np.array([i]))[0][0, 0, beta, 0])
 
 
@@ -180,7 +180,10 @@ def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
 
 
 def poisson_pmf(i: int, mu: float) -> float:
-    """Poisson weight mu^i e^-mu / i!, with the mu = 0 case concentrated at i = 0."""
+    """Poisson weight mu^i e^-mu / i!, with the mu = 0 case concentrated at i = 0;
+    ValueError unless i is an integer >= 0 and mu is finite and >= 0."""
+    _require_in("i", i, 0, math.inf, integer=True)
+    _require_in("mu", mu, 0.0, math.inf)
     if mu == 0.0:
         return 1.0 if i == 0 else 0.0
     return math.exp(i * math.log(mu) - mu - math.lgamma(i + 1))
@@ -207,11 +210,15 @@ def poisson_gain(yields, mu_v: float, i_max: int) -> float:
 
     Raises:
         TruncationError: if the Poisson tail mass beyond i_max is >= 1e-12.
+        ValueError: unless i_max is an integer >= 0, 0 <= mu_v < inf and the yields lie in [0, 1].
     """
+    _require_in("i_max", i_max, 0, math.inf, integer=True)
     weights = _poisson_weights(mu_v, i_max)
     y = np.asarray(list(yields), dtype=float)[: i_max + 1]
     if y.size < i_max + 1:
         raise ValueError("need yields up to i_max")
+    for value in y.tolist():
+        _require_in("yield", value, 0.0, 1.0)
     return float(np.dot(y, weights))
 
 
@@ -247,12 +254,12 @@ def _simulate(models, cfg: DecoyConfig, lengths) -> tuple[DecoyObservations, np.
 
 def bound_Y0(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
     """Lower bound on the vacuum yield from the two decoy gains in the z basis."""
-    return float(_y0_lower(obs, cfg)[beta])
+    return float(_y0_lower(obs.gains, cfg)[_require_in("beta", beta, 0, 1, integer=True)])
 
 
-def _y0_lower(obs: DecoyObservations, cfg: DecoyConfig):
-    """``bound_Y0`` of both outcomes (last axis) of stacked observations."""
-    z = obs.gains[..., 0, :]
+def _y0_lower(gains: np.ndarray, cfg: DecoyConfig):
+    """``bound_Y0`` of both outcomes (last axis) of stacked gains (..., 3, 2, 2)."""
+    z = gains[..., 0, :]
     raw = cfg.nu1 * z[..., 2, :] * math.exp(cfg.nu2) - cfg.nu2 * z[..., 1, :] * math.exp(cfg.nu1)
     return np.maximum(raw / (cfg.nu1 - cfg.nu2), 0.0)
 
@@ -263,18 +270,19 @@ def bound_Q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> tuple[float
     The upper bound is the full signal gain; the lower bound combines the
     decoy gains with the vacuum-yield bound and is clamped into [0, upper].
     """
-    lower, upper = _q1_bounds(obs, cfg)
+    _require_in("beta", beta, 0, 1, integer=True)
+    lower, upper = _q1_bounds(obs.gains, cfg)
     return float(lower[beta]), float(upper[beta])
 
 
-def _q1_bounds(obs: DecoyObservations, cfg: DecoyConfig):
-    """``bound_Q1`` of both outcomes (last axis) of stacked observations."""
+def _q1_bounds(gains: np.ndarray, cfg: DecoyConfig):
+    """``bound_Q1`` of both outcomes (last axis) of stacked gains (..., 3, 2, 2)."""
     mu, nu1, nu2 = cfg.mu, cfg.nu1, cfg.nu2
     den = mu * nu1 - mu * nu2 - nu1**2 + nu2**2
     if den <= 0.0:
         raise ConfigError("degenerate decoy intensities: mu*nu1 - mu*nu2 - nu1^2 + nu2^2 <= 0")
-    qs, qd1, qd2 = (obs.gains[..., v, 0, :] for v in range(3))
-    y0 = _y0_lower(obs, cfg)
+    qs, qd1, qd2 = (gains[..., v, 0, :] for v in range(3))
+    y0 = _y0_lower(gains, cfg)
     lower = mu**2 * math.exp(-mu) / den * (
         qd1 * math.exp(nu1) - qd2 * math.exp(nu2) - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - y0)
     )
@@ -283,6 +291,7 @@ def _q1_bounds(obs: DecoyObservations, cfg: DecoyConfig):
 
 def bound_e1q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
     """Upper bound on the single-photon error-gain product e_1 * Q_1^{s x beta}."""
+    _require_in("beta", beta, 0, 1, integer=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
     raw = obs.error_gain("d1", "x", beta) * math.exp(nu1) - obs.error_gain("d2", "x", beta) * math.exp(nu2)
     return max(raw * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2), 0.0)
@@ -294,14 +303,14 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
     Outcome 1's error gains are divided by eta: it is the less efficient
     detector's.
     """
-    return float(_gamma2_upper(obs, cfg, eta))
+    return float(_gamma2_upper(obs.gains, obs.error_rates, cfg, eta))
 
 
-def _gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float):
-    """``gamma2_upper`` of each of stacked observations."""
+def _gamma2_upper(gains: np.ndarray, error_rates: np.ndarray, cfg: DecoyConfig, eta: float):
+    """``gamma2_upper`` of each of stacked (gains, error_rates), (..., 3, 2, 2)."""
     _require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
-    eg = obs.error_rates[..., 1, :] * obs.gains[..., 1, :]  # x basis: (..., intensity, outcome)
+    eg = error_rates[..., 1, :] * gains[..., 1, :]  # x basis: (..., intensity, outcome)
     q = (eg[..., 1, 0] + eg[..., 1, 1] / eta) * math.exp(nu1) - (eg[..., 2, 0] + eg[..., 2, 1] / eta) * math.exp(nu2)
     return np.maximum(q * cfg.mu * math.exp(-cfg.mu) / (nu1 - nu2), 0.0) * eta
 
@@ -402,7 +411,7 @@ def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: 
     corner both terms are 0, so its gap is not computed. The formulas are
     elementwise, so each result equals ``decoy_keyrate``'s bit for bit.
     """
-    lo, up, q = _box(obs, cfg, eta)
+    lo, up, q = _box(obs.gains, obs.error_rates, cfg, eta)
     ec = _ec_term(obs, f_ec).reshape(-1)
     x, searched = _worst_points(lo, up, q, ec, eta)
     grad, slack = _entropy_grad(x[searched, 0], x[searched, 1], q[searched], eta)
@@ -419,11 +428,11 @@ def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: 
     ]
 
 
-def _box(obs: DecoyObservations, cfg: DecoyConfig, eta: float):
+def _box(gains: np.ndarray, error_rates: np.ndarray, cfg: DecoyConfig, eta: float):
     """Each stacked observation's estimated box: its lower and upper corners,
     shape (n, 2), and its x-error gain ``gamma2_upper / eta``, shape (n,)."""
-    lo, up = (v.reshape(-1, 2) for v in _q1_bounds(obs, cfg))
-    return lo, up, _gamma2_upper(obs, cfg, eta).reshape(-1) / eta
+    lo, up = (v.reshape(-1, 2) for v in _q1_bounds(gains, cfg))
+    return lo, up, _gamma2_upper(gains, error_rates, cfg, eta).reshape(-1) / eta
 
 
 def _worst_points(lo, up, q, ec, eta: float):
@@ -530,7 +539,7 @@ def _channel_rates(models, cfg: DecoyConfig, lengths, f_ec: float, decoy: bool, 
     points = []
     if decoy:
         eta = models[0].eta
-        lo, up, q = _box(DecoyObservations(obs.gains[0], obs.error_rates[0]), cfg, eta)
+        lo, up, q = _box(obs.gains[0], obs.error_rates[0], cfg, eta)
         x = _worst_points(lo, up, q, ec[0], eta)[0]
         points.append((x[None, :, 0], x[None, :, 1], q[None], np.full((1, len(q)), eta), ec[:1]))
     if limits:

@@ -482,14 +482,19 @@ def test_non_finite_range_endpoint_exits_one(capsys, argv, flag, value):
     assert f"{flag} = {value} outside" in err
 
 
-def test_out_of_domain_swept_values_print_nan(capsys):
-    code, out, _ = run(
-        capsys, "sweep", "--variable", "eta", "--start", "0.5", "--stop", "2", "--steps", "4",
-        "--qz", "0.05", "--qx", "0.05", "--methods", "balanced",
-    )
-    assert code == 0
-    _, data = parse_csv(out)
-    assert math.isfinite(data[0][1]) and all(math.isnan(row[1]) for row in data[2:])
+def test_out_of_domain_sweep_endpoints_exit_one(capsys):
+    # These sweeps once printed nan rows with exit 0: a swept eta must lie in
+    # (0, 1] and a swept q in [0, 1].
+    for variable, start, stop, flag in (
+        ("eta", "-0.5", "1", "--start"), ("eta", "0.5", "2", "--stop"), ("q", "0", "1.5", "--stop"),
+    ):
+        code, out, err = run(
+            capsys, "sweep", "--variable", variable, "--start", start, "--stop", stop, "--steps", "4",
+            "--qz", "0.05", "--qx", "0.05", "--methods", "balanced",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} = {float(start if flag == '--start' else stop)} outside")
 
 
 def test_subnormal_mismatch_exits_one(capsys):

@@ -14,6 +14,7 @@ from bb84_mismatch import (
     bound_Y0,
     bound_e1q1,
     decoy_keyrate,
+    detection_imbalance,
     gamma2_upper,
     poisson_gain,
     simulate_error,
@@ -403,6 +404,42 @@ def test_decoy_rates_reject_bad_f_ec(f_ec):
         theoretical_limit(model, obs, BENCHMARK_CFG, f_ec=f_ec)
 
 
+_MODEL = benchmark_model(20.0)
+_OBS = simulate_observations(_MODEL, BENCHMARK_CFG)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bound_Q1(_OBS, BENCHMARK_CFG, 2),
+        lambda: bound_e1q1(_OBS, BENCHMARK_CFG, 5),
+        lambda: bound_Y0(_OBS, BENCHMARK_CFG, -1),
+        lambda: simulate_yield(_MODEL, 1, "z", 2),
+        lambda: simulate_error(_MODEL, 1, "z", 3),
+        lambda: simulate_yield(_MODEL, 1.5, "z", 0),
+        lambda: poisson_gain([1e-3] * 26, math.nan, 25),
+        lambda: poisson_gain([1e-3] * 25 + [math.nan], 0.5, 25),
+        lambda: poisson_pmf(1, math.nan),
+        lambda: poisson_pmf(1, -0.5),
+        lambda: detection_imbalance(math.nan, 1.0, 0.5),
+        lambda: detection_imbalance(0.8, math.inf, 0.5),
+        lambda: detection_imbalance(0.8, 1.0, 2.0),
+        lambda: detection_imbalance(np.array([0.8, math.nan]), 1.0, 0.5),
+        lambda: detection_imbalance(0.8, 1.0, np.array([0.5, 2.0])),
+    ],
+    ids=[
+        "q1_outcome", "e1q1_outcome", "y0_outcome", "yield_outcome", "error_outcome", "yield_photons",
+        "gain_nan_mu", "gain_nan_yield", "pmf_nan_mu", "pmf_negative_mu", "imbalance_nan", "imbalance_inf",
+        "imbalance_eta", "imbalance_array_nan", "imbalance_array_eta",
+    ],
+)
+def test_every_argument_is_range_checked(call):
+    # Each once raised IndexError, returned nan or another outcome's value,
+    # or raised "math domain error".
+    with pytest.raises(ValueError, match=r" outside [\[(]| is not an integer"):
+        call()
+
+
 def test_singles_rate_array_matches_scalar_loop():
     # The grid scan evaluates the box as one array; each entry must agree with
     # a point-by-point evaluation, nan exactly where that one is infeasible.
@@ -498,11 +535,29 @@ def _seeded_boxes(seed, count):
     return observations, cfg, eta1 / eta0
 
 
+def _golden_min(fn, a, b):
+    """Golden-section minimizer of ``fn`` on [a, b] to absolute tolerance
+    1e-10, the midpoint of the final bracket; ties keep the lower point. The
+    search the reference below ran, kept here as it was."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - ratio * (b - a), a + ratio * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while b - a > 1e-10:
+        if f1 > f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + ratio * (b - a)
+            f2 = fn(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - ratio * (b - a)
+            f1 = fn(x1)
+    return (a + b) / 2.0
+
+
 def _decoy_argmin_loop(obs, cfg, eta, f_ec):
     """The grid scan and coordinate descent of golden-section searches that
     decoy_keyrate ran before its array zoom, kept as the reference."""
     from bb84_mismatch.decoy import _ec_term, _singles_rate
-    from bb84_mismatch.keyrates import _golden_min
 
     lo0, up0 = bound_Q1(obs, cfg, 0)
     lo1, up1 = bound_Q1(obs, cfg, 1)
@@ -791,14 +846,14 @@ def test_array_bounds_and_limits_match_one_row_calls_and_scalar_formulas_bitwise
         models, cfg, lengths = _parity_channels(seed)
         f_ec = (1.0, 1.16, 0.0)[seed % 3]
         stacked, singles = _simulate(models, cfg, lengths)
-        y0, (lower, upper), ec = _y0_lower(stacked, cfg), _q1_bounds(stacked, cfg), _ec_term(stacked, f_ec)
+        y0, (lower, upper) = _y0_lower(stacked.gains, cfg), _q1_bounds(stacked.gains, cfg)
+        ec = _ec_term(stacked, f_ec)
         a, b, q, eta = _limit_points(singles, [m.eta for m in models], cfg)
         rate, lam = _singles_rate(a, b, q, eta, ec)
         delta = _imbalance(rate, a, b, eta)
         assert np.array_equal(_channel_rates(models, cfg, lengths, f_ec, False, True), rate, equal_nan=True)
         for c, model in enumerate(models):
-            channel = DecoyObservations(stacked.gains[c], stacked.error_rates[c])
-            gamma2 = _gamma2_upper(channel, cfg, model.eta)
+            gamma2 = _gamma2_upper(stacked.gains[c], stacked.error_rates[c], cfg, model.eta)
             for k, length in enumerate(lengths):
                 at = replace(model, length_km=float(length))
                 obs = simulate_observations(at, cfg)

@@ -19,7 +19,6 @@ from bb84_mismatch import (
     mismatch_penalty_ratio,
 )
 from bb84_mismatch.cli import main
-from bb84_mismatch.keyrates import _GOLDEN, _golden_min
 
 h = binary_entropy
 
@@ -159,6 +158,40 @@ def test_discard_optimized_is_never_below_balanced():
     points += [tuple(rng.uniform((0, 0, 0.01, 0.01), (0.11, 0.11, 1, 1))) for _ in range(300)]
     for q_z, q_x, eta, t in points:
         assert keyrate_discard_optimized(q_z, q_x, eta, t).rate >= keyrate_balanced(q_z, q_x, eta, t).rate
+
+
+def _discard_draws(seed, count):
+    """Seeded (q_z, q_x, eta, t, f_ec): q_z in [0, 1/2], q_x in [0, 1], eta
+    and t log-uniform down to 1e-3 and 1e-6, f_ec in [0, 2]."""
+    rng = np.random.default_rng(seed)
+    return zip(
+        rng.uniform(0.0, 0.5, count).tolist(), rng.uniform(0.0, 1.0, count).tolist(),
+        (10.0 ** rng.uniform(-3.0, 0.0, count)).tolist(), (10.0 ** rng.uniform(-6.0, 0.0, count)).tolist(),
+        rng.uniform(0.0, 2.0, count).tolist(),
+    )
+
+
+def test_discarded_rate_is_midpoint_concave_in_eta1():
+    # The discard search's exactness rests on this concavity (the perspective
+    # argument in keyrate_discard_optimized's docstring).
+    from bb84_mismatch.keyrates import _discarded_rate
+
+    rng = np.random.default_rng(19)
+    for q_z, q_x, eta, t, f_ec in _discard_draws(190, 2000):
+        ec = f_ec * h(q_z)
+        ends = eta + (1.0 - eta) * rng.uniform(size=(2, 64))
+        rate = _discarded_rate(q_x, eta, t, np.vstack([ends, ends.mean(axis=0)]), ec)[0]
+        # Each rate is t times terms of size at most 2 + ec, each rounded.
+        assert np.all(rate[2] >= (rate[0] + rate[1]) / 2.0 - 1e-14 * t * (2.0 + ec))
+
+
+def test_discard_optimized_is_never_below_a_dense_grid():
+    from bb84_mismatch.keyrates import _discarded_rate
+
+    for q_z, q_x, eta, t, f_ec in _discard_draws(191, 1000):
+        ec = f_ec * h(q_z)
+        grid_max = _discarded_rate(q_x, eta, t, np.linspace(eta, 1.0, 4097), ec)[0].max()
+        assert keyrate_discard_optimized(q_z, q_x, eta, t, f_ec).rate >= grid_max - 1e-14 * t * (2.0 + ec)
 
 
 def test_balanced_dominates_fung1_across_mismatch_range():
@@ -403,42 +436,3 @@ def test_eta_one_pass_rate_tolerance_is_relative_to_t():
         keyrate_general(0.0, 0.0, 1.0, 1e-13, 9e-13)
     for t in (1e-13, 0.7):
         assert keyrate_general(0.05, 0.05, 1.0, t, t * (1.0 + 1e-15)).feasible
-
-
-def _golden_min_loop(fn, a, b):
-    """The golden-section loop as it was before it became a generator, kept
-    verbatim as the reference for ``_golden_min``."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > 1e-10:
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fn(x1)
-    return (a + b) / 2.0
-
-
-def test_golden_min_matches_the_plain_loop():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = float(rng.uniform(-2.0, 1.0))
-        b = a + float(rng.uniform(1e-9, 3.0))
-        c, w = float(rng.uniform(a - 0.5, b + 0.5)), float(rng.uniform(1.0, 40.0))
-        fns = [
-            lambda x: (x - c) ** 2,  # unimodal
-            lambda x: math.sin(w * x) + 0.1 * x,  # many local minima
-            lambda x: math.floor(4.0 * (x - c) ** 2),  # plateaus: ties
-            lambda x: 0.0,  # all ties
-            lambda x: math.inf if x > c else -x,  # inf beyond c
-        ]
-        for fn in fns:
-            calls, loop_calls = [], []
-            got = _golden_min(lambda x: calls.append(x) or fn(x), a, b)
-            want = _golden_min_loop(lambda x: loop_calls.append(x) or fn(x), a, b)
-            assert got == want
-            assert calls == loop_calls
