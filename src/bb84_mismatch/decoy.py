@@ -252,8 +252,15 @@ def _simulate(models, cfg: DecoyConfig, lengths) -> tuple[DecoyObservations, np.
     return DecoyObservations(*(np.repeat(a[..., None, :], 2, axis=-2) for a in (q, errors))), rows[..., 1]
 
 
+def _require_one(obs: DecoyObservations) -> None:
+    """Raise ValueError unless ``obs`` holds one observation, shape (3, 2, 2)."""
+    if obs.gains.shape != (3, 2, 2):
+        raise ValueError(f"expected one observation of shape (3, 2, 2), got observations of shape {obs.gains.shape}")
+
+
 def bound_Y0(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
     """Lower bound on the vacuum yield from the two decoy gains in the z basis."""
+    _require_one(obs)
     return float(_y0_lower(obs.gains, cfg)[_require_in("beta", beta, 0, 1, integer=True)])
 
 
@@ -270,6 +277,7 @@ def bound_Q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> tuple[float
     The upper bound is the full signal gain; the lower bound combines the
     decoy gains with the vacuum-yield bound and is clamped into [0, upper].
     """
+    _require_one(obs)
     _require_in("beta", beta, 0, 1, integer=True)
     lower, upper = _q1_bounds(obs.gains, cfg)
     return float(lower[beta]), float(upper[beta])
@@ -279,11 +287,15 @@ def _q1_bounds(gains: np.ndarray, cfg: DecoyConfig):
     """``bound_Q1`` of both outcomes (last axis) of stacked gains (..., 3, 2, 2)."""
     mu, nu1, nu2 = cfg.mu, cfg.nu1, cfg.nu2
     den = mu * nu1 - mu * nu2 - nu1**2 + nu2**2
-    if den <= 0.0:
-        raise ConfigError("degenerate decoy intensities: mu*nu1 - mu*nu2 - nu1^2 + nu2^2 <= 0")
+    # A subnormal den passes den > 0 but overflows the prefactor to inf.
+    scale = mu**2 * math.exp(-mu) / den if den > 0.0 else math.inf
+    if not math.isfinite(scale):
+        raise ConfigError(
+            f"degenerate decoy intensities: mu*nu1 - mu*nu2 - nu1^2 + nu2^2 = {den:.3g} is too small to divide by"
+        )
     qs, qd1, qd2 = (gains[..., v, 0, :] for v in range(3))
     y0 = _y0_lower(gains, cfg)
-    lower = mu**2 * math.exp(-mu) / den * (
+    lower = scale * (
         qd1 * math.exp(nu1) - qd2 * math.exp(nu2) - (nu1**2 - nu2**2) / mu**2 * (qs * math.exp(mu) - y0)
     )
     return np.minimum(np.maximum(lower, 0.0), qs), qs
@@ -291,6 +303,7 @@ def _q1_bounds(gains: np.ndarray, cfg: DecoyConfig):
 
 def bound_e1q1(obs: DecoyObservations, cfg: DecoyConfig, beta: int) -> float:
     """Upper bound on the single-photon error-gain product e_1 * Q_1^{s x beta}."""
+    _require_one(obs)
     _require_in("beta", beta, 0, 1, integer=True)
     nu1, nu2 = cfg.nu1, cfg.nu2
     raw = obs.error_gain("d1", "x", beta) * math.exp(nu1) - obs.error_gain("d2", "x", beta) * math.exp(nu2)
@@ -303,6 +316,7 @@ def gamma2_upper(obs: DecoyObservations, cfg: DecoyConfig, eta: float) -> float:
     Outcome 1's error gains are divided by eta: it is the less efficient
     detector's.
     """
+    _require_one(obs)
     return float(_gamma2_upper(obs.gains, obs.error_rates, cfg, eta))
 
 
@@ -383,6 +397,7 @@ def decoy_keyrate(
     Frank-Wolfe bound at the point found. The result records the argmin and
     whether it sits at the lower-bound corner.
     """
+    _require_one(obs)
     return _decoy_keyrates(obs, cfg, eta, f_ec)[0]
 
 
@@ -502,6 +517,7 @@ def theoretical_limit(
     ``simulate_observations(model, cfg)``; they supply the error-correction
     term, so that a channel is simulated once for both rates.
     """
+    _require_one(obs)
     singles = np.stack(_yields([model], [model.length_km], np.array([1])))[..., 0]
     a, b, q, eta = _limit_points(singles, [model.eta if eta is None else eta], cfg)
     _require_yields(singles)

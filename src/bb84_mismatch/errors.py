@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 
 class SupportError(ValueError):
@@ -27,9 +28,15 @@ class TruncationError(ValueError):
 def _require_in(name, value, lo, hi, *, open_lo=False, integer=False, error=ValueError):
     """Return ``value`` if it is finite and in [lo, hi], or (lo, hi] when
     ``open_lo``, and a Python or numpy int when ``integer``; otherwise raise
-    ``error``, saying "name = value outside [lo, hi]". nan and +-inf fail."""
+    ``error``, saying "name = value outside [lo, hi]". nan, +-inf and ints
+    beyond the float range fail."""
     if integer and not isinstance(value, numbers.Integral):
         raise error(f"{name} = {value!r} is not an integer")
-    if not (math.isfinite(value) and (lo < value if open_lo else lo <= value) and value <= hi):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        limit = sys.float_info.max
+        raise error(f"{name} = {value} outside [{-limit:g}, {limit:g}], the float range") from None
+    if not (finite and (lo < value if open_lo else lo <= value) and value <= hi):
         raise error(f"{name} = {value} outside {'(' if open_lo else '['}{lo:g}, {hi:g}]")
     return value

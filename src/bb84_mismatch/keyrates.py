@@ -244,6 +244,43 @@ def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
     return p * (binary_entropy(arg) - binary_entropy(lam) - ec), lam
 
 
+def _slope_at_one(q_x: float, eta: float, ec: float) -> tuple[float, float]:
+    """dR/da of the discarded rate R = p*g(s) at eta1 = 1, with a rounding
+    allowance; 0 < eta < 1, ``ec`` = f_ec*h(q_z) as in ``_discarded_rate``.
+
+    With a = eta1*t/2, s = 1/(1 + eta), c = 1 - 2q_x, rho = hypot(2s - 1,
+    2c*sqrt(s(1 - s))) and lambda = 1/2 - rho/2,
+      dR/da = g(s) + (1 - s)*[log2((1 - s)/s) - log2((1 - lambda)/lambda)*lambda'],
+    lambda' = -(2s - 1)(1 - c^2)/rho, the lambda term 0 where lambda = 0. Since
+    h(s) + (1 - s)*log2((1 - s)/s) = -log2(s), this is computed as
+      log2(1 + eta) - h(lambda) - ec + m*L,  L = log2((1 - lambda)/lambda),
+    from k = 1 - c^2 = 4q_x(1 - q_x), m = (1 - s)(2s - 1)k/rho and lambda =
+    2s(1 - s)k/(1 + rho), which is (1 - rho)/2 without its cancellation.
+
+    Allowance: 1 - s, s and 2s - 1 are computed as eta, 1 and 1 - eta over
+    1 + eta, so with log2 and hypot within one ulp, each of them, k, rho, m
+    and lambda is within 18u relative of its exact value (u = 2^-53). So L is
+    off by at most 58u + 3u*L, h(lambda) by 25u*h(lambda) + 2u (as
+    lambda*L <= h(lambda)), log2(1 + eta) by 4u and, to first order, the
+    computed slope is within
+      u*[9 + 28*h(lambda) + 3*ec + m*(58 + 25*L)] <= 2^-47 * [1 + h(lambda) + ec + m*(1 + L)]
+    of the exact one. Intermediates below the normal range move it by far
+    less than the constant term.
+
+    Returns (slope, allowance).
+    """
+    s0, s, d = eta / (1.0 + eta), 1.0 / (1.0 + eta), (1.0 - eta) / (1.0 + eta)
+    k = 4.0 * q_x * (1.0 - q_x)
+    rho = math.hypot(d, 2.0 * (1.0 - 2.0 * q_x) * math.sqrt(s * s0))
+    lam, m = 2.0 * s * s0 * k / (1.0 + rho), s0 * d * k / rho
+    h_lam = log_odds = 0.0
+    if lam > 0.0:
+        log_odds = math.log2(1.0 - lam) - math.log2(lam)
+        h_lam = -lam * math.log2(lam) - (1.0 - lam) * math.log2(1.0 - lam)
+    slope = math.log2(1.0 + eta) - h_lam - ec + m * log_odds
+    return slope, 2.0**-47 * (1.0 + h_lam + ec + m * (1.0 + log_odds))
+
+
 def keyrate_discard_optimized(
     q_z: float, q_x: float, eta: float, t: float = 1.0, f_ec: float = 1.0
 ) -> KeyRateResult:
@@ -257,21 +294,33 @@ def keyrate_discard_optimized(
     f_ec*h(q_z) (Boyd & Vandenberghe, Convex Optimization, sec. 3.2.6). g is
     concave (checked to 40 digits; constant at q_x = 1/2), so the rate is
     concave in eta1: a maximizer lies within one step of a grid's first best
-    point. 256-point grids shrink to that point's neighbours until those are
-    at most 1e-10 apart; the first best of eta1 = 1, that point and eta1 = eta
-    wins, so a tie goes to the balanced rate.
+    point.
+
+    Certificate: a concave rate whose slope at eta1 = 1 is positive peaks
+    there. So where the closed-form slope dR/da = g(s) + (1 - s)*g'(s) at
+    s = 1/(1 + eta) exceeds its first-order rounding allowance, 2^-47 times
+    1 + h(lambda) + f_ec*h(q_z) + a lambda term (``_slope_at_one``), eta1 = 1
+    is returned without a search: the balanced rate, bit for bit. Elsewhere
+    256-point grids shrink to the first best point's neighbours until those
+    are at most 1e-10 apart; the first best of eta1 = 1, that point and
+    eta1 = eta wins, so a tie goes to the balanced rate.
 
     Raises:
         ValueError: if an input is out of range or t*eta underflows to 0.
         ConfigError: unless f_ec is finite and non-negative.
     """
     ec = _balanced_ec(q_z, q_x, eta, t, f_ec)
-    lo, hi, x = eta, 1.0, eta
-    while hi - lo > 1e-10:
-        grid = np.linspace(lo, hi, 256)
-        k = int(np.argmax(_discarded_rate(q_x, eta, t, grid, ec)[0]))
-        lo, hi, x = grid[[max(k - 1, 0), min(k + 1, 255), k]].tolist()
-    candidates = [(*_discarded_rate(q_x, eta, t, eta1, ec), eta1) for eta1 in (1.0, x, eta)]
+    eta1s = (1.0,)
+    if eta < 1.0:
+        slope, allowance = _slope_at_one(q_x, eta, ec)
+        if not slope > allowance:
+            lo, hi, x = eta, 1.0, eta
+            while hi - lo > 1e-10:
+                grid = np.linspace(lo, hi, 256)
+                k = int(np.argmax(_discarded_rate(q_x, eta, t, grid, ec)[0]))
+                lo, hi, x = grid[[max(k - 1, 0), min(k + 1, 255), k]].tolist()
+            eta1s = (1.0, x, eta)
+    candidates = [(*_discarded_rate(q_x, eta, t, eta1, ec), eta1) for eta1 in eta1s]
     rate, lam, eta1_star = max(candidates, key=lambda c: c[0])  # the first of equal rates
     return KeyRateResult(
         rate=float(rate), feasible=True, delta=0.0, lam=float(lam),

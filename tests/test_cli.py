@@ -504,6 +504,15 @@ def test_subnormal_mismatch_exits_one(capsys):
     assert err.startswith("error: eta = ")
 
 
+@pytest.mark.filterwarnings("error")
+def test_subnormal_decoy_intensity_exits_one(capsys):
+    # mu*nu1 - nu1^2 is 5e-321 here: it passed the > 0 test, the Q_1 bound's
+    # prefactor overflowed to inf and every decoy row printed nan with exit 0.
+    code, out, err = run(capsys, "decoy-sim", "--l-steps", "3", "--nu1", "1e-320")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: degenerate decoy intensities: ")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "1e300", "-1.5"])
 def test_verify_checks_perturb_before_any_check_runs(capsys, monkeypatch, value):
     import bb84_mismatch.cli as cli

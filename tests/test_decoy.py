@@ -417,6 +417,7 @@ _OBS = simulate_observations(_MODEL, BENCHMARK_CFG)
         lambda: simulate_yield(_MODEL, 1, "z", 2),
         lambda: simulate_error(_MODEL, 1, "z", 3),
         lambda: simulate_yield(_MODEL, 1.5, "z", 0),
+        lambda: simulate_yield(_MODEL, 10**400, "z", 0),
         lambda: poisson_gain([1e-3] * 26, math.nan, 25),
         lambda: poisson_gain([1e-3] * 25 + [math.nan], 0.5, 25),
         lambda: poisson_pmf(1, math.nan),
@@ -429,15 +430,36 @@ _OBS = simulate_observations(_MODEL, BENCHMARK_CFG)
     ],
     ids=[
         "q1_outcome", "e1q1_outcome", "y0_outcome", "yield_outcome", "error_outcome", "yield_photons",
+        "yield_photons_beyond_float",
         "gain_nan_mu", "gain_nan_yield", "pmf_nan_mu", "pmf_negative_mu", "imbalance_nan", "imbalance_inf",
         "imbalance_eta", "imbalance_array_nan", "imbalance_array_eta",
     ],
 )
 def test_every_argument_is_range_checked(call):
-    # Each once raised IndexError, returned nan or another outcome's value,
-    # or raised "math domain error".
+    # Each once raised IndexError, OverflowError, returned nan or another
+    # outcome's value, or raised "math domain error".
     with pytest.raises(ValueError, match=r" outside [\[(]| is not an integer"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda obs: decoy_keyrate(obs, BENCHMARK_CFG, _MODEL.eta),
+        lambda obs: bound_Y0(obs, BENCHMARK_CFG, 0),
+        lambda obs: bound_Q1(obs, BENCHMARK_CFG, 0),
+        lambda obs: bound_e1q1(obs, BENCHMARK_CFG, 0),
+        lambda obs: gamma2_upper(obs, BENCHMARK_CFG, _MODEL.eta),
+        lambda obs: theoretical_limit(_MODEL, obs, BENCHMARK_CFG),
+    ],
+    ids=["decoy_keyrate", "bound_Y0", "bound_Q1", "bound_e1q1", "gamma2_upper", "theoretical_limit"],
+)
+def test_one_observation_functions_reject_stacked_observations(call):
+    # decoy_keyrate returned the first observation's rate; the others raised
+    # TypeError or IndexError.
+    stacked = _stack([simulate_observations(benchmark_model(km), BENCHMARK_CFG) for km in (10.0, 20.0)])
+    with pytest.raises(ValueError, match=r"shape \(3, 2, 2\), got observations of shape \(2, 3, 2, 2\)"):
+        call(stacked)
 
 
 def test_singles_rate_array_matches_scalar_loop():

@@ -171,6 +171,101 @@ def _discard_draws(seed, count):
     )
 
 
+def _near_flat_draws(seed, count):
+    """Seeded (q_z, q_x, eta, t, f_ec) as ``_discard_draws``', q_z from 0.01,
+    with f_ec set so that the slope at eta1 = 1 is within 1e-6 relative of 0:
+    f_ec*h(q_z) is the slope at f_ec = 0 times 1 +- 1e-6."""
+    from bb84_mismatch.keyrates import _slope_at_one
+
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        q_z, q_x = rng.uniform(0.01, 0.5), rng.uniform(0.0, 1.0)
+        eta, t = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-6.0, 0.0)
+        rise = _slope_at_one(q_x, eta, 0.0)[0]
+        if rise > 0.0:
+            draws.append((q_z, q_x, eta, t, rise * (1.0 + rng.uniform(-1e-6, 1e-6)) / h(q_z)))
+    return draws
+
+
+def _searched_discard(q_z, q_x, eta, t, f_ec):
+    """``keyrate_discard_optimized`` without its certificate: the grid zoom and
+    the first best of (1, zoom point, eta), as (rate, lambda, eta1*)."""
+    from bb84_mismatch.keyrates import _balanced_ec, _discarded_rate
+
+    ec = _balanced_ec(q_z, q_x, eta, t, f_ec)
+    lo, hi, x = eta, 1.0, eta
+    while hi - lo > 1e-10:
+        grid = np.linspace(lo, hi, 256)
+        k = int(np.argmax(_discarded_rate(q_x, eta, t, grid, ec)[0]))
+        lo, hi, x = grid[[max(k - 1, 0), min(k + 1, 255), k]].tolist()
+    candidates = [(*_discarded_rate(q_x, eta, t, eta1, ec), eta1) for eta1 in (1.0, x, eta)]
+    rate, lam, eta1 = max(candidates, key=lambda c: c[0])
+    return float(rate), float(lam), eta1
+
+
+@pytest.mark.parametrize(
+    "draws, counts",
+    [(lambda: _discard_draws(191, 1000), (51, 949, 0)), (lambda: _near_flat_draws(192, 200), (114, 86, 112))],
+    ids=["seeded", "near_flat"],
+)
+def test_certificate_fires_only_where_the_maximum_is_at_eta1_one(draws, counts):
+    # Where the slope at eta1 = 1 beats its allowance, the result is the
+    # eta1 = 1 candidate, and the search, which has that candidate, ends
+    # there or at a rate above it by no more than rounding (its last level
+    # spans 1e-10, where the rate is flat to rounding); elsewhere the search
+    # runs as before, bit for bit. counts: (certified, searched, certified
+    # points where the search picks eta1 < 1).
+    from bb84_mismatch.keyrates import _slope_at_one
+
+    certified = searched = rounded_up = 0
+    for q_z, q_x, eta, t, f_ec in draws():
+        ec = f_ec * h(q_z)
+        res = keyrate_discard_optimized(q_z, q_x, eta, t, f_ec)
+        rate, lam, eta1 = _searched_discard(q_z, q_x, eta, t, f_ec)
+        slope, allowance = _slope_at_one(q_x, eta, ec)
+        if slope > allowance:
+            certified += 1
+            assert res.optimizer_args == (1.0, eta)
+            assert res.rate == keyrate_balanced(q_z, q_x, eta, t, f_ec).rate
+            if eta1 != 1.0:
+                rounded_up += 1
+                assert res.rate < rate <= res.rate + 1e-14 * t * (2.0 + ec)
+            else:
+                assert (res.rate, res.lam) == (rate, lam)
+        else:
+            searched += 1
+            assert (res.rate, res.lam, res.optimizer_args) == (rate, lam, (eta1, eta / eta1))
+    assert (certified, searched, rounded_up) == counts
+
+
+def test_slope_at_one_is_within_its_allowance():
+    # The allowance bounds the computed slope's rounding error, against a
+    # 50-digit evaluation of g(s) + (1 - s)*g'(s) as written, without the
+    # rewrites that avoid cancellation. The last draws put lambda near 0 and
+    # eta near 1.
+    mp = pytest.importorskip("mpmath")
+    from bb84_mismatch.keyrates import _slope_at_one
+
+    mp.mp.dps = 50
+
+    def h50(x):
+        return -x * mp.log(x, 2) - (1 - x) * mp.log(1 - x, 2) if 0 < x < 1 else mp.mpf(0)
+
+    rng = np.random.default_rng(194)
+    draws = [(q_x, eta, f_ec * h(q_z)) for q_z, q_x, eta, _, f_ec in _discard_draws(193, 300)]
+    draws += [(q_x, eta, f_ec * h(q_z)) for q_z, q_x, eta, _, f_ec in _near_flat_draws(195, 100)]
+    draws += [(10.0 ** rng.uniform(-15.0, -1.0), 1.0 - 10.0 ** rng.uniform(-15.0, -1.0), 0.1) for _ in range(100)]
+    for q_x, eta, ec in draws:
+        slope, allowance = _slope_at_one(q_x, eta, ec)
+        s, c = 1 / (1 + mp.mpf(eta)), 1 - 2 * mp.mpf(q_x)
+        rho = mp.sqrt((2 * s - 1) ** 2 + 4 * c**2 * s * (1 - s))
+        lam, dlam = (1 - rho) / 2, -(2 * s - 1) * (1 - c**2) / rho
+        bend = mp.log((1 - lam) / lam, 2) * dlam if lam > 0 else 0
+        exact = h50(s) - h50(lam) - ec + (1 - s) * (mp.log((1 - s) / s, 2) - bend)
+        assert abs(slope - exact) <= allowance
+
+
 def test_discarded_rate_is_midpoint_concave_in_eta1():
     # The discard search's exactness rests on this concavity (the perspective
     # argument in keyrate_discard_optimized's docstring).
@@ -188,7 +283,9 @@ def test_discarded_rate_is_midpoint_concave_in_eta1():
 def test_discard_optimized_is_never_below_a_dense_grid():
     from bb84_mismatch.keyrates import _discarded_rate
 
-    for q_z, q_x, eta, t, f_ec in _discard_draws(191, 1000):
+    # The near-flat draws reach the certificate's decisions where the slope at
+    # eta1 = 1 is smallest.
+    for q_z, q_x, eta, t, f_ec in [*_discard_draws(191, 1000), *_near_flat_draws(196, 200)]:
         ec = f_ec * h(q_z)
         grid_max = _discarded_rate(q_x, eta, t, np.linspace(eta, 1.0, 4097), ec)[0].max()
         assert keyrate_discard_optimized(q_z, q_x, eta, t, f_ec).rate >= grid_max - 1e-14 * t * (2.0 + ec)
@@ -235,12 +332,30 @@ def test_discard_collapses_without_mismatch():
 
 
 def test_discard_noiseless_optimum_keeps_everything():
-    # Discarding only loses rate in the noiseless case.
+    # Discarding only loses rate in the noiseless case: lambda = 0, and the
+    # slope at eta1 = 1 is -log2(s) = log2(1 + eta) > 0, so the point is certified.
+    from bb84_mismatch.keyrates import _slope_at_one
+
     for eta in (0.1, 0.4, 0.8):
+        slope, allowance = _slope_at_one(0.0, eta, 0.0)
+        assert slope == math.log2(1.0 + eta) > allowance
         res = keyrate_discard_optimized(0.0, 0.0, eta)
-        balanced = keyrate_balanced(0.0, 0.0, eta)
-        assert math.isclose(res.rate, balanced.rate, rel_tol=1e-9)
-        assert res.optimizer_args[0] >= 1.0 - 1e-6
+        assert res.rate == keyrate_balanced(0.0, 0.0, eta).rate
+        assert res.optimizer_args == (1.0, eta)
+
+
+def test_discard_at_half_x_error_drops_every_zero_it_may():
+    # At q_x = 1/2, lambda = 1 - s and g(s) = -ec, so the rate falls linearly
+    # in eta1 with slope -ec < 0: the point is searched and ends at eta1 = eta.
+    from bb84_mismatch.keyrates import _slope_at_one
+
+    ec = h(0.05)
+    for eta in (0.1, 0.4, 0.8):
+        slope, allowance = _slope_at_one(0.5, eta, ec)
+        assert abs(slope + ec) <= allowance
+        res = keyrate_discard_optimized(0.05, 0.5, eta)
+        assert res.optimizer_args == (eta, 1.0)
+        assert math.isclose(res.rate, -eta * ec, rel_tol=1e-14)
 
 
 def test_discard_beats_balanced_for_noisy_small_eta():
