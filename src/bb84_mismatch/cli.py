@@ -27,15 +27,7 @@ import numpy as np
 from . import __version__
 from .decoy import ChannelModel, DecoyConfig, _channel_rates
 from .errors import ConfigError, FeasibilityError, NoKeyError, _require_in
-from .keyrates import (
-    _common_loss,
-    _method_rate,
-    _require_f_ec,
-    feasible,
-    keyrate_balanced,
-    keyrate_general,
-    mismatch_penalty_ratio,
-)
+from .keyrates import _common_loss, _rates, _require_f_ec, feasible, keyrate_balanced, keyrate_general
 from .linalg import binary_entropy
 from .protocol import build_gamma_set, optimal_attack_state
 from .verifier import (
@@ -246,23 +238,17 @@ def cmd_rate(args) -> int:
     return 0 if res.feasible else 2
 
 
-def _sweep_value(method: str, x: float, variable: str, p: dict, scale: float) -> float | None:
-    """The rate of ``method`` at swept value ``x``, times the common loss ``scale``."""
-    if variable == "eta":
-        eta, q_z, q_x = x, p["q_z"], p["q_x"]
-    else:
-        eta, q_z, q_x = p["eta"], x, x
-    try:
-        if method == "penalty_ratio":
-            # A ratio of two rates cancels the common-loss factor.
-            return mismatch_penalty_ratio(q_x, eta)
-        if method == "general":
-            rate = keyrate_general(q_z, q_x, eta, p["t"], p["p_pass"], f_ec=p["f_ec"]).rate
-        else:
-            rate = _method_rate(method, q_z, q_x, eta, p["t"], p["f_ec"]).rate
-    except (NoKeyError, FeasibilityError, ValueError):
-        return None
-    return None if rate is None else scale * rate
+def _sweep_rates(methods, variable: str, grid: np.ndarray, p: dict, scale: float) -> np.ndarray:
+    """An eta or q sweep's rate columns, one array pass per method at the fixed
+    parameters ``p``, range-checked by the caller; nan where the public rate
+    raises or has none. The common loss ``scale`` cancels in ``penalty_ratio``.
+    """
+    point = (p["q_z"], p["q_x"], grid) if variable == "eta" else (grid, grid, p["eta"])
+    return np.column_stack([
+        (1.0 if m == "penalty_ratio" else scale)
+        * _rates(m, *point, p["t"], p["f_ec"], p.get("p_pass") if m == "general" else None)[0]
+        for m in methods
+    ])
 
 
 def _decoy_flags(args) -> dict:
@@ -297,8 +283,11 @@ def _distance_rates(d: dict, lengths, f_ec: float, columns) -> np.ndarray:
 
 
 def _rows(xs, rates) -> list[str]:
+    """CSV rows of ``xs`` and its rates, one ``%`` call each, as ``_fmt`` formats them."""
     table = np.column_stack([xs, np.asarray(rates, dtype=float)])
-    return [",".join(map(_fmt, row)) for row in table.tolist()]
+    table[~np.isfinite(table)] = np.nan
+    row = ",".join(["%.12g"] * table.shape[1])
+    return [row % values for values in map(tuple, table.tolist())]
 
 
 def cmd_sweep(args) -> int:
@@ -311,7 +300,7 @@ def cmd_sweep(args) -> int:
 
     eta, scale = _effective_eta(args)
     fixed = {"q_z": args.qz, "q_x": args.qx, "eta": eta, "t": args.t, "f_ec": args.f_ec}
-    # Checked up front: the rate functions would turn a bad f_ec into nan rows.
+    # Checked once, up front: the array rates take every fixed value as checked.
     _require_f_ec(args.f_ec)
     _require_ranges(qz=args.qz, qx=args.qx, eta=eta, t=args.t, p_pass=args.p_pass)
     if args.p_pass is not None:
@@ -344,7 +333,7 @@ def cmd_sweep(args) -> int:
     if variable == "distance_km":
         rates = _distance_rates(_decoy_flags(args), grid, args.f_ec, methods)
     else:
-        rates = [[_sweep_value(m, float(x), variable, fixed, scale) for m in methods] for x in grid]
+        rates = _sweep_rates(methods, variable, grid, fixed, scale)
     read = {k for m in methods for k in SWEEP_METHODS[m]} - set(_SWEPT[variable])
     lines = [
         f"# bb84-mismatch {__version__} sweep",

@@ -37,7 +37,9 @@ class DecoyConfig:
     """Signal and decoy intensities plus the photon-number cutoff.
 
     Requires 0 <= nu2 < nu1 and nu1 + nu2 < mu, the regime in which the
-    single-photon bounds hold.
+    single-photon bounds hold, and 10 <= i_max <= 4096, so that the rounding
+    of a sum of i_max + 1 Poisson weights, up to i_max*2^-53 (Higham, ch. 4),
+    stays below the 1e-12 tail mass that ``_poisson_weights`` tests for.
     """
 
     mu: float
@@ -54,8 +56,7 @@ class DecoyConfig:
             raise ConfigError(
                 f"decoy intensities must satisfy nu1 + nu2 < mu, got {self.nu1} + {self.nu2} >= {self.mu}"
             )
-        if not (isinstance(self.i_max, (int, np.integer)) and self.i_max >= 10):
-            raise ConfigError(f"i_max = {self.i_max} must be an integer of at least 10")
+        _require_in("i_max", self.i_max, 10, 4096, integer=True, error=ConfigError)
 
     def intensity(self, v: str) -> float:
         return {"s": self.mu, "d1": self.nu1, "d2": self.nu2}[v]

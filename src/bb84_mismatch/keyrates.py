@@ -81,13 +81,10 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
             eta = 1 but p_pass - t exceeds 1e-12*t, or t*(1-eta) underflows to 0.
     """
     if isinstance(p_pass, np.ndarray) or isinstance(t, np.ndarray) or isinstance(eta, np.ndarray):
-        p_pass, t, eta = np.broadcast_arrays(p_pass, t, eta)
-        balanced, denominator = eta == 1.0, t * (1.0 - eta)
-        bad = ~((p_pass >= 0.0) & (p_pass < math.inf) & (t > 0.0) & (t < math.inf) & (eta > 0.0) & (eta <= 1.0))
-        bad |= np.where(balanced, ~(np.abs(p_pass - t) <= 1e-12 * t), denominator == 0.0)
-        for point in zip(*(v[bad][:1].tolist() for v in (p_pass, t, eta))):
+        delta, bad = _imbalance(p_pass, t, eta)
+        for point in zip(*(v[bad][:1].tolist() for v in np.broadcast_arrays(p_pass, t, eta))):
             detection_imbalance(*point)
-        return np.divide(2.0 * p_pass - t * (1.0 + eta), denominator, out=np.zeros(p_pass.shape), where=~balanced)
+        return delta
     _require_in("p_pass", p_pass, 0.0, math.inf)
     _require_in("t", t, 0.0, math.inf, open_lo=True)
     _require_in("eta", eta, 0.0, 1.0, open_lo=True)
@@ -101,16 +98,25 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
     return (2.0 * p_pass - t * (1.0 + eta)) / denominator
 
 
-def feasible(q_x: float, delta: float) -> bool:
-    """Whether a PSD state compatible with (q_x, delta) exists.
+def _imbalance(p_pass, t, eta):
+    """``detection_imbalance`` elementwise over arrays, never raising: (delta,
+    bad), with bad where the scalar call raises and delta 0 there."""
+    p_pass, t, eta = np.broadcast_arrays(p_pass, t, eta)
+    balanced, denominator = eta == 1.0, t * (1.0 - eta)
+    bad = ~((p_pass >= 0.0) & (p_pass < math.inf) & (t > 0.0) & (t < math.inf) & (eta > 0.0) & (eta <= 1.0))
+    bad |= np.where(balanced, ~(np.abs(p_pass - t) <= 1e-12 * t), denominator == 0.0)
+    delta = np.divide(2.0 * p_pass - t * (1.0 + eta), denominator, out=np.zeros(p_pass.shape), where=~(balanced | bad))
+    return delta, bad
+
+
+def feasible(q_x, delta):
+    """Whether a PSD state compatible with (q_x, delta) exists, elementwise.
 
     True iff 1 - sqrt(1 - delta^2) <= 2*q_x <= 1 + sqrt(1 - delta^2); |delta| > 1
     is always infeasible.
     """
-    if abs(delta) > 1.0:
-        return False
-    root = math.sqrt(1.0 - delta**2)
-    return 1.0 - root <= 2.0 * q_x <= 1.0 + root
+    root = np.sqrt(abs(1.0 - delta * delta))  # the abs only alters points that |delta| <= 1 rejects
+    return (abs(delta) <= 1.0) & (1.0 - root <= 2.0 * q_x) & (2.0 * q_x <= 1.0 + root)
 
 
 def _entropy_args(a, b, t, x, eta):
@@ -156,19 +162,29 @@ def _entropy_grad(a, b, x, eta):
     return np.stack(partials, axis=-1), np.stack(allowances, axis=-1)
 
 
-def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float):
-    """(h argument, lambda) at pass rate p_pass and imbalance delta: the kernel at
-    gains a = t*(1+delta)/2, b = p_pass - a and x-error gain x = t*q_x. lambda
-    is clamped at 0; below -max(1e-12, 4u*(p + t + 2x)/p), its rounding
-    allowance (``_entropy_grad``; u = 2^-53, p = a + b), it raises ValueError
-    (inconsistent observations).
+def _general_args(q_x, eta, t, p_pass, delta):
+    """(h argument, lambda, inconsistent) at pass rate p_pass and imbalance
+    delta, elementwise over numpy arrays or scalars (a numpy delta, so that
+    p = 0 divides without raising) and never raising: the kernel at gains
+    a = t*(1+delta)/2, b = p_pass - a and x-error gain x = t*q_x, with lambda
+    unclamped. ``inconsistent`` marks lambda below -max(1e-12, 4u*(p + t + 2x)/p),
+    its rounding allowance (``_entropy_grad``; u = 2^-53, p = a + b).
     """
     a, x = t * (1.0 + delta) / 2.0, t * q_x
-    # Gains that cancel to p = 0 give a lambda of -inf or nan, rejected below.
+    # Gains that cancel to p = 0 give a lambda of -inf, which is inconsistent, or nan.
     with np.errstate(divide="ignore", invalid="ignore"):
         p, arg, lam = _entropy_args(a, p_pass - a, t, x, eta)
-    allowance = 2.0**-51 * (p + t + 2.0 * x) / p if p > 0.0 else 0.0
-    if lam < -max(1e-12, allowance):
+        allowance = 2.0**-51 * (p + t + 2.0 * x) / p
+    # lambda < -max(1e-12, allowance), with no allowance where p <= 0.
+    return arg, lam, (lam < -1e-12) & ((lam < -allowance) | (p <= 0.0))
+
+
+def _phase_args(q_x: float, eta: float, t: float, p_pass: float) -> tuple[float, float]:
+    """(h argument, lambda clamped at 0) of ``_general_args`` at the observed
+    imbalance, after checking the inputs; ValueError if lambda is inconsistent."""
+    _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
+    arg, lam, inconsistent = _general_args(q_x, eta, t, p_pass, np.float64(detection_imbalance(p_pass, t, eta)))
+    if inconsistent:
         raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
     return float(arg), max(float(lam), 0.0)
 
@@ -176,8 +192,7 @@ def _general_args(q_x: float, eta: float, t: float, p_pass: float, delta: float)
 def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
     """The phase-error argument lambda of the closed form, in [0, 1/2], at
     pass rate p_pass and x-basis error rate q."""
-    _check_ranges(q_x=q, eta=eta, t=t, p_pass=p_pass)
-    return _general_args(q, eta, t, p_pass, detection_imbalance(p_pass, t, eta))[1]
+    return _phase_args(q, eta, t, p_pass)[1]
 
 
 def keyrate_general(
@@ -196,12 +211,11 @@ def keyrate_general(
     delta = detection_imbalance(p_pass, t, eta)
     if not feasible(q_x, delta):
         return KeyRateResult(rate=None, feasible=False, delta=delta, lam=None, method="general")
-    arg, lam = _general_args(q_x, eta, t, p_pass, delta)
-    if arg < -1e-12 or arg > 1.0 + 1e-12:
+    rate, lam, _ = _rates("general", q_z, q_x, eta, t, f_ec, p_pass)
+    if np.isnan(rate[0]):
+        arg = _phase_args(q_x, eta, t, p_pass)[0]  # raises where lambda is the cause
         raise ValueError(f"entropy argument {arg} outside [0, 1]: observations are inconsistent")
-    arg = min(max(arg, 0.0), 1.0)
-    rate = p_pass * (binary_entropy(arg) - binary_entropy(lam) - f_ec * binary_entropy(q_z))
-    return KeyRateResult(rate=rate, feasible=True, delta=delta, lam=lam, method="general")
+    return KeyRateResult(rate=rate.item(), feasible=True, delta=delta, lam=lam.item(), method="general")
 
 
 def keyrate_balanced(
@@ -217,17 +231,17 @@ def keyrate_balanced(
         ValueError: if an input is out of range or t*eta underflows to 0.
         ConfigError: unless f_ec is finite and non-negative.
     """
-    rate, lam = _discarded_rate(q_x, eta, t, 1.0, _balanced_ec(q_z, q_x, eta, t, f_ec))
-    return KeyRateResult(rate=float(rate), feasible=True, delta=0.0, lam=float(lam), method="balanced")
+    _check_balanced(q_z, q_x, eta, t, f_ec)
+    rate, lam, _ = _rates("balanced", q_z, q_x, eta, t, f_ec)
+    return KeyRateResult(rate=rate.item(), feasible=True, delta=0.0, lam=lam.item(), method="balanced")
 
 
-def _balanced_ec(q_z: float, q_x: float, eta: float, t: float, f_ec: float) -> float:
-    """Check the inputs of a balanced rate; return its leakage f_ec*h(q_z)."""
+def _check_balanced(q_z: float, q_x: float, eta: float, t: float, f_ec: float) -> None:
+    """Raise unless a balanced rate's inputs are in range and t*eta/2 is positive."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=t * (1.0 + eta) / 2.0)
     _require_f_ec(f_ec)
     if not eta * t / 2.0 > 0.0:
         raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}")
-    return f_ec * binary_entropy(q_z)
 
 
 def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
@@ -235,13 +249,15 @@ def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
 
     The closed form at gains (eta1*t/2, eta*t/2), transparency eta1*t, x-error
     gain eta1*t*q_x and mismatch eta/eta1; it is balanced for every eta1.
-    ``ec`` is f_ec*h(q_z). Elementwise over a scalar or an array ``eta1``.
+    ``ec`` is f_ec*h(q_z). Elementwise over a scalar or an array ``eta1``, or
+    over arrays q_x, eta and ec of one shape.
     """
     t_eff = eta1 * t
     p, arg, lam = _entropy_args(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
     # lambda >= 0 holds exactly here; the clamp only absorbs rounding.
     lam = np.maximum(lam, 0.0)
-    return p * (binary_entropy(arg) - binary_entropy(lam) - ec), lam
+    h_arg, h_lam = binary_entropy(np.array((arg, lam)))  # one call for both halves the overhead
+    return p * (h_arg - h_lam - ec), lam
 
 
 def _slope_at_one(q_x: float, eta: float, ec: float) -> tuple[float, float]:
@@ -309,36 +325,34 @@ def keyrate_discard_optimized(
         ValueError: if an input is out of range or t*eta underflows to 0.
         ConfigError: unless f_ec is finite and non-negative.
     """
-    ec = _balanced_ec(q_z, q_x, eta, t, f_ec)
-    eta1s = (1.0,)
-    if eta < 1.0:
-        slope, allowance = _slope_at_one(q_x, eta, ec)
-        if not slope > allowance:
-            lo, hi, x = eta, 1.0, eta
-            while hi - lo > 1e-10:
-                grid = np.linspace(lo, hi, 256)
-                k = int(np.argmax(_discarded_rate(q_x, eta, t, grid, ec)[0]))
-                lo, hi, x = grid[[max(k - 1, 0), min(k + 1, 255), k]].tolist()
-            eta1s = (1.0, x, eta)
-    candidates = [(*_discarded_rate(q_x, eta, t, eta1, ec), eta1) for eta1 in eta1s]
-    rate, lam, eta1_star = max(candidates, key=lambda c: c[0])  # the first of equal rates
+    _check_balanced(q_z, q_x, eta, t, f_ec)
+    rate, lam, eta1 = (v.item() for v in _rates("discard_optimized", q_z, q_x, eta, t, f_ec))
     return KeyRateResult(
-        rate=float(rate), feasible=True, delta=0.0, lam=float(lam),
-        method="discard_optimized", optimizer_args=(eta1_star, eta / eta1_star),
+        rate=rate, feasible=True, delta=0.0, lam=lam, method="discard_optimized", optimizer_args=(eta1, eta / eta1)
     )
+
+
+def _zoom(q_x: float, eta: float, t: float, ec: float) -> list[tuple]:
+    """(rate, lambda, eta1) at the grid zoom's point and at eta1 = eta."""
+    lo, hi, x = eta, 1.0, eta
+    while hi - lo > 1e-10:
+        grid = np.linspace(lo, hi, 256)
+        k = int(np.argmax(_discarded_rate(q_x, eta, t, grid, ec)[0]))
+        lo, hi, x = grid[[max(k - 1, 0), min(k + 1, 255), k]].tolist()
+    return list(zip(*_discarded_rate(q_x, eta, t, np.array([x, eta]), ec), (x, eta)))
 
 
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Prior-work comparison rate p_pass*{2*eta/(1+eta)*[1-h(q_x)] - h(q_z)}."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
-    rate = p_pass * (2.0 * eta / (1.0 + eta) * (1.0 - binary_entropy(q_x)) - binary_entropy(q_z))
+    rate = _rates("fung1", q_z, q_x, eta, p_pass=p_pass)[0].item()
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung1")
 
 
 def keyrate_fung2(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Pure-discarding comparison rate p_pass*2*eta/(1+eta)*[1-h(q_z)-h(q_x)]."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
-    rate = p_pass * 2.0 * eta / (1.0 + eta) * (1.0 - binary_entropy(q_z) - binary_entropy(q_x))
+    rate = _rates("fung2", q_z, q_x, eta, p_pass=p_pass)[0].item()
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung2")
 
 
@@ -350,33 +364,60 @@ def _common_loss(eta0: float, eta1: float) -> tuple[float, float]:
     return min(eta0, eta1) / scale, scale
 
 
-def _method_rate(
-    method: str, q_z: float, q_x: float, eta: float, t: float, f_ec: float
-) -> KeyRateResult:
-    """The rate of a named method at mismatch eta and transparency t.
-
-    The Fung et al. rates take no f_ec and are evaluated at the balanced
-    pass rate t*(1+eta)/2.
-    """
-    if method == "balanced":
-        return keyrate_balanced(q_z, q_x, eta, t, f_ec=f_ec)
-    if method == "discard_optimized":
-        return keyrate_discard_optimized(q_z, q_x, eta, t, f_ec=f_ec)
-    if method == "fung1":
-        return keyrate_fung1(q_z, q_x, eta, t * (1.0 + eta) / 2.0)
-    if method == "fung2":
-        return keyrate_fung2(q_z, q_x, eta, t * (1.0 + eta) / 2.0)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def mismatch_penalty_ratio(q: float, eta: float) -> float:
     """Rate with detectors (1, eta) relative to matched detectors ((1+eta)/2 each).
 
     Both rates use QBER q in both bases and a perfect line. Raises
     NoKeyError when the no-mismatch reference rate is not positive.
     """
-    reference = (1.0 + eta) / 2.0 * (1.0 - 2.0 * binary_entropy(q))
-    if reference <= 0.0:
-        raise NoKeyError(f"no-mismatch reference rate is {reference:.3e} <= 0 at q = {q}")
-    mismatch = keyrate_balanced(q, q, eta, 1.0)
-    return mismatch.rate / reference
+    _check_balanced(q, q, eta, 1.0, 1.0)
+    ratio, _, reference = _rates("penalty_ratio", q, q, eta)
+    if np.isnan(ratio[0]):
+        raise NoKeyError(f"no-mismatch reference rate is {reference.item():.3e} <= 0 at q = {q}")
+    return ratio.item()
+
+
+def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass: float | None = None):
+    """``method``'s (rate, lambda, extra) at each point of q_z, q_x and eta,
+    broadcast to 1-d arrays, at floats t, f_ec and p_pass, all range-checked by
+    the caller; the public rates are its one-row calls. The rate is nan where
+    the public call raises or has no rate, lambda nan where a method has none;
+    ``extra`` is delta (general), eta1* (balanced: 1; discard_optimized) or the
+    no-mismatch reference rate (penalty_ratio). fung1 and fung2 take p_pass
+    or, without it, the balanced pass rate t*(1+eta)/2 of the balanced methods.
+    """
+    q_z, q_x, eta = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=float)) for v in (q_z, q_x, eta)))
+    rate, lam, extra = (np.full(eta.shape, np.nan) for _ in range(3))
+    if method == "penalty_ratio":
+        extra = (1.0 + eta) / 2.0 * (1.0 - 2.0 * binary_entropy(q_x))
+        np.divide(_rates("balanced", q_x, q_x, eta)[0], extra, out=rate, where=extra > 0.0)
+    elif method in ("fung1", "fung2"):
+        p = t * (1.0 + eta) / 2.0 if p_pass is None else p_pass
+        h_z, h_x = binary_entropy(q_z), binary_entropy(q_x)
+        if method == "fung1":
+            rate = p * (2.0 * eta / (1.0 + eta) * (1.0 - h_x) - h_z)
+        else:
+            rate = p * 2.0 * eta / (1.0 + eta) * (1.0 - h_z - h_x)
+        rate = np.where(p > 0.0, rate, np.nan)  # p = 0 where t*(1+eta)/2 underflows
+    elif method == "general":
+        with np.errstate(over="ignore", invalid="ignore"):  # a tiny t can overflow delta: infeasible
+            extra, bad = _imbalance(p_pass, t, eta)
+            arg, raw, inconsistent = _general_args(q_x, eta, t, p_pass, extra)
+            ok = ~bad & feasible(q_x, extra) & ~inconsistent & (arg >= -1e-12) & (arg <= 1 + 1e-12) & np.isfinite(raw)
+        lam[ok] = np.maximum(raw[ok], 0.0)
+        h = binary_entropy(np.clip(arg[ok], 0.0, 1.0)) - binary_entropy(lam[ok])
+        rate[ok] = p_pass * (h - f_ec * binary_entropy(q_z[ok]))
+    else:
+        ok = eta * t / 2.0 > 0.0
+        ec = f_ec * binary_entropy(q_z)
+        rate[ok], lam[ok] = _discarded_rate(q_x[ok], eta[ok], t, 1.0, ec[ok])
+        extra = np.ones(eta.shape)
+        if method == "discard_optimized":
+            points = list(zip(q_x.tolist(), eta.tolist(), ec.tolist()))
+            for i in np.flatnonzero(ok & (eta < 1.0)).tolist():
+                slope, allowance = _slope_at_one(*points[i])
+                if not slope > allowance:
+                    (q, e, c), best = points[i], (rate[i], lam[i], 1.0)
+                    # The first of equal rates wins, so a tie goes to eta1 = 1.
+                    rate[i], lam[i], extra[i] = max([best, *_zoom(q, e, t, c)], key=lambda cand: cand[0])
+    return rate, lam, extra

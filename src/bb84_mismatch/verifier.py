@@ -32,8 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
-from .keyrates import _check_ranges, _general_args, detection_imbalance, effective_phase_error
-from .keyrates import feasible as _feasible
+from .keyrates import _phase_args, detection_imbalance, effective_phase_error, feasible as _feasible
 from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
 from .protocol import ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_block
 
@@ -394,6 +393,5 @@ def ignorance_term(q_x: float, eta: float, t: float, p_pass: float) -> float:
 
     This is the analytic value the minimizer is verified against.
     """
-    _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
-    arg, lam = _general_args(q_x, eta, t, p_pass, detection_imbalance(p_pass, t, eta))
+    arg, lam = _phase_args(q_x, eta, t, p_pass)
     return p_pass * (binary_entropy(min(max(arg, 0.0), 1.0)) - binary_entropy(lam))

@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bb84_mismatch import keyrate_balanced, mismatch_penalty_ratio
@@ -107,6 +109,19 @@ def test_sweep_deterministic_output(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+def test_rows_format_as_fmt_does():
+    # One "%.12g" % row call per CSV row must print each value as _fmt does:
+    # the edge values, a None rate (a missing value) and 1,800 random floats.
+    from bb84_mismatch.cli import _fmt, _rows
+
+    rng = np.random.default_rng(21)
+    edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, math.nan, math.inf, -math.inf]
+    values = [*edges, 0.25, None, -3.5, *(rng.standard_normal(1800) * 10.0 ** rng.uniform(-300, 300, 1800)).tolist()]
+    table = [values[i : i + 3] for i in range(0, len(values), 3)]
+    xs, rates = [row[0] for row in table], [row[1:] for row in table]
+    assert _rows(xs, rates) == [",".join(map(_fmt, row)) for row in table]
 
 
 def test_sweep_degenerate_two_rows(capsys):

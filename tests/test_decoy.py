@@ -1,5 +1,7 @@
 import math
 import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from bb84_mismatch import (
     transmittance,
 )
 from bb84_mismatch.decoy import DecoyObservations, _decoy_keyrates, _poisson_weights, poisson_pmf
+from bb84_mismatch.errors import _require_in
 
 h = binary_entropy
 
@@ -371,6 +374,30 @@ def test_config_rejects_bad_values(field, bad):
     kwargs = {"mu": 0.5, "nu1": 0.1, "nu2": 0.0, field: bad}
     with pytest.raises(ConfigError):
         DecoyConfig(**kwargs)
+
+
+@pytest.mark.parametrize("i_max", [4097, 10**400, 10**5000], ids=["4097", "1e400", "1e5000"])
+def test_config_caps_i_max_promptly(i_max):
+    # Uncapped, i_max = 10**400 was accepted and _poisson_weights would have
+    # built a list over range(i_max + 1) that never ends.
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="^i_max = "):
+        DecoyConfig(mu=0.5, nu1=0.1, nu2=0.0, i_max=i_max)
+    assert time.perf_counter() - start < 0.1
+    assert DecoyConfig(mu=0.5, nu1=0.1, nu2=0.0, i_max=4096).i_max == 4096
+
+
+@pytest.mark.parametrize(
+    "value", [10**5000, -(10**5000), 10**1000, Fraction(10**5000, 3)], ids=["1e5000", "-1e5000", "1e1000", "fraction"]
+)
+def test_range_errors_keep_the_callers_class_and_name_for_huge_values(value):
+    # Python refuses to print an int of over 4,300 digits; the message once
+    # formatted the value whole and raised Python's own ValueError instead.
+    with pytest.raises(ConfigError, match=r"^mu = .{1,40} outside ") as caught:
+        _require_in("mu", value, 0.0, math.inf, error=ConfigError)
+    assert type(caught.value) is ConfigError
+    with pytest.raises(ConfigError, match=r"^i_max = .{1,40} is not an integer"):
+        _require_in("i_max", Fraction(10**5000, 3), 0, math.inf, integer=True, error=ConfigError)
 
 
 @pytest.mark.parametrize(

@@ -191,9 +191,10 @@ def _near_flat_draws(seed, count):
 def _searched_discard(q_z, q_x, eta, t, f_ec):
     """``keyrate_discard_optimized`` without its certificate: the grid zoom and
     the first best of (1, zoom point, eta), as (rate, lambda, eta1*)."""
-    from bb84_mismatch.keyrates import _balanced_ec, _discarded_rate
+    from bb84_mismatch.keyrates import _check_balanced, _discarded_rate
 
-    ec = _balanced_ec(q_z, q_x, eta, t, f_ec)
+    _check_balanced(q_z, q_x, eta, t, f_ec)
+    ec = f_ec * h(q_z)
     lo, hi, x = eta, 1.0, eta
     while hi - lo > 1e-10:
         grid = np.linspace(lo, hi, 256)

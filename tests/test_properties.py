@@ -1,7 +1,7 @@
-"""Property tests of the key-rate method dispatcher, the rates behind it,
-`decoy-sim`, the oracle `minimize` against the closed form, the error
-contract of the entry points that take a mismatch eta, and the exit-code
-contract of the CLI."""
+"""Property tests of the array sweep evaluator against the public rates, the
+rates behind it, `decoy-sim`, the oracle `minimize` against the closed form,
+the error contract of the entry points that take a mismatch eta, and the
+exit-code contract of the CLI."""
 
 import contextlib
 import io
@@ -13,7 +13,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, seed, settings  # noqa: E402
+from hypothesis import example, given, seed, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bb84_mismatch import (  # noqa: E402
@@ -27,17 +27,24 @@ from bb84_mismatch import (  # noqa: E402
     error_correction_leak,
     gradient,
     ignorance_term,
+    keyrate_balanced,
+    keyrate_discard_optimized,
+    keyrate_fung1,
+    keyrate_fung2,
+    keyrate_general,
     kkt_orthogonality_check,
     minimize,
+    mismatch_penalty_ratio,
     objective,
     optimal_attack_state,
     simulate_observations,
     theoretical_limit,
 )
-from bb84_mismatch.cli import _sweep_value, main  # noqa: E402
-from bb84_mismatch.keyrates import _common_loss, _method_rate  # noqa: E402
+from bb84_mismatch.cli import _sweep_rates, main  # noqa: E402
+from bb84_mismatch.keyrates import _common_loss  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
+SWEEP_METHODS = METHODS + ("general", "penalty_ratio")
 
 qber = st.floats(min_value=0.0, max_value=1.0)
 unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -46,18 +53,32 @@ f_ec = st.floats(min_value=0.0, max_value=2.0)
 props = settings(max_examples=150, deadline=None)
 
 
-def _rate_or_error(fn, *args):
+def _public_rate(method, q_z, q_x, eta, t, f, p_pass=None):
+    """The public rate a sweep cell of ``method`` stands for, unscaled; nan
+    where that call raises a ValueError or has no rate. The Fung et al. rates
+    take the balanced pass rate, and only ``general`` reads p_pass."""
+    p_bal = t * (1.0 + eta) / 2.0
+    calls = {
+        "balanced": lambda: keyrate_balanced(q_z, q_x, eta, t, f).rate,
+        "discard_optimized": lambda: keyrate_discard_optimized(q_z, q_x, eta, t, f).rate,
+        "fung1": lambda: keyrate_fung1(q_z, q_x, eta, p_bal).rate,
+        "fung2": lambda: keyrate_fung2(q_z, q_x, eta, p_bal).rate,
+        "general": lambda: keyrate_general(q_z, q_x, eta, t, p_pass, f).rate,
+        "penalty_ratio": lambda: mismatch_penalty_ratio(q_x, eta),
+    }
     try:
-        return fn(*args).rate
-    except ValueError as exc:
-        return type(exc)
+        rate = calls[method]()
+    except ValueError:
+        return math.nan
+    return math.nan if rate is None else rate
 
 
 def _two_detector_rate(q_z, q_x, eta0, eta1, method, t, f):
-    """The rate `sweep --eta0 --eta1` prints for ``method``, unformatted;
-    None where it prints nan."""
+    """The rate `sweep --eta0 --eta1` computes for ``method`` at one point,
+    unformatted; nan where it prints nan."""
     eta, scale = _common_loss(eta0, eta1)
-    return _sweep_value(method, eta, "eta", {"q_z": q_z, "q_x": q_x, "t": t, "f_ec": f}, scale)
+    fixed = {"q_z": q_z, "q_x": q_x, "t": t, "f_ec": f}
+    return _sweep_rates((method,), "eta", np.array([eta]), fixed, scale).item()
 
 
 @seed(20261021)
@@ -65,21 +86,20 @@ def _two_detector_rate(q_z, q_x, eta0, eta1, method, t, f):
 @given(qber, qber, unit_open, unit_open, st.sampled_from(METHODS), unit_open, f_ec)
 def test_two_detectors_scale_the_normalized_rate(q_z, q_x, eta0, eta1, method, t, f):
     scale = max(eta0, eta1)
-    base = _rate_or_error(_method_rate, method, q_z, q_x, min(eta0, eta1) / scale, t, f)
+    base = _public_rate(method, q_z, q_x, min(eta0, eta1) / scale, t, f)
     got = _two_detector_rate(q_z, q_x, eta0, eta1, method, t, f)
-    if isinstance(base, float):
-        assert got == scale * base
+    if math.isnan(base):
+        assert math.isnan(got)
     else:
-        assert got is None
+        assert got == scale * base
 
 
 @seed(20261022)
 @props
 @given(qber, qber, unit_open, unit_open, st.sampled_from(METHODS), unit_open, f_ec)
 def test_detector_relabelling_leaves_rate_unchanged(q_z, q_x, eta0, eta1, method, t, f):
-    assert _two_detector_rate(q_z, q_x, eta0, eta1, method, t, f) == (
-        _two_detector_rate(q_z, q_x, eta1, eta0, method, t, f)
-    )
+    got, swapped = (_two_detector_rate(q_z, q_x, *etas, method, t, f) for etas in ((eta0, eta1), (eta1, eta0)))
+    assert got == swapped or math.isnan(got) and math.isnan(swapped)
 
 
 # f_ec stays at or below 1: fung2 is the pure-discarding rate at the Shannon
@@ -89,13 +109,51 @@ def test_detector_relabelling_leaves_rate_unchanged(q_z, q_x, eta0, eta1, method
 @given(qber, qber, unit_open, unit_open, st.floats(min_value=0.0, max_value=1.0))
 def test_discard_optimized_dominates_balanced_and_fung2(q_z, q_x, eta, t, f):
     best, balanced, fung2 = (
-        _rate_or_error(_method_rate, m, q_z, q_x, eta, t, f)
-        for m in ("discard_optimized", "balanced", "fung2")
+        _public_rate(m, q_z, q_x, eta, t, f) for m in ("discard_optimized", "balanced", "fung2")
     )
     # A ValueError (t*eta underflowing, say) meets the error contract; the
     # comparison needs all three rates.
-    if all(isinstance(r, float) for r in (best, balanced, fung2)):
+    if not any(math.isnan(r) for r in (best, balanced, fung2)):
         assert best >= max(balanced, fung2) - 1e-12
+
+
+_ENDPOINT = st.one_of(st.sampled_from([1e-9, 0.5, 1.0]), st.floats(min_value=1e-9, max_value=1.0))
+
+
+@st.composite
+def _sweep_case(draw):
+    """An eta or q sweep of 2 to 9 rows with every method, its fixed
+    parameters and, half the time, the two-detector scale."""
+    variable = draw(st.sampled_from(["eta", "q"]))
+    start, stop = sorted(draw(st.lists(_ENDPOINT, min_size=2, max_size=2, unique=True)))
+    t = draw(st.one_of(st.sampled_from([5e-324, 1e-300]), unit_open))
+    fixed = {"q_z": draw(qber), "q_x": draw(qber), "t": t, "f_ec": draw(f_ec), "p_pass": draw(unit_open)}
+    fixed["eta"], scale = _common_loss(draw(unit_open), draw(unit_open)) if draw(st.booleans()) else (
+        draw(unit_open), 1.0)
+    return variable, np.linspace(start, stop, draw(st.integers(2, 9))), fixed, scale
+
+
+# The examples pin each kind of nan cell: infeasible general rates (q_x = 0
+# off the balanced pass rate; a pass rate far above a tiny t), ValueError
+# (general at eta = 1 with p_pass != t; t*eta underflowing in the balanced
+# rates) and NoKeyError (penalty ratios at q >= 0.15).
+@seed(20261025)
+@settings(max_examples=100, deadline=None)
+@given(_sweep_case())
+@example(("eta", np.linspace(0.2, 1.0, 5), {"q_z": 0.2, "q_x": 0.0, "t": 1.0, "f_ec": 1.0, "p_pass": 0.9}, 1.0))
+@example(("q", np.linspace(0.0, 0.3, 7), {"q_z": 0.0, "q_x": 0.0, "t": 5e-324, "f_ec": 1.0, "p_pass": 0.5,
+                                          "eta": 0.7}, 0.9))
+def test_sweep_cells_equal_their_one_row_calls(case):
+    variable, grid, fixed, scale = case
+    table = _sweep_rates(SWEEP_METHODS, variable, grid, fixed, scale)
+    assert table.shape == (grid.size, len(SWEEP_METHODS))
+    for x, row in zip(grid.tolist(), table.tolist()):
+        eta, q_z, q_x = (x, fixed["q_z"], fixed["q_x"]) if variable == "eta" else (fixed["eta"], x, x)
+        for method, got in zip(SWEEP_METHODS, row):
+            want = _public_rate(method, q_z, q_x, eta, fixed["t"], fixed["f_ec"], fixed["p_pass"])
+            if method != "penalty_ratio":
+                want *= scale
+            assert got == want or math.isnan(got) and math.isnan(want), (method, x)
 
 
 def _decoy_sim_rows(eta0, eta1, dark0, dark1, e_det, l_max):
