@@ -161,11 +161,7 @@ def simulate_yield(model: ChannelModel, i: int, b: str, beta: int) -> float:
     multiple photons surviving the line, which is accurate for lossy links.
     Basis-independent in this model.
     """
-    _require_in("i", i, 0, math.inf, integer=True)
-    if b not in BASES:
-        raise ValueError(f"unknown basis {b!r}")
-    _require_in("beta", beta, 0, 1, integer=True)
-    return float(_yields([model], [model.length_km], np.array([i]))[0][0, 0, beta, 0])
+    return _photon_yields(model, i, b, beta)[0]
 
 
 def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
@@ -174,10 +170,19 @@ def simulate_error(model: ChannelModel, i: int, b: str, beta: int) -> float:
     (dark + i * T * e_det * eta_beta) / (2 * Y_i); equals 1/2 for pure dark
     counts and e_det for a dark-count-free link.
     """
-    y = simulate_yield(model, i, b, beta)
+    y, ey = _photon_yields(model, i, b, beta)
     if y <= 0.0:
         raise ValueError(f"yield vanishes for i = {i}, beta = {beta}; error rate undefined")
-    return float(_yields([model], [model.length_km], np.array([i]))[1][0, 0, beta, 0]) / y
+    return ey / y
+
+
+def _photon_yields(model: ChannelModel, i: int, b: str, beta: int) -> tuple[float, float]:
+    """(Y_i, e_i * Y_i) of detector beta, after checking the arguments."""
+    _require_in("i", i, 0, math.inf, integer=True)
+    if b not in BASES:
+        raise ValueError(f"unknown basis {b!r}")
+    _require_in("beta", beta, 0, 1, integer=True)
+    return tuple(float(v[0, 0, beta, 0]) for v in _yields([model], [model.length_km], np.array([i])))
 
 
 def poisson_pmf(i: int, mu: float) -> float:
@@ -358,17 +363,6 @@ def _ec_term(obs: DecoyObservations, f_ec: float):
     return np.where(empty, 0.0, f_ec * q_total * binary_entropy(np.minimum(e_total, 1.0)))
 
 
-def _imbalance(rate, a, b, eta):
-    """``detection_imbalance`` at each feasible point (``rate`` not nan) of
-    gains (a, b) and mismatch eta, nan elsewhere, raising at the first
-    failing one in row-major order."""
-    ok = ~np.isnan(rate)
-    p, t, eta = np.broadcast_arrays(a + b, a + b / eta, eta)
-    delta = np.full(rate.shape, np.nan)
-    delta[ok] = detection_imbalance(p[ok], t[ok], eta[ok])
-    return delta
-
-
 def _result(method: str, rate: float, lam: float, delta: float, a: float, b: float, **extra) -> KeyRateResult:
     """One point's (rate, lambda, delta) as a result with argmin (a, b)."""
     if math.isnan(rate):
@@ -376,9 +370,13 @@ def _result(method: str, rate: float, lam: float, delta: float, a: float, b: flo
     return KeyRateResult(rate=rate, feasible=True, delta=delta, lam=lam, method=method, argmin=(a, b), **extra)
 
 
-def decoy_keyrate(
-    obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: float = 1.0
-) -> KeyRateResult:
+def _one(obs: DecoyObservations) -> DecoyObservations:
+    """One observation as a stack of shape (1, 1, 3, 2, 2), as ``_evaluate`` takes it."""
+    _require_one(obs)
+    return DecoyObservations(gains=obs.gains[None, None], error_rates=obs.error_rates[None, None])
+
+
+def decoy_keyrate(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: float = 1.0) -> KeyRateResult:
     """Worst-case key rate over the estimated single-photon box.
 
     The rate is minimized over Q_1^{s z beta} between the decoy lower bound
@@ -396,16 +394,8 @@ def decoy_keyrate(
     the box; the window halves at each level, and a point replaces the best
     only if its rate is strictly lower. A searched box's ``rate_lower`` is the
     Frank-Wolfe bound at the point found. The result records the argmin and
-    whether it sits at the lower-bound corner.
-    """
-    _require_one(obs)
-    return _decoy_keyrates(obs, cfg, eta, f_ec)[0]
-
-
-def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: float) -> list[KeyRateResult]:
-    """``decoy_keyrate`` of each of stacked observations, in row-major order:
-    ``_box`` and ``_worst_points``, then the final rates and the Frank-Wolfe
-    gaps of the searched boxes, each one array call.
+    whether it sits at the lower-bound corner. The rate is the one-row call
+    of ``_evaluate``, the pass ``decoy-sim`` runs.
 
     Why the corner test certifies: the rate is R(a, b) = f*(gamma(a, b)) - ec,
     f* the value of the convex program ``verifier.minimize`` solves (Winick,
@@ -424,44 +414,78 @@ def _decoy_keyrates(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: 
     g_i widened by its allowance s_i, gives rate_lower = R(y) +
     sum_i min((g_i + s_i)*(lo_i - y_i), (g_i - s_i)*(up_i - y_i)), up to the
     rounding of R(y) itself, and None where it is not finite; at a certified
-    corner both terms are 0, so its gap is not computed. The formulas are
-    elementwise, so each result equals ``decoy_keyrate``'s bit for bit.
+    corner both terms are 0, so its gap is not computed.
     """
-    lo, up, q = _box(obs.gains, obs.error_rates, cfg, eta)
-    ec = _ec_term(obs, f_ec).reshape(-1)
-    x, searched = _worst_points(lo, up, q, ec, eta)
-    grad, slack = _entropy_grad(x[searched, 0], x[searched, 1], q[searched], eta)
-    gap = np.zeros(len(x))
-    with np.errstate(invalid="ignore"):
-        terms = np.minimum((grad + slack) * (lo - x)[searched], (grad - slack) * (up - x)[searched])
-    gap[searched] = terms.sum(axis=1)
+    (rate, lam, delta, a, b), (lo, up, q, searched) = _evaluate(_one(obs), cfg, f_ec, eta, None, ())
+    x = np.column_stack([a[0], b[0]])
+    lower = rate[0]
+    if searched[0]:
+        grad, slack = _entropy_grad(a[0], b[0], q, eta)
+        with np.errstate(invalid="ignore"):
+            lower = lower + np.minimum((grad + slack) * (lo - x), (grad - slack) * (up - x)).sum(axis=1)
     corner = (np.abs(x - lo) <= 1e-7 * np.maximum(up - lo, 1e-300)).all(axis=1)
-    rate, lam = _singles_rate(x[:, 0], x[:, 1], q, eta, ec)
-    delta = _imbalance(rate, x[:, 0], x[:, 1], eta)
-    return [
-        _result("decoy", *point, at_lower_corner=at_corner, rate_lower=lower if math.isfinite(lower) else None)
-        for *point, at_corner, lower in zip(*(v.tolist() for v in (rate, lam, delta, *x.T, corner, rate + gap)))
-    ]
+    return _result(
+        "decoy", *(v.item() for v in (rate, lam, delta, a, b)), at_lower_corner=corner.item(),
+        rate_lower=lower.item() if np.isfinite(lower) else None,
+    )
 
 
-def _box(gains: np.ndarray, error_rates: np.ndarray, cfg: DecoyConfig, eta: float):
-    """Each stacked observation's estimated box: its lower and upper corners,
-    shape (n, 2), and its x-error gain ``gamma2_upper / eta``, shape (n,)."""
-    lo, up = (v.reshape(-1, 2) for v in _q1_bounds(gains, cfg))
-    return lo, up, _gamma2_upper(gains, error_rates, cfg, eta).reshape(-1) / eta
+def _evaluate(obs: DecoyObservations, cfg: DecoyConfig, f_ec: float, eta, singles, etas):
+    """The rows of one array pass over observations stacked (M, L, 3, 2, 2):
+    the decoy worst case of ``obs[0]`` at mismatch ``eta`` (none if None),
+    then, from the single-photon (yields, error-weighted yields) ``singles``
+    of ``_simulate``, (2, M, L, 2), the theoretical limit of each channel at
+    its mismatch in ``etas`` (none if None). Each row's error correction is
+    its channel's.
 
-
-def _worst_points(lo, up, q, ec, eta: float):
-    """Each box's worst-case point, shape (n, 2), and which boxes were
-    searched: the lower corner where the corner test certifies it, else
-    ``_search_boxes``' point (nan on an infeasible box)."""
-    grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
-    searched = ~(grad > slack).all(axis=1)
-    x = lo.copy()
-    if searched.any():
-        boxes = np.column_stack([lo[:, 0], up[:, 0], lo[:, 1], up[:, 1], q, ec])
-        x[searched] = _search_boxes(boxes[searched], eta)[0]
-    return x, searched
+    Returns (rate, lam, delta, a, b), each (rows, L), nan where infeasible,
+    (a, b) the argmin; and the decoy row's box (lo, up, q, searched): corners
+    (L, 2), x-error gain and whether the corner test left it to the search,
+    each (L,), or None. One ``_ec_term``, one ``_singles_rate`` and one
+    imbalance check, all elementwise, so each row equals its one-row call
+    (``decoy_keyrate``, ``theoretical_limit``) bit for bit. Errors in the
+    arguments come first (the decoy intensities and mismatch, the limits'
+    mismatches, f_ec), then those of the data in row order: the decoy row's
+    imbalance (a second check where a single-photon yield vanishes), the
+    vanishing yield, the limits'.
+    """
+    points, box = [], None
+    if eta is not None:
+        lo, up = _q1_bounds(obs.gains[0], cfg)
+        q = _gamma2_upper(obs.gains[0], obs.error_rates[0], cfg, eta) / eta
+    if singles is not None:
+        limit_eta = np.array([[_require_in("eta", e, _ETA_MIN, 1.0, open_lo=True)] for e in etas])
+        y, ey = singles
+        a, b = np.moveaxis(y * poisson_pmf(1, cfg.mu), -1, 0)
+        # A vanishing yield's error rate counts as 0 here; its error is raised below.
+        e1 = np.divide(ey, y, out=np.zeros_like(y), where=y > 0.0)
+        limit_q = (limit_eta * e1[..., 0] * a + e1[..., 1] * b) / limit_eta
+    ec = _ec_term(obs, f_ec)
+    if eta is not None:
+        # Each box's worst case: its lower corner where the corner test
+        # certifies it, else the search's point (nan on an infeasible box).
+        grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
+        searched = ~(grad > slack).all(axis=1)
+        x = lo.copy()
+        if searched.any():
+            boxes = np.column_stack([lo[:, 0], up[:, 0], lo[:, 1], up[:, 1], q, ec[0]])
+            x[searched] = _search_boxes(boxes[searched], eta)[0]
+        box = lo, up, q, searched
+        points.append((x[None, :, 0], x[None, :, 1], q[None], np.full((1, len(q)), eta), ec[:1]))
+    if singles is not None:
+        points.append((a, b, limit_q, np.broadcast_to(limit_eta, a.shape), ec))
+    a, b, q, mismatch, ec = (np.concatenate(v) for v in zip(*points))
+    rate, lam = _singles_rate(a, b, q, mismatch, ec)
+    ok = ~np.isnan(rate)
+    p, t = a + b, a + b / mismatch
+    if singles is not None and (singles[0] <= 0.0).any():
+        k = int(box is not None)
+        detection_imbalance(p[:k][ok[:k]], t[:k][ok[:k]], mismatch[:k][ok[:k]])
+        beta = np.argwhere(singles[0] <= 0.0)[0, -1]
+        raise ValueError(f"yield vanishes for i = 1, beta = {beta}; error rate undefined")
+    delta = np.full(rate.shape, np.nan)
+    delta[ok] = detection_imbalance(p[ok], t[ok], mismatch[ok])
+    return (rate, lam, delta, a, b), box
 
 
 def _search_boxes(boxes: np.ndarray, eta: float):
@@ -504,11 +528,7 @@ def _search_boxes(boxes: np.ndarray, eta: float):
 
 
 def theoretical_limit(
-    model: ChannelModel,
-    obs: DecoyObservations,
-    cfg: DecoyConfig,
-    eta: float | None = None,
-    f_ec: float = 1.0,
+    model: ChannelModel, obs: DecoyObservations, cfg: DecoyConfig, eta: float | None = None, f_ec: float = 1.0
 ) -> KeyRateResult:
     """Rate evaluated at the channel's actual single-photon values, no estimation.
 
@@ -518,54 +538,17 @@ def theoretical_limit(
     ``simulate_observations(model, cfg)``; they supply the error-correction
     term, so that a channel is simulated once for both rates.
     """
-    _require_one(obs)
     singles = np.stack(_yields([model], [model.length_km], np.array([1])))[..., 0]
-    a, b, q, eta = _limit_points(singles, [model.eta if eta is None else eta], cfg)
-    _require_yields(singles)
-    rate, lam = _singles_rate(a, b, q, eta, _ec_term(obs, f_ec))
-    return _result("theoretical_limit", *(v.item() for v in (rate, lam, _imbalance(rate, a, b, eta), a, b)))
-
-
-def _limit_points(singles, etas, cfg: DecoyConfig):
-    """True single-photon gains (a, b), x-error gain q and mismatch, each
-    (len(etas), n), of channels with mismatch ``etas`` and single-photon (yields,
-    error-weighted yields) ``singles``, (2, len(etas), n, 2). A vanishing yield's
-    error rate counts as 0 here; ``_require_yields`` rejects it."""
-    eta = np.array([[_require_in("eta", eta, _ETA_MIN, 1.0, open_lo=True)] for eta in etas])
-    y, ey = singles
-    a, b = np.moveaxis(y * poisson_pmf(1, cfg.mu), -1, 0)
-    e1 = np.divide(ey, y, out=np.zeros_like(y), where=y > 0.0)
-    q = (eta * e1[..., 0] * a + e1[..., 1] * b) / eta
-    return a, b, q, np.broadcast_to(eta, a.shape)
-
-
-def _require_yields(singles) -> None:
-    """Raise as ``simulate_error`` does where a single-photon yield vanishes."""
-    for *_, beta in np.argwhere(singles[0] <= 0.0)[:1]:
-        raise ValueError(f"yield vanishes for i = 1, beta = {beta}; error rate undefined")
+    rows = _evaluate(_one(obs), cfg, f_ec, None, singles, [model.eta if eta is None else eta])[0]
+    return _result("theoretical_limit", *(v.item() for v in rows))
 
 
 def _channel_rates(models, cfg: DecoyConfig, lengths, f_ec: float, decoy: bool, limits: bool) -> np.ndarray:
     """Rates at each of ``lengths`` (km), nan where infeasible, one row each:
     the decoy worst case of ``models[0]`` if ``decoy``, then the theoretical
-    limit of each of ``models`` if ``limits``. One simulation, one
-    ``_ec_term`` and one ``_singles_rate`` call, so each rate is its one-row
-    call's bit for bit; those calls' errors are raised, the decoy rows' first."""
+    limit of each of ``models`` if ``limits``. One simulation and one
+    ``_evaluate`` pass, so each rate is its one-row call's bit for bit and
+    those calls' errors are raised, the decoy rows' first."""
     obs, singles = _simulate(models, cfg, lengths)
-    ec = _ec_term(obs, f_ec)
-    points = []
-    if decoy:
-        eta = models[0].eta
-        lo, up, q = _box(obs.gains[0], obs.error_rates[0], cfg, eta)
-        x = _worst_points(lo, up, q, ec[0], eta)[0]
-        points.append((x[None, :, 0], x[None, :, 1], q[None], np.full((1, len(q)), eta), ec[:1]))
-    if limits:
-        points.append((*_limit_points(singles, [m.eta for m in models], cfg), ec))
-    a, b, q, eta, ec = (np.concatenate(v) for v in zip(*points))
-    rate = _singles_rate(a, b, q, eta, ec)[0]
-    if limits and (singles[0] <= 0.0).any():
-        k = int(decoy)  # a vanishing yield's error comes after the decoy row's, before the limits'
-        _imbalance(rate[:k], a[:k], b[:k], eta[:k])
-        _require_yields(singles)
-    _imbalance(rate, a, b, eta)
-    return rate
+    eta = models[0].eta if decoy else None
+    return _evaluate(obs, cfg, f_ec, eta, singles if limits else None, [m.eta for m in models])[0][0]

@@ -78,7 +78,8 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
 
     Raises:
         ValueError: unless 0 <= p_pass < inf, 0 < t < inf and 0 < eta <= 1; if
-            eta = 1 but p_pass - t exceeds 1e-12*t, or t*(1-eta) underflows to 0.
+            eta = 1 but p_pass - t exceeds 1e-12*t, if t*(1-eta) underflows to 0,
+            or if the quotient overflows (a pass rate far above a subnormal t).
     """
     if isinstance(p_pass, np.ndarray) or isinstance(t, np.ndarray) or isinstance(eta, np.ndarray):
         delta, bad = _imbalance(p_pass, t, eta)
@@ -95,7 +96,10 @@ def detection_imbalance(p_pass: float, t: float, eta: float) -> float:
     denominator = t * (1.0 - eta)
     if denominator == 0.0:
         raise ValueError(f"t*(1-eta) underflows to 0 at t = {t}, eta = {eta}")
-    return (2.0 * p_pass - t * (1.0 + eta)) / denominator
+    delta = (2.0 * p_pass - t * (1.0 + eta)) / denominator
+    if not math.isfinite(delta):
+        raise ValueError(f"imbalance overflows at p_pass = {p_pass}, t = {t}, eta = {eta}")
+    return delta
 
 
 def _imbalance(p_pass, t, eta):
@@ -105,8 +109,12 @@ def _imbalance(p_pass, t, eta):
     balanced, denominator = eta == 1.0, t * (1.0 - eta)
     bad = ~((p_pass >= 0.0) & (p_pass < math.inf) & (t > 0.0) & (t < math.inf) & (eta > 0.0) & (eta <= 1.0))
     bad |= np.where(balanced, ~(np.abs(p_pass - t) <= 1e-12 * t), denominator == 0.0)
-    delta = np.divide(2.0 * p_pass - t * (1.0 + eta), denominator, out=np.zeros(p_pass.shape), where=~(balanced | bad))
-    return delta, bad
+    with np.errstate(over="ignore"):
+        numerator = 2.0 * p_pass - t * (1.0 + eta)
+        delta = np.divide(numerator, denominator, out=np.zeros(p_pass.shape), where=~(balanced | bad))
+    overflow = ~np.isfinite(delta)
+    delta[overflow] = 0.0
+    return delta, bad | overflow
 
 
 def feasible(q_x, delta):

@@ -23,12 +23,12 @@ SUPPORT_CUTOFF = 1e-10
 HERMITICITY_TOL = 1e-12
 
 
-def require_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(H: np.ndarray) -> np.ndarray:
     """Validate that H is a square, finite, Hermitian matrix and return it as complex.
 
     Raises:
         ValueError: if H is not square, contains non-finite entries, or
-            deviates from H^dagger by more than ``tol`` (relative to scale).
+            deviates from H^dagger by more than ``HERMITICITY_TOL`` (relative to scale).
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -37,7 +37,7 @@ def require_hermitian(H: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
         raise ValueError("matrix contains non-finite entries")
     scale = max(1.0, float(np.abs(H).max()))
     dev = float(np.abs(H - H.conj().T).max())
-    if dev > tol * scale:
+    if dev > HERMITICITY_TOL * scale:
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
     return H
 
@@ -129,18 +129,18 @@ def _relative_entropy(ws: np.ndarray, sigma: np.ndarray, wt: np.ndarray, Vt: np.
     return term1 - term2
 
 
-def support_log2(H: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def support_log2(H: np.ndarray) -> np.ndarray:
     """Matrix log base 2 restricted to the support of a PSD matrix.
 
-    Kernel directions (eigenvalues below ``cutoff`` times the largest) map to zero.
+    Kernel directions (eigenvalues below ``SUPPORT_CUTOFF`` times the largest) map to zero.
     """
-    return _log2_on_support(*np.linalg.eigh(require_hermitian(H)), cutoff)
+    return _log2_on_support(*np.linalg.eigh(require_hermitian(H)))
 
 
-def _log2_on_support(w: np.ndarray, V: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def _log2_on_support(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """``support_log2`` from an eigendecomposition (w, V), or from a stack of
     them as ``np.linalg.eigh`` returns it for a stack of matrices."""
-    cut = cutoff * np.maximum(w[..., -1:], 1e-300)
+    cut = SUPPORT_CUTOFF * np.maximum(w[..., -1:], 1e-300)
     lw = np.where(w > cut, np.log2(np.maximum(w, 1e-300)), 0.0)
     L = (V * lw[..., None, :]) @ V.conj().swapaxes(-1, -2)
     return (L + L.conj().swapaxes(-1, -2)) / 2

@@ -38,6 +38,9 @@ from .protocol import ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_bl
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
 _BOB_BIT_SUMS = BOB_BITS[:, None] + BOB_BITS[None, :]
+# Relative eigenvalue noise floor separating a state's support face from
+# projection round-off in the stationarity residual.
+_FACE_CUTOFF = 1e-7
 
 
 @dataclass(frozen=True)
@@ -219,19 +222,17 @@ def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
     return joint - marg
 
 
-def _face_kkt_residual(
-    eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray, cutoff: float = 1e-7
-) -> float:
+def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray) -> float:
     """Norm of the gradient projected onto the directions allowed at a state,
     given the state's ``_spectra`` (w, V) and the stack ``ops`` of the
     constraint operators.
 
     At a singular state the two-sided directions are those preserving the
     support face, so the gradient is compressed onto the face before the
-    constraint span is projected out. ``cutoff`` is the relative eigenvalue
-    noise floor separating the face from projection round-off.
+    constraint span is projected out; the face keeps the eigenvalues above
+    ``_FACE_CUTOFF`` times the largest.
     """
-    keep = w[0] > cutoff * max(float(w[0][-1]), 1e-300)
+    keep = w[0] > _FACE_CUTOFF * max(float(w[0][-1]), 1e-300)
     U = V[0][:, keep]
     if U.shape[1] == 0:
         return float("inf")

@@ -466,6 +466,32 @@ def test_config_entries_parse_as_flags(capsys, tmp_path, command, line, message)
     assert message in err
 
 
+@pytest.mark.parametrize("value", ["1", "100001", "1000000000000000"])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(["sweep", "--variable", "eta", "--start", "0.1", "--stop", "1", "--methods", "balanced"], "steps"),
+     (["decoy-sim"], "l-steps")],
+    ids=["sweep", "decoy_sim"],
+)
+def test_step_counts_outside_two_to_a_hundred_thousand_exit_one(
+    capsys, tmp_path, monkeypatch, command, flag, via_config, value
+):
+    # A huge count once ended in numpy's memory-error traceback; the check
+    # comes before any grid is allocated.
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    if via_config:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag} = {value}\n")
+        argv = [*command, "--config", str(config)]
+    else:
+        argv = [*command, f"--{flag}", value]
+    assert run(capsys, *argv) == (1, "", f"error: --{flag} = {value} outside [2, 100000]\n")
+
+
 def test_config_file_sweep_matches_flags(capsys, tmp_path):
     argv = ["--variable", "q", "--start", "0", "--stop", "0.2", "--steps", "3", "--eta0", "0.9", "--eta1", "0.5",
             "--methods", "balanced,penalty_ratio"]

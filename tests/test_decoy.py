@@ -25,7 +25,7 @@ from bb84_mismatch import (
     theoretical_limit,
     transmittance,
 )
-from bb84_mismatch.decoy import DecoyObservations, _decoy_keyrates, _poisson_weights, poisson_pmf
+from bb84_mismatch.decoy import DecoyObservations, _evaluate, _poisson_weights, poisson_pmf
 from bb84_mismatch.errors import _require_in
 
 h = binary_entropy
@@ -559,7 +559,7 @@ def test_poisson_weights_are_cached_read_only():
 
 def _seeded_boxes(seed, count):
     """Observations of seeded channels, each also with its outcome axis swapped,
-    all under one config and mismatch as ``_decoy_keyrates`` takes them."""
+    all under one config and mismatch, as one decoy row of ``_evaluate`` takes them."""
     rng = np.random.default_rng(seed)
     mu = float(rng.uniform(0.3, 0.8))
     cfg = DecoyConfig(mu=mu, nu1=0.2 * mu, nu2=float(rng.uniform(0.0, 0.05)) * mu)
@@ -645,11 +645,20 @@ def _rate_at(a, b, obs, cfg, eta, f_ec):
 
 
 def _stack(observations):
-    """The observations as one stacked ``DecoyObservations``, as ``_decoy_keyrates`` takes them."""
+    """The observations as one stacked ``DecoyObservations``, shape (n, 3, 2, 2)."""
     return DecoyObservations(
         gains=np.array([obs.gains for obs in observations]).reshape(-1, 3, 2, 2),
         error_rates=np.array([obs.error_rates for obs in observations]).reshape(-1, 3, 2, 2),
     )
+
+
+def _decoy_row(observations, cfg, eta, f_ec):
+    """``_evaluate``'s decoy row over ``observations``: (rate, lam, delta, a, b),
+    each a list, and the box (lo, up, q, searched)."""
+    stacked = _stack(observations)
+    one_channel = DecoyObservations(gains=stacked.gains[None], error_rates=stacked.error_rates[None])
+    rows, box = _evaluate(one_channel, cfg, f_ec, eta, None, ())
+    return [v[0].tolist() for v in rows], box
 
 
 def test_batched_boxes_match_one_box_at_a_time():
@@ -657,14 +666,17 @@ def test_batched_boxes_match_one_box_at_a_time():
     for seed in range(12):
         observations, cfg, eta = _seeded_boxes(seed, 8)
         f_ec = (1.0, 1.16, 0.0)[seed % 3]
-        together = _decoy_keyrates(_stack(observations), cfg, eta, f_ec)
-        assert len(together) == len(observations)
-        for obs, res in zip(observations, together):
+        rows, (lo, up, q, searched) = _decoy_row(observations, cfg, eta, f_ec)
+        assert len(rows[0]) == len(observations)
+        for k, (obs, (rate, lam, delta, a, b)) in enumerate(zip(observations, zip(*rows))):
             alone = decoy_keyrate(obs, cfg, eta, f_ec)
-            assert (res.rate, res.lam, res.delta, res.argmin, res.at_lower_corner, res.rate_lower) == (
-                alone.rate, alone.lam, alone.delta, alone.argmin, alone.at_lower_corner, alone.rate_lower
-            )
-            assert res.feasible == alone.feasible
+            assert _same(rate, alone.rate) and _same(lam, alone.lam) and _same(delta, alone.delta)
+            assert alone.argmin is None or alone.argmin == (a, b)
+            for beta in (0, 1):
+                assert (lo[k, beta], up[k, beta]) == bound_Q1(obs, cfg, beta)
+            assert q[k] == gamma2_upper(obs, cfg, eta) / eta
+            # A box the corner test certifies has its rate as its lower bound.
+            assert searched[k] or alone.rate_lower == alone.rate
             # The coordinate descent is the reference: the zoom never reports
             # a higher rate, and keeps every minimum the descent found at the lower corner.
             reference = _decoy_argmin_loop(obs, cfg, eta, f_ec)
@@ -673,10 +685,10 @@ def test_batched_boxes_match_one_box_at_a_time():
                 assert alone.rate <= _rate_at(*reference, obs, cfg, eta, f_ec)
                 if reference == (bound_Q1(obs, cfg, 0)[0], bound_Q1(obs, cfg, 1)[0]):
                     assert alone.argmin == reference
-            off_corner += res.at_lower_corner is False
+            off_corner += alone.at_lower_corner is False
     # Minima off the corner, where the zoom moves, are exercised too.
     assert off_corner > 0
-    assert _decoy_keyrates(_stack([]), BENCHMARK_CFG, 0.7, 1.0) == []
+    assert _decoy_row([], BENCHMARK_CFG, 0.7, 1.0)[0] == [[]] * 5
 
 
 def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
@@ -886,10 +898,7 @@ def test_array_simulation_matches_the_per_model_loop_bitwise():
 def test_array_bounds_and_limits_match_one_row_calls_and_scalar_formulas_bitwise():
     from dataclasses import replace
 
-    from bb84_mismatch.decoy import (
-        _channel_rates, _ec_term, _gamma2_upper, _imbalance, _limit_points, _q1_bounds, _simulate, _singles_rate,
-        _y0_lower,
-    )
+    from bb84_mismatch.decoy import _channel_rates, _ec_term, _gamma2_upper, _q1_bounds, _simulate, _y0_lower
 
     for seed in range(6):
         models, cfg, lengths = _parity_channels(seed)
@@ -897,9 +906,7 @@ def test_array_bounds_and_limits_match_one_row_calls_and_scalar_formulas_bitwise
         stacked, singles = _simulate(models, cfg, lengths)
         y0, (lower, upper) = _y0_lower(stacked.gains, cfg), _q1_bounds(stacked.gains, cfg)
         ec = _ec_term(stacked, f_ec)
-        a, b, q, eta = _limit_points(singles, [m.eta for m in models], cfg)
-        rate, lam = _singles_rate(a, b, q, eta, ec)
-        delta = _imbalance(rate, a, b, eta)
+        (rate, lam, delta, a, b), _ = _evaluate(stacked, cfg, f_ec, None, singles, [m.eta for m in models])
         assert np.array_equal(_channel_rates(models, cfg, lengths, f_ec, False, True), rate, equal_nan=True)
         for c, model in enumerate(models):
             gamma2 = _gamma2_upper(stacked.gains[c], stacked.error_rates[c], cfg, model.eta)

@@ -7,6 +7,7 @@ import contextlib
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from hypothesis import strategies as st  # noqa: E402
 from bb84_mismatch import (  # noqa: E402
     ChannelModel,
     DecoyConfig,
+    DecoyObservations,
     FeasibilityError,
+    binary_entropy,
     build_gamma_set,
     channel_G,
+    detection_imbalance,
     effective_phase_error,
     eigenvalues_check,
     error_correction_leak,
@@ -36,11 +40,15 @@ from bb84_mismatch import (  # noqa: E402
     minimize,
     mismatch_penalty_ratio,
     objective,
+    decoy_keyrate,
+    gamma2_upper,
     optimal_attack_state,
+    simulate_error,
     simulate_observations,
     theoretical_limit,
 )
 from bb84_mismatch.cli import _sweep_rates, main  # noqa: E402
+from bb84_mismatch.decoy import _ec_term  # noqa: E402
 from bb84_mismatch.keyrates import _common_loss  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
@@ -227,6 +235,90 @@ def test_minimize_attains_the_closed_form_over_the_domain(point):
     assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 1e-9 + slack
 
 
+def _assert_oracle_minimum(eta, a, b, q, value):
+    """Assert that the convex program at outcome gains (a, b), x-error gain q
+    and mismatch eta has f* = value within 2^-45*t/(1 - eta), or 2^-45*t at
+    eta = 1, with t = a + b/eta: the slack of the whole-domain property above.
+
+    At eta = 1 the program's values (a + b, q, a + b) drop the outcome split
+    that ``value`` rests on, so where a != b its minimum over every split can
+    only be lower: there f* <= value within the slack is asserted.
+    """
+    t = a + b / eta
+    try:
+        f_star = minimize(build_gamma_set(eta), (eta * a + b, eta * q, a + b)).f_star
+    except ValueError:
+        # Within 2^-48 of eta = 1 the values fix the imbalance only to about
+        # eps/(1 - eta), and minimize may decline, as in the property above.
+        assert 0.0 < 1.0 - eta < 2.0**-48
+        return
+    slack = 2.0**-45 * t / (1.0 - eta) if eta < 1.0 else 2.0**-45 * t
+    if eta == 1.0 and a != b:
+        assert f_star <= value + slack
+    else:
+        assert abs(f_star - value) <= slack
+
+
+@st.composite
+def _decoy_channel(draw):
+    """A fiber channel with eta1 <= eta0, its intensities, f_ec, and whether
+    the decoy row reads its observations with the outcomes swapped, which
+    moves the box minimum off the lower corner and into the search."""
+    mu = draw(st.floats(min_value=0.3, max_value=0.8))
+    cfg = DecoyConfig(mu=mu, nu1=0.2 * mu, nu2=draw(st.floats(min_value=0.0, max_value=0.05)) * mu)
+    eta0 = draw(st.floats(min_value=0.02, max_value=1.0))
+    dark = [10.0 ** draw(st.floats(min_value=-8.0, max_value=-4.0)) for _ in range(2)]
+    if draw(st.booleans()):
+        dark[1] = dark[0]  # as decoy-sim's defaults: then the matched limit has equal outcome gains
+    model = ChannelModel(
+        0.2, draw(st.floats(min_value=0.0, max_value=200.0)), draw(st.floats(min_value=0.0, max_value=8.0)),
+        draw(st.floats(min_value=0.0, max_value=0.1)), eta0, eta0 * draw(st.floats(min_value=0.05, max_value=1.0)),
+        tuple(dark),
+    )
+    return model, cfg, draw(st.sampled_from([0.0, 1.0, 1.16])), draw(st.booleans())
+
+
+# The oracle behind each printed decoy-sim row: at the row's argmin, the
+# program's f* is the rate plus the error-correction leakage it subtracts.
+@seed(20261027)
+@settings(max_examples=150, deadline=None)
+@given(_decoy_channel())
+# Searched boxes, which the draws reach only a few times: swapped outcomes
+# with a mismatch near 1/2, one of them at a negative rate.
+@example((ChannelModel(0.2, 86.0, 5.0, 0.07, 0.4, 0.4 * 0.54, (1e-6, 1e-6)), DecoyConfig(0.5, 0.1, 0.0), 1.0, True))
+@example((ChannelModel(0.2, 5.0, 4.0, 0.09, 0.79, 0.79 * 0.51, (1e-6, 1e-6)), DecoyConfig(0.5, 0.1, 0.0), 1.16, True))
+@example((ChannelModel(0.2, 189.0, 6.0, 0.04, 0.04, 0.04 * 0.1, (1e-6, 1e-6)), DecoyConfig(0.5, 0.1, 0.0), 1.0, True))
+def test_decoy_sim_rows_are_the_oracle_minimum_at_their_argmin(channel):
+    model, cfg, f_ec, swap = channel
+    obs = simulate_observations(model, cfg)
+    estimated = DecoyObservations(gains=obs.gains[..., ::-1], error_rates=obs.error_rates[..., ::-1]) if swap else obs
+    res = decoy_keyrate(estimated, cfg, model.eta, f_ec)
+    if res.feasible:
+        q = gamma2_upper(estimated, cfg, model.eta) / model.eta
+        _assert_oracle_minimum(model.eta, *res.argmin, q, res.rate + float(_ec_term(estimated, f_ec)))
+    matched = (model.eta0 + model.eta1) / 2.0
+    for limited in (model, replace(model, eta0=matched, eta1=matched)):
+        limited_obs = simulate_observations(limited, cfg)
+        res = theoretical_limit(limited, limited_obs, cfg, f_ec=f_ec)
+        (a, b), eta = res.argmin, limited.eta
+        e1 = [simulate_error(limited, 1, "x", beta) for beta in (0, 1)]
+        q = (eta * e1[0] * a + e1[1] * b) / eta
+        _assert_oracle_minimum(eta, a, b, q, res.rate + float(_ec_term(limited_obs, f_ec)))
+
+
+# The oracle behind the printed balanced and discard-optimized sweep cells:
+# discarding zero outcomes with probability 1 - eta1* leaves gains
+# (eta1*t/2, eta*t/2), mismatch eta/eta1* and transparency eta1*t.
+@seed(20261028)
+@settings(max_examples=200, deadline=None)
+@given(qber, qber, st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0), f_ec)
+def test_sweep_rates_are_the_oracle_minimum_at_their_eta1(q_z, q_x, eta, t, f):
+    for res in (keyrate_balanced(q_z, q_x, eta, t, f), keyrate_discard_optimized(q_z, q_x, eta, t, f)):
+        eta1 = 1.0 if res.optimizer_args is None else res.optimizer_args[0]
+        a, b = eta1 * t / 2.0, eta * t / 2.0
+        _assert_oracle_minimum(eta / eta1, a, b, eta1 * t * q_x, res.rate + (a + b) * f * binary_entropy(q_z))
+
+
 _RHO = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
 _MODEL = ChannelModel(0.2, 20.0, 5.0, 0.01, 0.1, 0.07, (1e-6, 1e-6))
 _CFG = DecoyConfig(mu=0.5, nu1=0.1, nu2=0.0)
@@ -263,6 +355,29 @@ def test_eta_entry_points_return_finite_or_raise_value_error(eta):
             continue
         assert 0.0 < eta <= 1.0, name  # an eta outside (0, 1] must raise
         assert result is None or np.all(np.isfinite(result)), name
+
+
+# A pass rate far above a subnormal t overflowed the imbalance to inf, so
+# effective_phase_error returned nan and keyrate_general a delta of inf.
+@seed(20261026)
+@props
+@given(st.sampled_from([5e-324, 1e-320]), qber, unit_open, unit_open)
+def test_subnormal_transparency_gives_finite_results_or_raises(t, q, eta, p_pass):
+    calls = {
+        "detection_imbalance": lambda: detection_imbalance(p_pass, t, eta),
+        "effective_phase_error": lambda: effective_phase_error(q, eta, t, p_pass),
+        "ignorance_term": lambda: ignorance_term(q, eta, t, p_pass),
+        "keyrate_general": lambda: keyrate_general(q, q, eta, t, p_pass),
+    }
+    for name, call in calls.items():
+        try:
+            result = call()
+        except ValueError:
+            continue
+        if name == "keyrate_general":
+            # An infeasible result has no rate and no lambda, but its delta.
+            result = (result.delta,) if not result.feasible else (result.rate, result.delta, result.lam)
+        assert np.all(np.isfinite(result)), name
 
 
 # Flag values: about one in six is a float that breaks naive checks, the rest
