@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError, _require_in
-from .keyrates import KeyRateResult, _entropy_args, _entropy_grad, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _coherence_grad, _consistent, _entropy_args, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -337,19 +337,37 @@ def _gamma2_upper(gains: np.ndarray, error_rates: np.ndarray, cfg: DecoyConfig, 
 
 def _singles_rate(q1_0, q1_1, q, eta, ec_term):
     """Key rate from single-photon gains (q1_0, q1_1) and x-error gain q: the
-    closed form ``keyrates._entropy_args``, elementwise over arrays.
-
-    Returns (rate, lambda_of_q), both nan where the point is infeasible: no
-    detections, or a phase-error argument below -1e-15. ``ec_term`` is the
-    full error-correction leakage, already multiplied by its gain.
-    """
+    closed form ``keyrates._entropy_args``, elementwise over arrays. Returns
+    (rate, lambda_of_q), both nan where ``keyrates._consistent`` rejects lambda
+    (as at no detections). ``ec_term`` is the error-correction leakage, gain
+    included."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_pass, arg, lam_q = _entropy_args(q1_0, q1_1, q1_0 + q1_1 / eta, q, eta)
-    ok = (p_pass > 0.0) & (lam_q >= -1e-15)
+        t = q1_0 + q1_1 / eta
+        p_pass, arg, lam_q = _entropy_args(q1_0, q1_1, t, q, eta)
+        lam_q, ok = _consistent(lam_q, np.divide(p_pass + t + 2.0 * q, p_pass))
     # Infeasible points get entropy arguments of 0, so h() sees no nan.
-    lam_q = np.where(ok, np.maximum(lam_q, 0.0), 0.0)
+    lam_q = np.where(ok, lam_q, 0.0)
     rate = p_pass * (binary_entropy(np.where(ok, arg, 0.0)) - binary_entropy(lam_q)) - ec_term
     return np.where(ok, rate, np.nan), np.where(ok, lam_q, np.nan)
+
+
+def _gain_grad(a, b, q, eta):
+    """(partials, allowances), last axis (a, b), of ``_singles_rate`` in the
+    gains at x-error gain q: ``keyrates._coherence_grad``'s chain rule along
+    t = a + b/eta, with d = t - 2q, w = 4ab - eta*d^2 = (p - r)(p + r) from the
+    value path's r, dw/da = 4b - 2*eta*d, dw/db = 4a - 2d. With s = p + t + 2q,
+    r is within 6u*s (u = 2^-53), w within 17u*p*s and each |dw/di| <= 6s within
+    14u*s: relative 2^-48*p*s/w and 2^-50*s/r, and 4(14u*s + 2u*6s) <= 2^-45*s."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, t, q2 = a + b, a + b / eta, 2.0 * q
+        d = t - q2
+        r = np.hypot(a - b, math.sqrt(eta) * d)
+        w, s = (p - r) * (p + r), p + t + q2
+        (f_a, f_b, f_w), (e_a, e_b, e_w) = _coherence_grad(a, b, w, r, 2.0**-48 * p * s / w, 2.0**-50 * s / r)
+        m_a, m_b = 4.0 * b - (2.0 * eta) * d, 4.0 * a - 2.0 * d
+        grad = np.concatenate(((f_a + f_w * m_a)[..., None], (f_b + f_w * m_b)[..., None]), -1)
+        slack = np.concatenate(((e_a + abs(m_a) * e_w)[..., None], (e_b + abs(m_b) * e_w)[..., None]), -1)
+        return grad, slack + (2.0**-45 * s * abs(f_w))[..., None]
 
 
 def _ec_term(obs: DecoyObservations, f_ec: float):
@@ -384,31 +402,22 @@ def decoy_keyrate(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: fl
     fixed at its upper bound (the rate decreases monotonically in it).
 
     The rate is convex in the two gains, so the lower-bound corner is the
-    minimum whenever both partials there are positive beyond their rounding
-    allowance (``keyrates._entropy_grad``, at most 2^-48 times a condition
-    number of the point): the rate is then certified at the corner, and
-    ``rate_lower`` equals ``rate``. Any other box is searched. A 64x64 grid
-    over the box seeds the search with its first minimum in row-major order
-    (outcome-0 gain outer). Sixteen zoom levels follow, each a 9x9 grid over
-    +-2 steps of the previous grid around the best point so far, clipped to
-    the box; the window halves at each level, and a point replaces the best
-    only if its rate is strictly lower. A searched box's ``rate_lower`` is the
-    Frank-Wolfe bound at the point found. The result records the argmin and
-    whether it sits at the lower-bound corner. The rate is the one-row call
-    of ``_evaluate``, the pass ``decoy-sim`` runs.
+    minimum whenever both partials there exceed their rounding allowance
+    (``_gain_grad``): the rate is then certified there and ``rate_lower``
+    equals ``rate``. Any other box is searched (``_search_boxes``), its
+    ``rate_lower`` the Frank-Wolfe bound at the point found; the result records
+    the argmin and whether it is the lower corner. The rate is ``_evaluate``'s.
 
-    Why the corner test certifies: the rate is R(a, b) = f*(gamma(a, b)) - ec,
-    f* the value of the convex program ``verifier.minimize`` solves (Winick,
-    Luetkenhaus & Coles, Quantum 2, 77 (2018)), as a function of the program's
-    right-hand side gamma = (eta*a + b, eta*q, a + b). That function is
-    convex, and gamma is affine in the gains (a, b) at fixed q, so R is convex
-    on the feasible part of the box, itself convex (lambda >= 0 says that a
-    norm of an affine map is at most the affine p). At the lower corner c,
-    R(x) >= R(c) + grad R(c).(x - c) >= R(c) for every feasible x of the box
-    when both partials are >= 0. The test asks each computed partial to
-    exceed its rounding allowance (``keyrates._entropy_grad``), so that the
-    exact partial is positive, and fails wherever the corner is infeasible or
-    has a zero gain.
+    Why the corner test certifies: R(a, b) = f*(gamma(a, b)) - ec, f* the
+    value of the convex program ``verifier.minimize`` solves (Winick,
+    Luetkenhaus & Coles, Quantum 2, 77 (2018)) as a function of its
+    right-hand side gamma = (eta*a + b, eta*q, a + b), is convex, and gamma is
+    affine in (a, b) at fixed q, so R is convex on the feasible part of the
+    box, itself convex (lambda >= 0 says that a norm of an affine map is at
+    most the affine p). At the lower corner c, R(x) >= R(c) + grad R(c).(x - c)
+    >= R(c) for every feasible x of the box when both partials are >= 0, which
+    each computed partial beating its allowance proves; the test fails
+    wherever the corner is infeasible or has a zero gain.
 
     The same inequality at a searched box's final point y, with each partial
     g_i widened by its allowance s_i, gives rate_lower = R(y) +
@@ -420,7 +429,7 @@ def decoy_keyrate(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: fl
     x = np.column_stack([a[0], b[0]])
     lower = rate[0]
     if searched[0]:
-        grad, slack = _entropy_grad(a[0], b[0], q, eta)
+        grad, slack = _gain_grad(a[0], b[0], q, eta)
         with np.errstate(invalid="ignore"):
             lower = lower + np.minimum((grad + slack) * (lo - x), (grad - slack) * (up - x)).sum(axis=1)
     corner = (np.abs(x - lo) <= 1e-7 * np.maximum(up - lo, 1e-300)).all(axis=1)
@@ -441,13 +450,12 @@ def _evaluate(obs: DecoyObservations, cfg: DecoyConfig, f_ec: float, eta, single
     Returns (rate, lam, delta, a, b), each (rows, L), nan where infeasible,
     (a, b) the argmin; and the decoy row's box (lo, up, q, searched): corners
     (L, 2), x-error gain and whether the corner test left it to the search,
-    each (L,), or None. One ``_ec_term``, one ``_singles_rate`` and one
-    imbalance check, all elementwise, so each row equals its one-row call
-    (``decoy_keyrate``, ``theoretical_limit``) bit for bit. Errors in the
-    arguments come first (the decoy intensities and mismatch, the limits'
-    mismatches, f_ec), then those of the data in row order: the decoy row's
-    imbalance (a second check where a single-photon yield vanishes), the
-    vanishing yield, the limits'.
+    each (L,), or None. One ``_ec_term``, ``_singles_rate`` and imbalance
+    check, all elementwise, so each row equals its one-row call bit for bit.
+    Argument errors come first (decoy intensities and mismatch, the limits'
+    mismatches, f_ec), then the data's in row order: the decoy row's imbalance
+    (checked twice where a single-photon yield vanishes), the vanishing
+    yield, the limits'.
     """
     points, box = [], None
     if eta is not None:
@@ -464,7 +472,7 @@ def _evaluate(obs: DecoyObservations, cfg: DecoyConfig, f_ec: float, eta, single
     if eta is not None:
         # Each box's worst case: its lower corner where the corner test
         # certifies it, else the search's point (nan on an infeasible box).
-        grad, slack = _entropy_grad(lo[:, 0], lo[:, 1], q, eta)
+        grad, slack = _gain_grad(lo[:, 0], lo[:, 1], q, eta)
         searched = ~(grad > slack).all(axis=1)
         x = lo.copy()
         if searched.any():
@@ -489,12 +497,15 @@ def _evaluate(obs: DecoyObservations, cfg: DecoyConfig, f_ec: float, eta, single
 
 
 def _search_boxes(boxes: np.ndarray, eta: float):
-    """The seed scan and zoom of ``decoy_keyrate`` over the rows
-    (lo0, up0, lo1, up1, q, ec) of ``boxes``: one 64x64 scan per box, then
-    each zoom level as one ``_singles_rate`` call over every box with a
-    feasible seed. Returns the final points, shape (n, 2), and which boxes
-    have a feasible seed; a box whose seed grid is all infeasible is
-    infeasible, and its point nan.
+    """The decoy worst-case search over the rows (lo0, up0, lo1, up1, q, ec)
+    of ``boxes``. A 64x64 grid over each box seeds it with its first minimum
+    in row-major order (outcome-0 gain outer); sixteen zoom levels follow,
+    each one ``_singles_rate`` call over every box with a feasible seed: a 9x9
+    grid over +-2 steps of the previous grid around the best point so far,
+    clipped to the box, the window halving per level and a point replacing
+    the best only if strictly lower. Returns the final points, shape (n, 2),
+    and which boxes have a feasible seed; a box whose seed grid is all
+    infeasible is infeasible, and its point nan.
     """
     seeds = np.full((len(boxes), 3), np.nan)
     for k, (lo0, up0, lo1, up1, q, ec) in enumerate(boxes.tolist()):

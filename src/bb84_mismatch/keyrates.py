@@ -6,6 +6,10 @@ x-basis error gain x, it is p*[h(a/p) - h(lambda)] - f_ec*p*h(q_z), where
 lambda = 1/2 - sqrt((a-b)^2 + eta*(t-2x)^2) / (2p). ``keyrate_general`` takes
 a = t*(1+delta)/2, b = p - a, x = t*q_x; the discard-optimized rate is the
 same form at gains (eta1*t/2, eta*t/2), x = eta1*t*q_x and mismatch eta/eta1.
+Its first term is the relative entropy of coherence of the block
+[[a, y/2], [y/2, b]], y^2 = eta*(t-2x)^2, with eigenvalues p*lambda and
+p*(1 - lambda): ``_coherence_grad`` gives its partials, whose chain rules are
+the decoy corner test and the discard slope, and ``_consistent`` judges lambda.
 
 Rates are in bits per channel use and may be negative; callers decide
 whether to clamp. The error-correction term h(q_z) can be scaled by an
@@ -15,12 +19,19 @@ inefficiency factor ``f_ec`` (default 1, the Shannon limit).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NoKeyError, _require_in
 from .linalg import binary_entropy
+
+# No rate where the smaller outcome gain is subnormal: its few bits make the rate noise.
+_MIN_GAIN, _MAX = sys.float_info.min, sys.float_info.max
+# Inputs on the feasibility boundary have lambda = 0 exactly; their own rounding
+# (of delta, of q_x) can put lambda near -1e-15, beyond the allowance at s/p ~ 1.
+_LAM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class KeyRateResult:
@@ -135,66 +146,72 @@ def _entropy_args(a, b, t, x, eta):
     return p, np.divide(a, p), 0.5 - np.hypot(a - b, np.sqrt(eta) * (t - 2.0 * x)) / (2.0 * p)
 
 
-def _entropy_grad(a, b, x, eta):
-    """Partials in a and b of the formula's p*[h(a/p) - h(lambda)] along the
-    single-photon transparency t = a + b/eta, at a fixed x-error gain x >= 0,
-    with a rounding allowance for each; elementwise, never raising.
+def _coherence_grad(a, b, w, r, ew, er):
+    """Partials (F_a, F_b, F_w) and allowances (E_a, E_b, E_w) of F =
+    p*[h(a/p) - h(lambda)], the relative entropy of coherence of the block
+    [[a, y/2], [y/2, b]], in block coordinates: p = a + b and w = 4ab - y^2 =
+    p^2 - r^2, four times the determinant, with r = p*(1 - 2*lambda), the
+    eigenvalues' gap; the caller passes w and r free of cancellation. As
+    lambda = w/(2p(p + r)), dlambda/dw = 1/(4pr), dlambda/da = -w/(2p^2*r):
+      F_a = log2(p/a) - h(lambda) + L*w/(2pr),  F_b likewise,  F_w = -L/(4r),
+    L = log2((1 - lambda)/lambda), every L term 0 where lambda = 0.
 
-    With d = t - 2x and r = hypot(a - b, sqrt(eta)*d) = p*(1 - 2*lambda):
-      d/da = log2(p/a) - [(1 - r_a)*log2(1/lambda) + (1 + r_a)*log2(1/(1 - lambda))]/2,
-    r_a = (a - b + eta*d)/r; d/db is the same with log2(p/b) and r_b = (b - a + d)/r.
-
-    Allowance: every argument of the root is within a few ulps of
-    S = p + t + 2x, so r is off by at most 6u*S (u = 2^-53), lambda by 4u*S/p
-    and r_i by 7u*S*(1 + |r_i|)/r. Carried through the logarithms, the computed
-    partial i is within a quarter of
-      2^-48 * [1 + |log2(p/gain_i)| + (1 + |r_i|)*S*((L1 + L2)/r + 1/(p*lambda*(1 - lambda)))]
-    of the exact one (L1, L2 the two logarithms), to first order. The
-    allowance is inf or nan wherever a gain is 0, r = 0 or lambda <= 0, so the
-    test ``partial > allowance`` fails at such points.
-
-    Returns (partials, allowances), each with a last axis of 2: (a, b).
+    Allowance: with a, b exact, w and r within relative ew and er and
+    u = 2^-53, lambda is within ew + er/2 + 5u relative, which moves h(lambda)
+    by lambda*L <= h(lambda) times that and L by 2.9 times it. With log2 and
+    the products within an ulp, to first order F_i is within 4u(2 + |log2(p/gain_i)|)
+    + e0(h(lambda) + |L|W/2 + 1.5W) + uWl and F_w within (3e0 + 2ul)/(4r) +
+    e0|F_w|: e0 = ew + er + 16u, W = w/(pr), l = -log2(lambda(1 - lambda)) >= |L|.
+    As h(lambda) <= 1 and u <= e0/16, that is a quarter of the returned
+      E_i = 2^-49*(2 + |log2(p/gain_i)|) + e*(1 + W*(2 + l)),  E_w = 0.75*e*(1 + l)/r,
+    e = 4*e0, the factor 4 headroom for what first order drops. A chain rule
+    F_i + F_w*m_i - c, m_i = dw/di within dm_i and c >= 0 exact, is then within
+    a quarter of E_i + |m_i|*E_w + 4|F_w|(dm_i + 2u|m_i|) + 4u*c. Allowances are
+    inf or nan where a gain is 0, r = 0 or lambda < 0, so tests against them fail.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p, t = a + b, a + b / eta
-        d = t - 2.0 * x
-        r = np.hypot(a - b, np.sqrt(eta) * d)
-        lam = 0.5 - r / (2.0 * p)
-        l1, l2 = -np.log2(lam), -np.log2(1.0 - lam)
-        cond = (p + t + 2.0 * x) * ((l1 + l2) / r + 1.0 / (p * lam * (1.0 - lam)))
-        partials, allowances = [], []
-        for gain, r_i in ((a, (a - b + eta * d) / r), (b, (b - a + d) / r)):
-            head = np.log2(p / gain)
-            partials.append(head - ((1.0 - r_i) * l1 + (1.0 + r_i) * l2) / 2.0)
-            allowances.append(2.0**-48 * (1.0 + np.abs(head) + (1.0 + np.abs(r_i)) * cond))
-    return np.stack(partials, axis=-1), np.stack(allowances, axis=-1)
+        p = np.add(a, b)
+        lam = w / (2.0 * p * (p + r))
+        # log2(1) = 0 in place of log2(lambda) at lambda = 0 zeroes every L term.
+        lg1, lg2 = np.log2(np.where(lam == 0.0, 1.0, lam)), np.log2(1.0 - lam)
+        big_l, big_w, l = lg2 - lg1, w / (p * r), -(lg1 + lg2)
+        rest = big_l * (lam - big_w / 2.0) - lg2  # h(lambda) - L*w/(2pr)
+        e = 4.0 * (ew + er + 2.0**-49)
+        heads, e_ab = (np.log2(p / a), np.log2(p / b)), e * (1.0 + big_w * (2.0 + l)) + 2.0**-48
+        e_w, f_w = 0.75 * e * (1.0 + l) / r, big_l / (-4.0 * r)
+        return (*(h - rest for h in heads), f_w), (*(2.0**-49 * abs(h) + e_ab for h in heads), e_w)
+
+
+def _consistent(lam, scale):
+    """(lambda clamped at 0, consistent) for the value path's lambda = 1/2 -
+    r/(2p), elementwise: with r within 6u*s (u = 2^-53, s = p + t + 2x) it is
+    within 2^-51*scale, scale = s/p, and consistent where finite and at least
+    -max(_LAM_FLOOR, 2^-51*scale), a bound capped so that -inf always fails."""
+    b = 2.0**-51 * scale
+    # The discard path's float scale keeps numpy calls off its hot zoom.
+    b = min(max(_LAM_FLOOR, b), _MAX) if isinstance(b, float) else np.minimum(np.maximum(_LAM_FLOOR, b), _MAX)
+    return np.maximum(lam, 0.0), lam >= -b
 
 
 def _general_args(q_x, eta, t, p_pass, delta):
-    """(h argument, lambda, inconsistent) at pass rate p_pass and imbalance
-    delta, elementwise over numpy arrays or scalars (a numpy delta, so that
-    p = 0 divides without raising) and never raising: the kernel at gains
-    a = t*(1+delta)/2, b = p_pass - a and x-error gain x = t*q_x, with lambda
-    unclamped. ``inconsistent`` marks lambda below -max(1e-12, 4u*(p + t + 2x)/p),
-    its rounding allowance (``_entropy_grad``; u = 2^-53, p = a + b).
-    """
+    """(h argument, lambda, lambda clamped at 0, consistent) at pass rate
+    p_pass and imbalance delta (a numpy delta, so that p = 0 divides without
+    raising), elementwise: gains a = t*(1+delta)/2, b = p_pass - a, x-error
+    gain x = t*q_x, lambda judged by ``_consistent``; p = 0 is inconsistent."""
     a, x = t * (1.0 + delta) / 2.0, t * q_x
-    # Gains that cancel to p = 0 give a lambda of -inf, which is inconsistent, or nan.
     with np.errstate(divide="ignore", invalid="ignore"):
         p, arg, lam = _entropy_args(a, p_pass - a, t, x, eta)
-        allowance = 2.0**-51 * (p + t + 2.0 * x) / p
-    # lambda < -max(1e-12, allowance), with no allowance where p <= 0.
-    return arg, lam, (lam < -1e-12) & ((lam < -allowance) | (p <= 0.0))
+        return (arg, lam, *_consistent(lam, np.divide(p + t + 2.0 * x, p)))
 
 
 def _phase_args(q_x: float, eta: float, t: float, p_pass: float) -> tuple[float, float]:
     """(h argument, lambda clamped at 0) of ``_general_args`` at the observed
     imbalance, after checking the inputs; ValueError if lambda is inconsistent."""
     _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
-    arg, lam, inconsistent = _general_args(q_x, eta, t, p_pass, np.float64(detection_imbalance(p_pass, t, eta)))
-    if inconsistent:
-        raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
-    return float(arg), max(float(lam), 0.0)
+    arg, raw, lam, consistent = _general_args(q_x, eta, t, p_pass, np.float64(detection_imbalance(p_pass, t, eta)))
+    if not consistent:
+        raise ValueError(f"phase-error argument {raw} is negative: observations are inconsistent")
+    return float(arg), float(lam)
 
 
 def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
@@ -232,11 +249,11 @@ def keyrate_balanced(
     """Key rate at the balanced pass rate p_pass = t*(1+eta)/2:
     p_pass * [h(1/(1+eta)) - h(lambda(q_x, eta)) - f_ec*h(q_z)].
 
-    The discard-optimized kernel at eta1 = 1, so ``keyrate_discard_optimized``,
+    The discarded rate at eta1 = 1, so ``keyrate_discard_optimized``,
     which has eta1 = 1 among its candidates, is never below it.
 
     Raises:
-        ValueError: if an input is out of range or t*eta underflows to 0.
+        ValueError: if an input is out of range or t*eta/2 is below ``_MIN_GAIN``.
         ConfigError: unless f_ec is finite and non-negative.
     """
     _check_balanced(q_z, q_x, eta, t, f_ec)
@@ -245,64 +262,38 @@ def keyrate_balanced(
 
 
 def _check_balanced(q_z: float, q_x: float, eta: float, t: float, f_ec: float) -> None:
-    """Raise unless a balanced rate's inputs are in range and t*eta/2 is positive."""
+    """Raise unless a balanced rate's inputs are in range and its smaller
+    outcome gain t*eta/2 is at least ``_MIN_GAIN``."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=t * (1.0 + eta) / 2.0)
     _require_f_ec(f_ec)
-    if not eta * t / 2.0 > 0.0:
-        raise ValueError(f"t*eta underflows to 0 at t = {t}, eta = {eta}")
+    _require_in("outcome gain t*eta/2", eta * t / 2.0, _MIN_GAIN, 1.0)
 
 
 def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
-    """Rate and lambda after discarding zero outcomes with probability 1 - eta1.
-
-    The closed form at gains (eta1*t/2, eta*t/2), transparency eta1*t, x-error
-    gain eta1*t*q_x and mismatch eta/eta1; it is balanced for every eta1.
-    ``ec`` is f_ec*h(q_z). Elementwise over a scalar or an array ``eta1``, or
-    over arrays q_x, eta and ec of one shape.
-    """
+    """Rate and lambda after discarding zero outcomes with probability 1 - eta1:
+    the closed form at gains (eta1*t/2, eta*t/2), transparency eta1*t, x-error
+    gain eta1*t*q_x and mismatch eta/eta1, balanced for every eta1; ``ec`` is
+    f_ec*h(q_z). Elementwise over an ``eta1`` array, or q_x, eta and ec arrays."""
     t_eff = eta1 * t
     p, arg, lam = _entropy_args(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
-    # lambda >= 0 holds exactly here; the clamp only absorbs rounding.
-    lam = np.maximum(lam, 0.0)
+    # lambda >= 0 exactly here, and s = p + t_eff + 2x <= 7p: the rule only clamps.
+    lam = _consistent(lam, 7.0)[0]
     h_arg, h_lam = binary_entropy(np.array((arg, lam)))  # one call for both halves the overhead
     return p * (h_arg - h_lam - ec), lam
 
 
-def _slope_at_one(q_x: float, eta: float, ec: float) -> tuple[float, float]:
-    """dR/da of the discarded rate R = p*g(s) at eta1 = 1, with a rounding
-    allowance; 0 < eta < 1, ``ec`` = f_ec*h(q_z) as in ``_discarded_rate``.
-
-    With a = eta1*t/2, s = 1/(1 + eta), c = 1 - 2q_x, rho = hypot(2s - 1,
-    2c*sqrt(s(1 - s))) and lambda = 1/2 - rho/2,
-      dR/da = g(s) + (1 - s)*[log2((1 - s)/s) - log2((1 - lambda)/lambda)*lambda'],
-    lambda' = -(2s - 1)(1 - c^2)/rho, the lambda term 0 where lambda = 0. Since
-    h(s) + (1 - s)*log2((1 - s)/s) = -log2(s), this is computed as
-      log2(1 + eta) - h(lambda) - ec + m*L,  L = log2((1 - lambda)/lambda),
-    from k = 1 - c^2 = 4q_x(1 - q_x), m = (1 - s)(2s - 1)k/rho and lambda =
-    2s(1 - s)k/(1 + rho), which is (1 - rho)/2 without its cancellation.
-
-    Allowance: 1 - s, s and 2s - 1 are computed as eta, 1 and 1 - eta over
-    1 + eta, so with log2 and hypot within one ulp, each of them, k, rho, m
-    and lambda is within 18u relative of its exact value (u = 2^-53). So L is
-    off by at most 58u + 3u*L, h(lambda) by 25u*h(lambda) + 2u (as
-    lambda*L <= h(lambda)), log2(1 + eta) by 4u and, to first order, the
-    computed slope is within
-      u*[9 + 28*h(lambda) + 3*ec + m*(58 + 25*L)] <= 2^-47 * [1 + h(lambda) + ec + m*(1 + L)]
-    of the exact one. Intermediates below the normal range move it by far
-    less than the constant term.
-
-    Returns (slope, allowance).
-    """
-    s0, s, d = eta / (1.0 + eta), 1.0 / (1.0 + eta), (1.0 - eta) / (1.0 + eta)
+def _discard_slope(q_x, eta, ec):
+    """(dR/da, allowance) of the discarded rate R at eta1 = 1, elementwise;
+    ``ec`` as in ``_discarded_rate``. The kernel's chain rule where a = eta1*t/2
+    moves and b = eta*t/2 does not: y^2 = 4ab*(1 - k), so w = 4ab*k with
+    k = 4q_x(1 - q_x), dw/da = w/a and dR/da = log2(p/a) - h(lambda) - ec +
+    L*(a - b)*w/(4apr). It is free of scale, so (a, b) = (1, eta): w and r are
+    within 3u and 4u relative (u = 2^-53; passed as 2^-51 and 2^-50), m = w/a
+    = w, and the chain rule adds 4(dm + 2u*m) <= 2^-48*w and 4u*ec = 2^-51*ec."""
     k = 4.0 * q_x * (1.0 - q_x)
-    rho = math.hypot(d, 2.0 * (1.0 - 2.0 * q_x) * math.sqrt(s * s0))
-    lam, m = 2.0 * s * s0 * k / (1.0 + rho), s0 * d * k / rho
-    h_lam = log_odds = 0.0
-    if lam > 0.0:
-        log_odds = math.log2(1.0 - lam) - math.log2(lam)
-        h_lam = -lam * math.log2(lam) - (1.0 - lam) * math.log2(1.0 - lam)
-    slope = math.log2(1.0 + eta) - h_lam - ec + m * log_odds
-    return slope, 2.0**-47 * (1.0 + h_lam + ec + m * (1.0 + log_odds))
+    w, r = 4.0 * eta * k, np.hypot(1.0 - eta, 2.0 * np.sqrt(eta) * (1.0 - 2.0 * q_x))
+    (f_a, _, f_w), (e_a, _, e_w) = _coherence_grad(1.0, eta, w, r, 2.0**-51, 2.0**-50)
+    return f_a + f_w * w - ec, e_a + w * (e_w + 2.0**-48 * np.abs(f_w)) + 2.0**-51 * ec
 
 
 def keyrate_discard_optimized(
@@ -311,26 +302,23 @@ def keyrate_discard_optimized(
     """Balanced rate maximized over the zero-discarding probability.
 
     Searches eta1 in [eta, 1] (probability 1 - eta1 of dropping each zero
-    outcome); eta1 = 1 reproduces the plain balanced rate and eta1 = eta
-    the pure discarding rate. At gains a = eta1*t/2, b = eta*t/2 the mismatch
-    eta/eta1 = b/a makes lambda a function of s = a/(a + b), so the rate is
-    (a + b)*g(a/(a + b)), the perspective of g(s) = h(s) - h(lambda(s)) -
-    f_ec*h(q_z) (Boyd & Vandenberghe, Convex Optimization, sec. 3.2.6). g is
-    concave (checked to 40 digits; constant at q_x = 1/2), so the rate is
-    concave in eta1: a maximizer lies within one step of a grid's first best
-    point.
+    outcome); eta1 = 1 is the plain balanced rate, eta1 = eta pure discarding.
+    At gains a = eta1*t/2, b = eta*t/2 the mismatch eta/eta1 = b/a makes lambda
+    a function of s = a/(a + b), so the rate is (a + b)*g(s), the perspective
+    of g(s) = h(s) - h(lambda(s)) - f_ec*h(q_z) (Boyd & Vandenberghe, Convex
+    Optimization, sec. 3.2.6). g is concave (checked to 40 digits; constant at
+    q_x = 1/2), so the rate is concave in eta1: a maximizer lies within one
+    step of a grid's first best point.
 
-    Certificate: a concave rate whose slope at eta1 = 1 is positive peaks
-    there. So where the closed-form slope dR/da = g(s) + (1 - s)*g'(s) at
-    s = 1/(1 + eta) exceeds its first-order rounding allowance, 2^-47 times
-    1 + h(lambda) + f_ec*h(q_z) + a lambda term (``_slope_at_one``), eta1 = 1
-    is returned without a search: the balanced rate, bit for bit. Elsewhere
-    256-point grids shrink to the first best point's neighbours until those
-    are at most 1e-10 apart; the first best of eta1 = 1, that point and
-    eta1 = eta wins, so a tie goes to the balanced rate.
+    Certificate: a concave rate whose slope at eta1 = 1 beats its rounding
+    allowance (``_discard_slope``) peaks there, and eta1 = 1 is returned
+    without a search: the balanced rate, bit for bit. Elsewhere 256-point
+    grids shrink to the first best point's neighbours until those are at most
+    1e-10 apart; the first best of eta1 = 1, that point and eta1 = eta wins,
+    so a tie goes to the balanced rate.
 
     Raises:
-        ValueError: if an input is out of range or t*eta underflows to 0.
+        ValueError: if an input is out of range or t*eta/2 is below ``_MIN_GAIN``.
         ConfigError: unless f_ec is finite and non-negative.
     """
     _check_balanced(q_z, q_x, eta, t, f_ec)
@@ -353,6 +341,7 @@ def _zoom(q_x: float, eta: float, t: float, ec: float) -> list[tuple]:
 def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Prior-work comparison rate p_pass*{2*eta/(1+eta)*[1-h(q_x)] - h(q_z)}."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
+    _require_in("outcome gain eta*p_pass/(1+eta)", eta * p_pass / (1.0 + eta), _MIN_GAIN, 1.0)
     rate = _rates("fung1", q_z, q_x, eta, p_pass=p_pass)[0].item()
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung1")
 
@@ -360,6 +349,7 @@ def keyrate_fung1(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateR
 def keyrate_fung2(q_z: float, q_x: float, eta: float, p_pass: float) -> KeyRateResult:
     """Pure-discarding comparison rate p_pass*2*eta/(1+eta)*[1-h(q_z)-h(q_x)]."""
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, p_pass=p_pass)
+    _require_in("outcome gain eta*p_pass/(1+eta)", eta * p_pass / (1.0 + eta), _MIN_GAIN, 1.0)
     rate = _rates("fung2", q_z, q_x, eta, p_pass=p_pass)[0].item()
     return KeyRateResult(rate=rate, feasible=True, delta=None, lam=None, method="fung2")
 
@@ -406,26 +396,24 @@ def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass
             rate = p * (2.0 * eta / (1.0 + eta) * (1.0 - h_x) - h_z)
         else:
             rate = p * 2.0 * eta / (1.0 + eta) * (1.0 - h_z - h_x)
-        rate = np.where(p > 0.0, rate, np.nan)  # p = 0 where t*(1+eta)/2 underflows
+        rate = np.where(eta * p / (1.0 + eta) >= _MIN_GAIN, rate, np.nan)
     elif method == "general":
         with np.errstate(over="ignore", invalid="ignore"):  # a tiny t can overflow delta: infeasible
             extra, bad = _imbalance(p_pass, t, eta)
-            arg, raw, inconsistent = _general_args(q_x, eta, t, p_pass, extra)
-            ok = ~bad & feasible(q_x, extra) & ~inconsistent & (arg >= -1e-12) & (arg <= 1 + 1e-12) & np.isfinite(raw)
-        lam[ok] = np.maximum(raw[ok], 0.0)
+            arg, _, clamped, consistent = _general_args(q_x, eta, t, p_pass, extra)
+            ok = ~bad & feasible(q_x, extra) & consistent & (arg >= -1e-12) & (arg <= 1 + 1e-12)
+        lam[ok] = clamped[ok]
         h = binary_entropy(np.clip(arg[ok], 0.0, 1.0)) - binary_entropy(lam[ok])
         rate[ok] = p_pass * (h - f_ec * binary_entropy(q_z[ok]))
     else:
-        ok = eta * t / 2.0 > 0.0
+        ok = eta * t / 2.0 >= _MIN_GAIN
         ec = f_ec * binary_entropy(q_z)
         rate[ok], lam[ok] = _discarded_rate(q_x[ok], eta[ok], t, 1.0, ec[ok])
         extra = np.ones(eta.shape)
         if method == "discard_optimized":
-            points = list(zip(q_x.tolist(), eta.tolist(), ec.tolist()))
-            for i in np.flatnonzero(ok & (eta < 1.0)).tolist():
-                slope, allowance = _slope_at_one(*points[i])
-                if not slope > allowance:
-                    (q, e, c), best = points[i], (rate[i], lam[i], 1.0)
-                    # The first of equal rates wins, so a tie goes to eta1 = 1.
-                    rate[i], lam[i], extra[i] = max([best, *_zoom(q, e, t, c)], key=lambda cand: cand[0])
+            slope, allowance = _discard_slope(q_x, eta, ec)
+            for i in np.flatnonzero(ok & (eta < 1.0) & ~(slope > allowance)).tolist():
+                # The first of equal rates wins, so a tie goes to eta1 = 1.
+                zoomed = _zoom(q_x[i].item(), eta[i].item(), t, ec[i].item())
+                rate[i], lam[i], extra[i] = max([(rate[i], lam[i], 1.0), *zoomed], key=lambda cand: cand[0])
     return rate, lam, extra

@@ -546,6 +546,34 @@ def test_subnormal_mismatch_exits_one(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_subnormal_outcome_gains_give_no_rate(capsys):
+    # A gain below the normal range carries a few significant bits at most:
+    # the Fung et al. columns printed +-5e-324 and -0 here with exit 0, and a
+    # mismatch of 1e-320 printed a subnormal discard_optimized cell.
+    from bb84_mismatch import keyrate_discard_optimized, keyrate_fung1, keyrate_fung2
+
+    code, out, err = run(
+        capsys, "sweep", "--variable", "q", "--start", "0", "--stop", "0.3", "--steps", "4", "--eta", "0.7",
+        "--t", "5e-324", "--methods", "balanced,fung1,fung2",
+    )
+    assert (code, err) == (0, "")
+    _, data = parse_csv(out)
+    assert all(math.isnan(v) for row in data for v in row[1:])
+    code, out, _ = run(
+        capsys, "sweep", "--variable", "eta", "--start", "1e-320", "--stop", "1", "--steps", "3",
+        "--methods", "discard_optimized,fung1,fung2",
+    )
+    _, data = parse_csv(out)
+    assert code == 0 and all(math.isnan(v) for v in data[0][1:]) and not any(math.isnan(v) for v in data[1])
+    code, out, err = run(capsys, "rate", "--qz", "0", "--qx", "0", "--eta", "0.7", "--t", "5e-324")
+    assert (code, out) == (2, "") and err.startswith("infeasible: ")
+    for call in (lambda: keyrate_fung1(0.0, 0.0, 0.7, 5e-324), lambda: keyrate_fung2(0.0, 0.0, 1e-320, 0.5),
+                 lambda: keyrate_discard_optimized(0.0, 0.0, 1e-320), lambda: mismatch_penalty_ratio(0.0, 1e-320)):
+        with pytest.raises(ValueError, match="outcome gain"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
 def test_subnormal_decoy_intensity_exits_one(capsys):
     # mu*nu1 - nu1^2 is 5e-321 here: it passed the > 0 test, the Q_1 bound's
     # prefactor overflowed to inf and every decoy row printed nan with exit 0.

@@ -716,8 +716,7 @@ def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
 
 
 def test_entropy_grad_matches_central_differences():
-    from bb84_mismatch.decoy import _singles_rate
-    from bb84_mismatch.keyrates import _entropy_grad
+    from bb84_mismatch.decoy import _gain_grad, _singles_rate
 
     rng = np.random.default_rng(2)
     checked = 0
@@ -730,7 +729,7 @@ def test_entropy_grad_matches_central_differences():
             # Away from the edge lambda = 0, where the third derivatives blow up.
             inside = (_singles_rate(a, b, q, eta, 0.0)[1] > 1e-3) & (a > 0.0) & (b > 0.0)
             a, b = a[inside], b[inside]
-            grads, slacks = _entropy_grad(a, b, q, eta)
+            grads, slacks = _gain_grad(a, b, q, eta)
             da, db = 1e-6 * a, 1e-6 * b
             for grad, slack, plus, minus, step in (
                 (grads[:, 0], slacks[:, 0], _singles_rate(a + da, b, q, eta, 0.0)[0],
@@ -744,10 +743,50 @@ def test_entropy_grad_matches_central_differences():
             checked += a.size
     assert checked > 1000
     # A zero gain, or a corner outside the cone (lambda < 0), is never certified.
-    grad, slack = _entropy_grad(
+    grad, slack = _gain_grad(
         np.array([0.0, 1e-3, 1e-3]), np.array([1e-3, 0.0, 1e-3]), np.array([1e-4, 1e-4, 3e-3]), 0.5
     )
     assert not (grad > slack).all(axis=1).any()
+
+
+def test_gain_grad_is_within_its_allowance(mp50):
+    # Each computed partial against a 50-digit evaluation of the partials as
+    # first derived in (a, b) along t = a + b/eta, without the kernel's block
+    # coordinates: d/da = log2(p/a) - [(1 - r_a)*log2(1/lambda) +
+    # (1 + r_a)*log2(1/(1 - lambda))]/2 with r_a = (a - b + eta*d)/r, d = t - 2q,
+    # and d/db the same with log2(p/b) and r_b = (b - a + d)/r. The points are
+    # the seeded lower corners, then draws with lambda near 0 and eta near 1.
+    from bb84_mismatch.decoy import _gain_grad
+
+    mp = mp50
+    points = []
+    for seed in range(8):
+        observations, cfg, eta = _seeded_boxes(seed, 8)
+        points += [(bound_Q1(obs, cfg, 0)[0], bound_Q1(obs, cfg, 1)[0], gamma2_upper(obs, cfg, eta) / eta, eta)
+                   for obs in observations]
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        a, b = 10.0 ** rng.uniform(-6.0, -1.0, 2)
+        eta = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 0.0)
+        # y^2 = eta*d^2 = 4ab*(1 - eps) puts lambda near eps*ab/p^2.
+        d = math.sqrt(4.0 * a * b * (1.0 - 10.0 ** rng.uniform(-12.0, -1.0)) / eta)
+        points.append((a, b, (a + b / eta - d) / 2.0, eta))
+    checked = 0
+    for a, b, q, eta in points:
+        grad, slack = _gain_grad(a, b, q, eta)
+        a50, b50, q50, eta50 = (mp.mpf(v) for v in (a, b, q, eta))
+        p, d = a50 + b50, a50 + b50 / eta50 - 2 * q50
+        r = mp.sqrt((a50 - b50) ** 2 + eta50 * d**2)
+        lam = (p - r) / (2 * p)
+        if not 0 < lam < mp.mpf(1) / 2:
+            assert not np.isfinite(slack).all() or not (grad > slack).all()
+            continue
+        for g, s, gain, r_i in ((grad[0], slack[0], a50, (a50 - b50 + eta50 * d) / r),
+                                (grad[1], slack[1], b50, (b50 - a50 + d) / r)):
+            exact = mp.log(p / gain, 2) - ((1 - r_i) * -mp.log(lam, 2) + (1 + r_i) * -mp.log(1 - lam, 2)) / 2
+            assert abs(g - exact) <= s
+        checked += 1
+    assert checked > 150
 
 
 def test_singles_rate_is_midpoint_convex_on_seeded_boxes():
@@ -775,8 +814,7 @@ def test_singles_rate_is_midpoint_convex_on_seeded_boxes():
 
 
 def test_corner_certificate_holds_exactly_where_the_search_ends_at_the_corner():
-    from bb84_mismatch.decoy import _ec_term, _search_boxes
-    from bb84_mismatch.keyrates import _entropy_grad
+    from bb84_mismatch.decoy import _ec_term, _gain_grad, _search_boxes
 
     certified = feasible = 0
     for seed in range(60):
@@ -787,7 +825,7 @@ def test_corner_certificate_holds_exactly_where_the_search_ends_at_the_corner():
             for obs in observations
         ])
         points, found = _search_boxes(boxes, eta)
-        grad, slack = _entropy_grad(boxes[:, 0], boxes[:, 2], boxes[:, 4], eta)
+        grad, slack = _gain_grad(boxes[:, 0], boxes[:, 2], boxes[:, 4], eta)
         corner = (grad > slack).all(axis=1)
         assert np.array_equal(corner, found & (points == boxes[:, [0, 2]]).all(axis=1))
         certified += int(corner.sum())

@@ -175,14 +175,14 @@ def _near_flat_draws(seed, count):
     """Seeded (q_z, q_x, eta, t, f_ec) as ``_discard_draws``', q_z from 0.01,
     with f_ec set so that the slope at eta1 = 1 is within 1e-6 relative of 0:
     f_ec*h(q_z) is the slope at f_ec = 0 times 1 +- 1e-6."""
-    from bb84_mismatch.keyrates import _slope_at_one
+    from bb84_mismatch.keyrates import _discard_slope
 
     rng = np.random.default_rng(seed)
     draws = []
     while len(draws) < count:
         q_z, q_x = rng.uniform(0.01, 0.5), rng.uniform(0.0, 1.0)
         eta, t = 10.0 ** rng.uniform(-3.0, 0.0), 10.0 ** rng.uniform(-6.0, 0.0)
-        rise = _slope_at_one(q_x, eta, 0.0)[0]
+        rise = float(_discard_slope(q_x, eta, 0.0)[0])
         if rise > 0.0:
             draws.append((q_z, q_x, eta, t, rise * (1.0 + rng.uniform(-1e-6, 1e-6)) / h(q_z)))
     return draws
@@ -217,14 +217,14 @@ def test_certificate_fires_only_where_the_maximum_is_at_eta1_one(draws, counts):
     # spans 1e-10, where the rate is flat to rounding); elsewhere the search
     # runs as before, bit for bit. counts: (certified, searched, certified
     # points where the search picks eta1 < 1).
-    from bb84_mismatch.keyrates import _slope_at_one
+    from bb84_mismatch.keyrates import _discard_slope
 
     certified = searched = rounded_up = 0
     for q_z, q_x, eta, t, f_ec in draws():
         ec = f_ec * h(q_z)
         res = keyrate_discard_optimized(q_z, q_x, eta, t, f_ec)
         rate, lam, eta1 = _searched_discard(q_z, q_x, eta, t, f_ec)
-        slope, allowance = _slope_at_one(q_x, eta, ec)
+        slope, allowance = _discard_slope(q_x, eta, ec)
         if slope > allowance:
             certified += 1
             assert res.optimizer_args == (1.0, eta)
@@ -240,25 +240,20 @@ def test_certificate_fires_only_where_the_maximum_is_at_eta1_one(draws, counts):
     assert (certified, searched, rounded_up) == counts
 
 
-def test_slope_at_one_is_within_its_allowance():
+def test_slope_at_one_is_within_its_allowance(mp50, h50):
     # The allowance bounds the computed slope's rounding error, against a
     # 50-digit evaluation of g(s) + (1 - s)*g'(s) as written, without the
-    # rewrites that avoid cancellation. The last draws put lambda near 0 and
-    # eta near 1.
-    mp = pytest.importorskip("mpmath")
-    from bb84_mismatch.keyrates import _slope_at_one
+    # kernel's block coordinates or the rewrites that avoid cancellation. The
+    # last draws put lambda near 0 and eta near 1.
+    from bb84_mismatch.keyrates import _discard_slope
 
-    mp.mp.dps = 50
-
-    def h50(x):
-        return -x * mp.log(x, 2) - (1 - x) * mp.log(1 - x, 2) if 0 < x < 1 else mp.mpf(0)
-
+    mp = mp50
     rng = np.random.default_rng(194)
     draws = [(q_x, eta, f_ec * h(q_z)) for q_z, q_x, eta, _, f_ec in _discard_draws(193, 300)]
     draws += [(q_x, eta, f_ec * h(q_z)) for q_z, q_x, eta, _, f_ec in _near_flat_draws(195, 100)]
     draws += [(10.0 ** rng.uniform(-15.0, -1.0), 1.0 - 10.0 ** rng.uniform(-15.0, -1.0), 0.1) for _ in range(100)]
     for q_x, eta, ec in draws:
-        slope, allowance = _slope_at_one(q_x, eta, ec)
+        slope, allowance = _discard_slope(q_x, eta, ec)
         s, c = 1 / (1 + mp.mpf(eta)), 1 - 2 * mp.mpf(q_x)
         rho = mp.sqrt((2 * s - 1) ** 2 + 4 * c**2 * s * (1 - s))
         lam, dlam = (1 - rho) / 2, -(2 * s - 1) * (1 - c**2) / rho
@@ -335,10 +330,10 @@ def test_discard_collapses_without_mismatch():
 def test_discard_noiseless_optimum_keeps_everything():
     # Discarding only loses rate in the noiseless case: lambda = 0, and the
     # slope at eta1 = 1 is -log2(s) = log2(1 + eta) > 0, so the point is certified.
-    from bb84_mismatch.keyrates import _slope_at_one
+    from bb84_mismatch.keyrates import _discard_slope
 
     for eta in (0.1, 0.4, 0.8):
-        slope, allowance = _slope_at_one(0.0, eta, 0.0)
+        slope, allowance = _discard_slope(0.0, eta, 0.0)
         assert slope == math.log2(1.0 + eta) > allowance
         res = keyrate_discard_optimized(0.0, 0.0, eta)
         assert res.rate == keyrate_balanced(0.0, 0.0, eta).rate
@@ -348,11 +343,11 @@ def test_discard_noiseless_optimum_keeps_everything():
 def test_discard_at_half_x_error_drops_every_zero_it_may():
     # At q_x = 1/2, lambda = 1 - s and g(s) = -ec, so the rate falls linearly
     # in eta1 with slope -ec < 0: the point is searched and ends at eta1 = eta.
-    from bb84_mismatch.keyrates import _slope_at_one
+    from bb84_mismatch.keyrates import _discard_slope
 
     ec = h(0.05)
     for eta in (0.1, 0.4, 0.8):
-        slope, allowance = _slope_at_one(0.5, eta, ec)
+        slope, allowance = _discard_slope(0.5, eta, ec)
         assert abs(slope + ec) <= allowance
         res = keyrate_discard_optimized(0.05, 0.5, eta)
         assert res.optimizer_args == (eta, 1.0)

@@ -236,24 +236,32 @@ def test_minimize_attains_the_closed_form_over_the_domain(point):
 
 
 def _assert_oracle_minimum(eta, a, b, q, value):
-    """Assert that the convex program at outcome gains (a, b), x-error gain q
-    and mismatch eta has f* = value within 2^-45*t/(1 - eta), or 2^-45*t at
-    eta = 1, with t = a + b/eta: the slack of the whole-domain property above.
+    """``_assert_oracle_values`` at outcome gains (a, b) and x-error gain q:
+    the values (eta*a + b, eta*q, a + b).
 
-    At eta = 1 the program's values (a + b, q, a + b) drop the outcome split
-    that ``value`` rests on, so where a != b its minimum over every split can
-    only be lower: there f* <= value within the slack is asserted.
+    At eta = 1 those values drop the outcome split that ``value`` rests on, so
+    where a != b the program's minimum over every split can only be lower:
+    there f* <= value within the slack is asserted.
     """
-    t = a + b / eta
+    _assert_oracle_values(eta, (eta * a + b, eta * q, a + b), value, one_sided=eta == 1.0 and a != b)
+
+
+def _assert_oracle_values(eta, values, value, one_sided=False):
+    """Assert that the convex program at constraint ``values`` and mismatch
+    eta has f* = value within 2^-45*t/(1 - eta), or 2^-45*t at eta = 1, with
+    t = values[0]/eta: the slack of the whole-domain property above; only
+    f* <= value within it if ``one_sided``.
+    """
+    t = values[0] / eta
     try:
-        f_star = minimize(build_gamma_set(eta), (eta * a + b, eta * q, a + b)).f_star
+        f_star = minimize(build_gamma_set(eta), values).f_star
     except ValueError:
         # Within 2^-48 of eta = 1 the values fix the imbalance only to about
         # eps/(1 - eta), and minimize may decline, as in the property above.
         assert 0.0 < 1.0 - eta < 2.0**-48
         return
     slack = 2.0**-45 * t / (1.0 - eta) if eta < 1.0 else 2.0**-45 * t
-    if eta == 1.0 and a != b:
+    if one_sided:
         assert f_star <= value + slack
     else:
         assert abs(f_star - value) <= slack
@@ -317,6 +325,22 @@ def test_sweep_rates_are_the_oracle_minimum_at_their_eta1(q_z, q_x, eta, t, f):
         eta1 = 1.0 if res.optimizer_args is None else res.optimizer_args[0]
         a, b = eta1 * t / 2.0, eta * t / 2.0
         _assert_oracle_minimum(eta / eta1, a, b, eta1 * t * q_x, res.rate + (a + b) * f * binary_entropy(q_z))
+
+
+# The oracle behind the printed general sweep cells: the program at the
+# observed values (t*eta, t*eta*q_x, p_pass), the rate's own inputs.
+@seed(20261029)
+@settings(max_examples=120, deadline=None)
+@given(qber, st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0), f_ec,
+       st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=0.0, max_value=1.0))
+def test_general_rates_are_the_oracle_minimum(q_z, eta, t, f, delta, place):
+    # delta and q_x drawn inside the feasible region: |2q_x - 1| <= sqrt(1 - delta^2).
+    root = math.sqrt(1.0 - delta * delta)
+    q_x = (1.0 - root) / 2.0 + place * root
+    p_pass = t * ((1.0 + eta) + delta * (1.0 - eta)) / 2.0
+    rate = keyrate_general(q_z, q_x, eta, t, p_pass, f).rate
+    if rate is not None:
+        _assert_oracle_values(eta, (t * eta, t * eta * q_x, p_pass), rate + p_pass * f * binary_entropy(q_z))
 
 
 _RHO = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
