@@ -337,10 +337,13 @@ def _gamma2_upper(gains: np.ndarray, error_rates: np.ndarray, cfg: DecoyConfig, 
 
 def _singles_rate(q1_0, q1_1, q, eta, ec_term):
     """Key rate from single-photon gains (q1_0, q1_1) and x-error gain q: the
-    closed form ``keyrates._entropy_args``, elementwise over arrays. Returns
-    (rate, lambda_of_q), both nan where ``keyrates._consistent`` rejects lambda
-    (as at no detections). ``ec_term`` is the error-correction leakage, gain
-    included."""
+    closed form ``keyrates._entropy_args``, elementwise over arrays.
+
+    Returns (rate, lambda_of_q), both nan where the point is infeasible: no
+    detections, or a phase-error argument ``keyrates._consistent`` rejects.
+    ``ec_term`` is the full error-correction leakage, already multiplied by
+    its gain.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = q1_0 + q1_1 / eta
         p_pass, arg, lam_q = _entropy_args(q1_0, q1_1, t, q, eta)
@@ -365,8 +368,8 @@ def _gain_grad(a, b, q, eta):
         w, s = (p - r) * (p + r), p + t + q2
         (f_a, f_b, f_w), (e_a, e_b, e_w) = _coherence_grad(a, b, w, r, 2.0**-48 * p * s / w, 2.0**-50 * s / r)
         m_a, m_b = 4.0 * b - (2.0 * eta) * d, 4.0 * a - 2.0 * d
-        grad = np.concatenate(((f_a + f_w * m_a)[..., None], (f_b + f_w * m_b)[..., None]), -1)
-        slack = np.concatenate(((e_a + abs(m_a) * e_w)[..., None], (e_b + abs(m_b) * e_w)[..., None]), -1)
+        grad = np.stack((f_a + f_w * m_a, f_b + f_w * m_b), axis=-1)
+        slack = np.stack((e_a + abs(m_a) * e_w, e_b + abs(m_b) * e_w), axis=-1)
         return grad, slack + (2.0**-45 * s * abs(f_w))[..., None]
 
 
@@ -402,22 +405,31 @@ def decoy_keyrate(obs: DecoyObservations, cfg: DecoyConfig, eta: float, f_ec: fl
     fixed at its upper bound (the rate decreases monotonically in it).
 
     The rate is convex in the two gains, so the lower-bound corner is the
-    minimum whenever both partials there exceed their rounding allowance
-    (``_gain_grad``): the rate is then certified there and ``rate_lower``
-    equals ``rate``. Any other box is searched (``_search_boxes``), its
-    ``rate_lower`` the Frank-Wolfe bound at the point found; the result records
-    the argmin and whether it is the lower corner. The rate is ``_evaluate``'s.
+    minimum whenever both partials there are positive beyond their rounding
+    allowance (``_gain_grad``, by the chain rule from the block's coherence
+    kernel): the rate is then certified at the corner, and
+    ``rate_lower`` equals ``rate``. Any other box is searched. A 64x64 grid
+    over the box seeds the search with its first minimum in row-major order
+    (outcome-0 gain outer). Sixteen zoom levels follow, each a 9x9 grid over
+    +-2 steps of the previous grid around the best point so far, clipped to
+    the box; the window halves at each level, and a point replaces the best
+    only if its rate is strictly lower. A searched box's ``rate_lower`` is the
+    Frank-Wolfe bound at the point found. The result records the argmin and
+    whether it sits at the lower-bound corner. The rate is the one-row call
+    of ``_evaluate``, the pass ``decoy-sim`` runs.
 
-    Why the corner test certifies: R(a, b) = f*(gamma(a, b)) - ec, f* the
-    value of the convex program ``verifier.minimize`` solves (Winick,
-    Luetkenhaus & Coles, Quantum 2, 77 (2018)) as a function of its
-    right-hand side gamma = (eta*a + b, eta*q, a + b), is convex, and gamma is
-    affine in (a, b) at fixed q, so R is convex on the feasible part of the
-    box, itself convex (lambda >= 0 says that a norm of an affine map is at
-    most the affine p). At the lower corner c, R(x) >= R(c) + grad R(c).(x - c)
-    >= R(c) for every feasible x of the box when both partials are >= 0, which
-    each computed partial beating its allowance proves; the test fails
-    wherever the corner is infeasible or has a zero gain.
+    Why the corner test certifies: the rate is R(a, b) = f*(gamma(a, b)) - ec,
+    f* the value of the convex program ``verifier.minimize`` solves (Winick,
+    Luetkenhaus & Coles, Quantum 2, 77 (2018)), as a function of the program's
+    right-hand side gamma = (eta*a + b, eta*q, a + b). That function is
+    convex, and gamma is affine in the gains (a, b) at fixed q, so R is convex
+    on the feasible part of the box, itself convex (lambda >= 0 says that a
+    norm of an affine map is at most the affine p). At the lower corner c,
+    R(x) >= R(c) + grad R(c).(x - c) >= R(c) for every feasible x of the box
+    when both partials are >= 0. The test asks each computed partial to
+    exceed its rounding allowance (``_gain_grad``), so that the
+    exact partial is positive, and fails wherever the corner is infeasible or
+    has a zero gain.
 
     The same inequality at a searched box's final point y, with each partial
     g_i widened by its allowance s_i, gives rate_lower = R(y) +
@@ -450,12 +462,13 @@ def _evaluate(obs: DecoyObservations, cfg: DecoyConfig, f_ec: float, eta, single
     Returns (rate, lam, delta, a, b), each (rows, L), nan where infeasible,
     (a, b) the argmin; and the decoy row's box (lo, up, q, searched): corners
     (L, 2), x-error gain and whether the corner test left it to the search,
-    each (L,), or None. One ``_ec_term``, ``_singles_rate`` and imbalance
-    check, all elementwise, so each row equals its one-row call bit for bit.
-    Argument errors come first (decoy intensities and mismatch, the limits'
-    mismatches, f_ec), then the data's in row order: the decoy row's imbalance
-    (checked twice where a single-photon yield vanishes), the vanishing
-    yield, the limits'.
+    each (L,), or None. One ``_ec_term``, one ``_singles_rate`` and one
+    imbalance check, all elementwise, so each row equals its one-row call
+    (``decoy_keyrate``, ``theoretical_limit``) bit for bit. Errors in the
+    arguments come first (the decoy intensities and mismatch, the limits'
+    mismatches, f_ec), then those of the data in row order: the decoy row's
+    imbalance (a second check where a single-photon yield vanishes), the
+    vanishing yield, the limits'.
     """
     points, box = [], None
     if eta is not None:
@@ -497,15 +510,12 @@ def _evaluate(obs: DecoyObservations, cfg: DecoyConfig, f_ec: float, eta, single
 
 
 def _search_boxes(boxes: np.ndarray, eta: float):
-    """The decoy worst-case search over the rows (lo0, up0, lo1, up1, q, ec)
-    of ``boxes``. A 64x64 grid over each box seeds it with its first minimum
-    in row-major order (outcome-0 gain outer); sixteen zoom levels follow,
-    each one ``_singles_rate`` call over every box with a feasible seed: a 9x9
-    grid over +-2 steps of the previous grid around the best point so far,
-    clipped to the box, the window halving per level and a point replacing
-    the best only if strictly lower. Returns the final points, shape (n, 2),
-    and which boxes have a feasible seed; a box whose seed grid is all
-    infeasible is infeasible, and its point nan.
+    """The seed scan and zoom of ``decoy_keyrate`` over the rows
+    (lo0, up0, lo1, up1, q, ec) of ``boxes``: one 64x64 scan per box, then
+    each zoom level as one ``_singles_rate`` call over every box with a
+    feasible seed. Returns the final points, shape (n, 2), and which boxes
+    have a feasible seed; a box whose seed grid is all infeasible is
+    infeasible, and its point nan.
     """
     seeds = np.full((len(boxes), 3), np.nan)
     for k, (lo0, up0, lo1, up1, q, ec) in enumerate(boxes.tolist()):

@@ -156,18 +156,26 @@ def _coherence_grad(a, b, w, r, ew, er):
       F_a = log2(p/a) - h(lambda) + L*w/(2pr),  F_b likewise,  F_w = -L/(4r),
     L = log2((1 - lambda)/lambda), every L term 0 where lambda = 0.
 
-    Allowance: with a, b exact, w and r within relative ew and er and
-    u = 2^-53, lambda is within ew + er/2 + 5u relative, which moves h(lambda)
-    by lambda*L <= h(lambda) times that and L by 2.9 times it. With log2 and
-    the products within an ulp, to first order F_i is within 4u(2 + |log2(p/gain_i)|)
-    + e0(h(lambda) + |L|W/2 + 1.5W) + uWl and F_w within (3e0 + 2ul)/(4r) +
-    e0|F_w|: e0 = ew + er + 16u, W = w/(pr), l = -log2(lambda(1 - lambda)) >= |L|.
-    As h(lambda) <= 1 and u <= e0/16, that is a quarter of the returned
-      E_i = 2^-49*(2 + |log2(p/gain_i)|) + e*(1 + W*(2 + l)),  E_w = 0.75*e*(1 + l)/r,
-    e = 4*e0, the factor 4 headroom for what first order drops. A chain rule
-    F_i + F_w*m_i - c, m_i = dw/di within dm_i and c >= 0 exact, is then within
-    a quarter of E_i + |m_i|*E_w + 4|F_w|(dm_i + 2u|m_i|) + 4u*c. Allowances are
-    inf or nan where a gain is 0, r = 0 or lambda < 0, so tests against them fail.
+    Allowance: u = 2^-53. +, -, *, / and sqrt round correctly (within u
+    relative); log2 and hypot are taken within one ulp of the correctly
+    rounded value, so within 3u of the exact one. numpy's accuracy test
+    asserts that bound for float64 log2 on whichever vectorized path runs,
+    glibc's error table gives it for hypot, and
+    ``test_log2_and_hypot_are_within_one_ulp`` checks both on the build in use. With a, b exact and w and r within
+    relative ew and er, lambda is within ew + er/2 + 5u relative, which moves
+    h(lambda) by lambda*L <= h(lambda) times that and L by 2.9 times it. To
+    first order F_i is within 4u*|log2(p/gain_i)| + 10u + 1.5u*W*l +
+    e0*(h(lambda) + |L|*W/2 + 1.5W) and F_w within (3e0 + 4u*l)/(4r) + e0*|F_w|:
+    e0 = ew + er + 16u, W = w/(pr), l = -log2(lambda(1 - lambda)) >= |L|. A
+    chain rule F_i + F_w*m_i - c, m_i = dw/di within dm_i and c >= 0 exact,
+    adds |F_w|*dm_i and roundings of 2u*|F_i| + 3u*|F_w*m_i| + u*c. As
+    h(lambda) <= 1 and u <= e0/16, it is then within a quarter of
+    E_i + |m_i|*E_w + 4|F_w|(dm_i + 2u|m_i|) + 4u*c, with the returned
+      E_i = 2^-48*(2 + |log2(p/gain_i)|) + e*(1 + W*(2 + l)),  E_w = 0.75*e*(1 + l)/r,
+    e = 4*e0: the factor 4 is headroom for what first order drops.
+    Intermediates below the normal range move F_i by far less than its
+    constant term. Allowances are inf or nan where a gain is 0, r = 0 or
+    lambda < 0, so tests against them fail.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = np.add(a, b)
@@ -176,10 +184,12 @@ def _coherence_grad(a, b, w, r, ew, er):
         lg1, lg2 = np.log2(np.where(lam == 0.0, 1.0, lam)), np.log2(1.0 - lam)
         big_l, big_w, l = lg2 - lg1, w / (p * r), -(lg1 + lg2)
         rest = big_l * (lam - big_w / 2.0) - lg2  # h(lambda) - L*w/(2pr)
+        head_a, head_b = np.log2(p / a), np.log2(p / b)
         e = 4.0 * (ew + er + 2.0**-49)
-        heads, e_ab = (np.log2(p / a), np.log2(p / b)), e * (1.0 + big_w * (2.0 + l)) + 2.0**-48
-        e_w, f_w = 0.75 * e * (1.0 + l) / r, big_l / (-4.0 * r)
-        return (*(h - rest for h in heads), f_w), (*(2.0**-49 * abs(h) + e_ab for h in heads), e_w)
+        e_ab = 2.0**-47 + e * (1.0 + big_w * (2.0 + l))
+        partials = (head_a - rest, head_b - rest, big_l / (-4.0 * r))
+        allowances = (2.0**-48 * abs(head_a) + e_ab, 2.0**-48 * abs(head_b) + e_ab, 0.75 * e * (1.0 + l) / r)
+    return partials, allowances
 
 
 def _consistent(lam, scale):
@@ -187,18 +197,19 @@ def _consistent(lam, scale):
     r/(2p), elementwise: with r within 6u*s (u = 2^-53, s = p + t + 2x) it is
     within 2^-51*scale, scale = s/p, and consistent where finite and at least
     -max(_LAM_FLOOR, 2^-51*scale), a bound capped so that -inf always fails."""
-    b = 2.0**-51 * scale
-    # The discard path's float scale keeps numpy calls off its hot zoom.
-    b = min(max(_LAM_FLOOR, b), _MAX) if isinstance(b, float) else np.minimum(np.maximum(_LAM_FLOOR, b), _MAX)
-    return np.maximum(lam, 0.0), lam >= -b
+    bound = np.minimum(np.maximum(_LAM_FLOOR, 2.0**-51 * scale), _MAX)
+    return np.maximum(lam, 0.0), lam >= -bound
 
 
 def _general_args(q_x, eta, t, p_pass, delta):
-    """(h argument, lambda, lambda clamped at 0, consistent) at pass rate
-    p_pass and imbalance delta (a numpy delta, so that p = 0 divides without
-    raising), elementwise: gains a = t*(1+delta)/2, b = p_pass - a, x-error
-    gain x = t*q_x, lambda judged by ``_consistent``; p = 0 is inconsistent."""
+    """(h argument, lambda, lambda clamped at 0, consistent) at pass rate p_pass
+    and imbalance delta, elementwise over numpy arrays or scalars (a numpy delta,
+    so that p = 0 divides without raising) and never raising: the closed form at
+    gains a = t*(1+delta)/2, b = p_pass - a and x-error gain x = t*q_x, with
+    lambda unclamped. ``consistent`` is ``_consistent``'s rule for lambda.
+    """
     a, x = t * (1.0 + delta) / 2.0, t * q_x
+    # Gains that cancel to p = 0 give a lambda of -inf, which is inconsistent, or nan.
     with np.errstate(divide="ignore", invalid="ignore"):
         p, arg, lam = _entropy_args(a, p_pass - a, t, x, eta)
         return (arg, lam, *_consistent(lam, np.divide(p + t + 2.0 * x, p)))
@@ -270,14 +281,17 @@ def _check_balanced(q_z: float, q_x: float, eta: float, t: float, f_ec: float) -
 
 
 def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
-    """Rate and lambda after discarding zero outcomes with probability 1 - eta1:
-    the closed form at gains (eta1*t/2, eta*t/2), transparency eta1*t, x-error
-    gain eta1*t*q_x and mismatch eta/eta1, balanced for every eta1; ``ec`` is
-    f_ec*h(q_z). Elementwise over an ``eta1`` array, or q_x, eta and ec arrays."""
+    """Rate and lambda after discarding zero outcomes with probability 1 - eta1.
+
+    The closed form at gains (eta1*t/2, eta*t/2), transparency eta1*t, x-error
+    gain eta1*t*q_x and mismatch eta/eta1; it is balanced for every eta1.
+    ``ec`` is f_ec*h(q_z). Elementwise over a scalar or an array ``eta1``, or
+    over arrays q_x, eta and ec of one shape.
+    """
     t_eff = eta1 * t
     p, arg, lam = _entropy_args(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
-    # lambda >= 0 exactly here, and s = p + t_eff + 2x <= 7p: the rule only clamps.
-    lam = _consistent(lam, 7.0)[0]
+    # lambda >= 0 holds exactly here; the clamp only absorbs rounding.
+    lam = np.maximum(lam, 0.0)
     h_arg, h_lam = binary_entropy(np.array((arg, lam)))  # one call for both halves the overhead
     return p * (h_arg - h_lam - ec), lam
 
@@ -288,7 +302,7 @@ def _discard_slope(q_x, eta, ec):
     moves and b = eta*t/2 does not: y^2 = 4ab*(1 - k), so w = 4ab*k with
     k = 4q_x(1 - q_x), dw/da = w/a and dR/da = log2(p/a) - h(lambda) - ec +
     L*(a - b)*w/(4apr). It is free of scale, so (a, b) = (1, eta): w and r are
-    within 3u and 4u relative (u = 2^-53; passed as 2^-51 and 2^-50), m = w/a
+    within 3u and 6u relative (u = 2^-53; passed as 2^-51 and 2^-50), m = w/a
     = w, and the chain rule adds 4(dm + 2u*m) <= 2^-48*w and 4u*ec = 2^-51*ec."""
     k = 4.0 * q_x * (1.0 - q_x)
     w, r = 4.0 * eta * k, np.hypot(1.0 - eta, 2.0 * np.sqrt(eta) * (1.0 - 2.0 * q_x))
@@ -302,20 +316,23 @@ def keyrate_discard_optimized(
     """Balanced rate maximized over the zero-discarding probability.
 
     Searches eta1 in [eta, 1] (probability 1 - eta1 of dropping each zero
-    outcome); eta1 = 1 is the plain balanced rate, eta1 = eta pure discarding.
-    At gains a = eta1*t/2, b = eta*t/2 the mismatch eta/eta1 = b/a makes lambda
-    a function of s = a/(a + b), so the rate is (a + b)*g(s), the perspective
-    of g(s) = h(s) - h(lambda(s)) - f_ec*h(q_z) (Boyd & Vandenberghe, Convex
-    Optimization, sec. 3.2.6). g is concave (checked to 40 digits; constant at
-    q_x = 1/2), so the rate is concave in eta1: a maximizer lies within one
-    step of a grid's first best point.
+    outcome); eta1 = 1 reproduces the plain balanced rate and eta1 = eta
+    the pure discarding rate. At gains a = eta1*t/2, b = eta*t/2 the mismatch
+    eta/eta1 = b/a makes lambda a function of s = a/(a + b), so the rate is
+    (a + b)*g(a/(a + b)), the perspective of g(s) = h(s) - h(lambda(s)) -
+    f_ec*h(q_z) (Boyd & Vandenberghe, Convex Optimization, sec. 3.2.6). g is
+    concave (checked to 40 digits; constant at q_x = 1/2), so the rate is
+    concave in eta1: a maximizer lies within one step of a grid's first best
+    point.
 
-    Certificate: a concave rate whose slope at eta1 = 1 beats its rounding
-    allowance (``_discard_slope``) peaks there, and eta1 = 1 is returned
-    without a search: the balanced rate, bit for bit. Elsewhere 256-point
-    grids shrink to the first best point's neighbours until those are at most
-    1e-10 apart; the first best of eta1 = 1, that point and eta1 = eta wins,
-    so a tie goes to the balanced rate.
+    Certificate: a concave rate whose slope at eta1 = 1 is positive peaks
+    there. So where the closed-form slope dR/da = g(s) + (1 - s)*g'(s) at
+    s = 1/(1 + eta) exceeds its first-order rounding allowance in
+    ``_discard_slope`` (the coherence kernel's chain rule), eta1 = 1
+    is returned without a search: the balanced rate, bit for bit. Elsewhere
+    256-point grids shrink to the first best point's neighbours until those
+    are at most 1e-10 apart; the first best of eta1 = 1, that point and
+    eta1 = eta wins, so a tie goes to the balanced rate.
 
     Raises:
         ValueError: if an input is out of range or t*eta/2 is below ``_MIN_GAIN``.

@@ -262,6 +262,21 @@ def test_slope_at_one_is_within_its_allowance(mp50, h50):
         assert abs(slope - exact) <= allowance
 
 
+def test_log2_and_hypot_are_within_one_ulp(mp50):
+    # The kernel's allowance takes numpy's log2 and hypot within one ulp of the
+    # correctly rounded value. Arguments span what it and the value path pass:
+    # lambda down to the subnormal edge, 1 - lambda and p/gain near 1, p/gain
+    # up to 1e300, and hypot legs of every ratio.
+    mp = mp50
+    rng = np.random.default_rng(29)
+    x = np.concatenate([10.0 ** rng.uniform(-307.0, 300.0, 1000), rng.uniform(0.0, 1.0, 1000),
+                        1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 500), 1.0 + 10.0 ** rng.uniform(-16.0, 0.0, 500)])
+    np.testing.assert_array_max_ulp(np.log2(x), np.array([float(mp.log(v, 2)) for v in x]), maxulp=1)
+    legs = 10.0 ** rng.uniform(-150.0, 0.0, (2000, 2)) * rng.choice((-1.0, 1.0), (2000, 2))
+    exact = [float(mp.sqrt(mp.mpf(u) ** 2 + mp.mpf(v) ** 2)) for u, v in legs]
+    np.testing.assert_array_max_ulp(np.hypot(legs[:, 0], legs[:, 1]), np.array(exact), maxulp=1)
+
+
 def test_discarded_rate_is_midpoint_concave_in_eta1():
     # The discard search's exactness rests on this concavity (the perspective
     # argument in keyrate_discard_optimized's docstring).
