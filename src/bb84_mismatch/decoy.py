@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, TruncationError, _require_in
 from .keyrates import KeyRateResult, _coherence_grad, _consistent, _entropy_args, _require_f_ec, detection_imbalance
-from .linalg import binary_entropy
+from .linalg import _h, binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
 BASES = ("z", "x")
@@ -350,7 +350,7 @@ def _singles_rate(q1_0, q1_1, q, eta, ec_term):
         lam_q, ok = _consistent(lam_q, np.divide(p_pass + t + 2.0 * q, p_pass))
     # Infeasible points get entropy arguments of 0, so h() sees no nan.
     lam_q = np.where(ok, lam_q, 0.0)
-    rate = p_pass * (binary_entropy(np.where(ok, arg, 0.0)) - binary_entropy(lam_q)) - ec_term
+    rate = p_pass * (_h(np.where(ok, arg, 0.0)) - _h(lam_q)) - ec_term
     return np.where(ok, rate, np.nan), np.where(ok, lam_q, np.nan)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NoKeyError, _require_in
-from .linalg import binary_entropy
+from .linalg import _h, binary_entropy
 
 # No rate where the smaller outcome gain is subnormal: its few bits make the rate noise.
 _MIN_GAIN, _MAX = sys.float_info.min, sys.float_info.max
@@ -292,7 +292,7 @@ def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
     p, arg, lam = _entropy_args(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
     # lambda >= 0 holds exactly here; the clamp only absorbs rounding.
     lam = np.maximum(lam, 0.0)
-    h_arg, h_lam = binary_entropy(np.array((arg, lam)))  # one call for both halves the overhead
+    h_arg, h_lam = _h(np.array((arg, lam)))  # one call for both halves the overhead
     return p * (h_arg - h_lam - ec), lam
 
 
@@ -420,7 +420,7 @@ def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass
             arg, _, clamped, consistent = _general_args(q_x, eta, t, p_pass, extra)
             ok = ~bad & feasible(q_x, extra) & consistent & (arg >= -1e-12) & (arg <= 1 + 1e-12)
         lam[ok] = clamped[ok]
-        h = binary_entropy(np.clip(arg[ok], 0.0, 1.0)) - binary_entropy(lam[ok])
+        h = _h(np.clip(arg[ok], 0.0, 1.0)) - _h(lam[ok])
         rate[ok] = p_pass * (h - f_ec * binary_entropy(q_z[ok]))
     else:
         ok = eta * t / 2.0 >= _MIN_GAIN

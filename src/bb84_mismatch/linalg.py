@@ -63,7 +63,11 @@ def binary_entropy(p):
     # Testing for a plain float first keeps the common scalar call as fast
     # as it was before arrays were accepted.
     if type(p) is not float and isinstance(p, np.ndarray):
-        return _binary_entropy_array(p)
+        p = p.astype(float, copy=False)
+        inside = (p >= 0.0) & (p <= 1.0)
+        if not inside.all():
+            raise ValueError(f"binary_entropy argument {p[~inside].flat[0]} outside [0, 1]")
+        return _h(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binary_entropy argument {p} outside [0, 1]")
     if p == 0.0 or p == 1.0:
@@ -71,11 +75,8 @@ def binary_entropy(p):
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
-    p = p.astype(float, copy=False)
-    inside = (p >= 0.0) & (p <= 1.0)
-    if not inside.all():
-        raise ValueError(f"binary_entropy argument {p[~inside].flat[0]} outside [0, 1]")
+def _h(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of a float array, unchecked: entries must lie in [0, 1]."""
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
     return np.where((p == 0.0) | (p == 1.0), 0.0, h)

@@ -6,12 +6,13 @@ closed-form rate can be checked against an independent computation. The
 minimum needs no iteration: the constraints and the objective are invariant
 under a group of signed permutations and under complex conjugation, and the
 objective is convex, so the minimum is attained at the one feasible
-invariant state, which a small linear solve finds (see ``minimize``). Also
-hosts the spectral, stationarity and error-correction consistency checks.
-The stationarity check derives the allowed directions from the constraint
-operators of ``build_gamma_set``, so it is the residual ``minimize`` reports
-and holds at every eta, eta = 1 (where two of the operators coincide)
-included.
+invariant state, which a small linear solve on one of two fixed bases finds
+(see ``minimize``, which accepts only ``build_gamma_set``'s operators, checked
+exactly, as the bases hold for those alone). Also hosts the spectral,
+stationarity and error-correction consistency checks. The stationarity check
+derives the allowed directions from the constraint operators of
+``build_gamma_set``, so it is the residual ``minimize`` reports and holds at
+every eta, eta = 1 (where two of the operators coincide) included.
 
 The objective, the gradient (``_gradient``), the stationarity residual and
 ``minimize``'s PSD test are all read off one ``np.linalg.eigh`` call on the
@@ -27,7 +28,6 @@ inputs are accepted everywhere and reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -246,58 +246,18 @@ def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray
     return float(np.linalg.norm(Cs[0] - np.einsum("i,ijk->jk", coef, Cs[1:])))
 
 
-# The signed permutations Z(x)Z, X(x)I (Alice's bit flip) and I(x)X (Bob's
-# bit flip) of the photon block, each acting as rho -> P rho P^T.
-_GENERATORS = np.array(
-    [np.diag([1.0, -1.0, -1.0, 1.0]), np.eye(4)[[2, 3, 0, 1]], np.eye(4)[[1, 0, 3, 2]]]
-)
-
 _EPS = np.finfo(float).eps
 # Allowed negative eigenvalue of the solved state, in units of eps * kappa * t
 # (kappa the condition number of the constraint solve): the solve's rounding,
 # and that of ``eigh`` on entries of size t.
 _PSD_ALLOWANCE = 8.0
 
-
-def _kept_generators(ops: np.ndarray, eta: float) -> tuple[int, ...]:
-    """Indices of the ``_GENERATORS`` that leave every constraint operator in
-    the stack ``ops``, the post-selection weights and the pinching mask
-    exactly unchanged.
-
-    An entrywise mask M commutes with rho -> P rho P^T iff the unsigned
-    permutation |P| leaves M unchanged.
-    """
-    masks = np.array([_weights(eta), _PINCH_MASK])
-    P = _GENERATORS[:, None]
-    A, axes = abs(P), (1, 2, 3)
-    kept = (P @ ops @ P.swapaxes(-1, -2) == ops).all(axes) & (A @ masks @ A.swapaxes(-1, -2) == masks).all(axes)
-    return tuple(np.flatnonzero(kept).tolist())
-
-
-@lru_cache(maxsize=None)
-def _invariant_basis(kept: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal basis, shape (k, 4, 4), of the real symmetric matrices
-    invariant under the generators ``kept``: the twirls of the 10 elementary
-    symmetric matrices, orthonormalised.
-
-    The generators commute as conjugations, so the twirl averages over one
-    generator after the other. A twirl is zero or fills one orbit of index
-    pairs, and two twirls on one orbit are proportional; so keeping one per
-    support and normalising it orthonormalises them, with exact zeros.
-    """
-    basis = {}
-    for j in range(4):
-        for l in range(j, 4):
-            x = np.zeros((4, 4))
-            x[j, l] = x[l, j] = 1.0
-            for i in kept:
-                P = _GENERATORS[i]
-                x = (x + P @ x @ P.T) / 2.0
-            if x.any():
-                basis.setdefault((x != 0).tobytes(), x / np.linalg.norm(x))
-    out = np.array(list(basis.values()))
-    out.flags.writeable = False
-    return out
+# Orthonormal bases of the real symmetric matrices that the symmetries of
+# ``minimize``'s docstring leave unchanged, for eta < 1 and for eta = 1; the
+# anti-identity is E03 + E30 + E12 + E21.
+_ANTI_IDENTITY = np.eye(4)[::-1]
+_BASIS = np.array([x / np.linalg.norm(x) for x in (np.diag([1.0, 0, 1, 0]), _ANTI_IDENTITY, np.diag([0.0, 1, 0, 1]))])
+_BASIS_AT_ONE = np.array([x / np.linalg.norm(x) for x in (np.eye(4), _ANTI_IDENTITY)])
 
 
 def minimize(gammas: GammaSet, values) -> MinimizationReport:
@@ -306,20 +266,28 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     three observed gamma_i.
 
     Why the solve is the minimum. Let g run over the conjugations
-    rho -> P rho P^T by the signed permutations Z(x)Z, X(x)I and I(x)X that
-    leave every Gamma_i, the post-selection weights and the pinching mask
-    unchanged (compared exactly), and over complex conjugation, under which
-    the real Gamma_i and masks are unchanged too. Each g keeps rho PSD and
-    keeps every Tr Gamma_i rho, and it commutes with the post-selection map G
-    and the pinching Z; as the relative entropy is unitarily invariant and
-    invariant under conjugation, f(g(rho)) = f(rho). For a feasible rho the
-    twirl T(rho), the mean of g(rho) over the group, is then feasible and
-    invariant, and f(T(rho)) <= f(rho) because f is convex. So the minimum
-    over the feasible set equals the minimum over the feasible invariant
-    states. The invariant real symmetric matrices form a k-dimensional space
-    (k = 3; k = 2 when I(x)X is kept, as at eta = 1), and when the 3 x k
-    system of the constraints has rank k it admits at most one invariant
-    state: that state is the minimizer.
+    rho -> P rho P^T by the signed permutations Z(x)Z and X(x)I, and I(x)X at
+    eta = 1, and over complex conjugation. The real operators of
+    ``build_gamma_set``, the post-selection weights and the pinching mask are
+    unchanged by each g: Gamma_1, Gamma_3 and the weights depend on Bob's bit
+    alone, Gamma_2 pairs 00 with 11 and 01 with 10, which Z(x)Z and X(x)I
+    keep, and a swap of Bob's bits keeps Gamma_3 and the weights only at
+    eta = 1. This invariance is a property of those operators; the symmetry
+    test of ``tests/test_verifier.py`` derives it independently, and it is
+    enforced here: ``gammas`` must equal ``build_gamma_set(eta)``'s operators
+    exactly, with eta read from Gamma_1. Each g keeps rho PSD and keeps every
+    Tr Gamma_i rho, and it commutes with the post-selection map G and the
+    pinching Z; as the relative entropy is unitarily invariant and invariant
+    under conjugation, f(g(rho)) = f(rho). For a feasible rho the twirl
+    T(rho), the mean of g(rho) over the group, is then feasible and invariant,
+    and f(T(rho)) <= f(rho) because f is convex. So the minimum over the
+    feasible set equals the minimum over the feasible invariant states. The
+    invariant real symmetric matrices have the orthonormal basis
+    (E00 + E22)/sqrt(2), (E03 + E30 + E12 + E21)/2, (E11 + E33)/sqrt(2)
+    (k = 3 of them), or at eta = 1 (E00 + E11 + E22 + E33)/2 and
+    (E03 + E30 + E12 + E21)/2 (k = 2). When the 3 x k system of the
+    constraints has rank k it admits at most one invariant state: that state
+    is the minimizer.
 
     The report's ``rho_star`` is that state (real, 4x4), ``f_star`` the
     objective there, ``iterations`` is 0, ``constraint_residuals`` are
@@ -337,7 +305,8 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
         FeasibilityError: if ``values`` is not three finite numbers, its
             detection rate gamma_1 is not positive, or it violates the
             existence condition.
-        ValueError: if the constraint system on the invariant states has
+        ValueError: if ``gammas`` are not ``build_gamma_set(eta)``'s
+            operators, or the constraint system on the invariant states has
             rank below k, so that the argument does not pin the minimum.
     """
     try:
@@ -358,11 +327,10 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     if not _feasible(qx_eff, delta):
         raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
 
-    ops = np.array(gammas.as_list())
-    if np.iscomplexobj(ops) and ops.imag.any():
-        raise ValueError("constraint operators must be real for the symmetry reduction")
-    ops = ops.real
-    basis = _invariant_basis(_kept_generators(ops, eta))
+    ops = np.array(build_gamma_set(eta).as_list())
+    if not all(map(np.array_equal, gammas.as_list(), ops)):
+        raise ValueError(f"gammas are not build_gamma_set({eta})'s operators, on whose symmetry the solve rests")
+    basis = _BASIS_AT_ONE if eta == 1.0 else _BASIS
     # Tr(Gamma_i B_k) for the symmetric B_k, solved through its SVD; the
     # rank test is np.linalg.matrix_rank's.
     system = np.einsum("iab,kab->ik", ops, basis)

@@ -38,7 +38,7 @@ from bb84_mismatch import (
     eigenvalues_check,
 )
 from bb84_mismatch.decoy import ChannelModel, DecoyConfig, poisson_pmf
-from bb84_mismatch.verifier import _invariant_basis, _kept_generators
+from bb84_mismatch.verifier import _BASIS, _BASIS_AT_ONE
 
 h = binary_entropy
 
@@ -184,7 +184,7 @@ def test_oracle_report_matches_the_public_checks():
         assert max(kkt, rep.kkt_residual) <= 1e-8 or abs(kkt - rep.kkt_residual) <= 64 * eps
         # converged as minimize's docstring states it, with eigvalsh.
         ops = np.array(gammas.as_list())
-        kappa = np.linalg.cond(np.einsum("iab,kab->ik", ops, _invariant_basis(_kept_generators(ops, eta))))
+        kappa = np.linalg.cond(np.einsum("iab,kab->ik", ops, _BASIS_AT_ONE if eta == 1.0 else _BASIS))
         rule = rep.constraint_residuals.max() <= 1e-8 and np.linalg.eigvalsh(rep.rho_star)[0] >= -8 * eps * kappa * t
         assert rep.converged == rule
 

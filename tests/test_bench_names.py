@@ -1,7 +1,9 @@
 """The benchmark's traced run looks up spans by name; every name it looks up
 must be a public function of the package, or each traced run dies with a
-KeyError. Reads ``bench/worker.py`` and never edits it."""
+KeyError. It also reads fields off the oracle's reports, which must exist.
+Reads ``bench/worker.py`` and ``bench/workloads.py`` and never edits them."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import bb84_mismatch
 
 WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+WORKLOADS = WORKER.parent / "workloads.py"
 
 
 def test_traced_names_are_public_functions():
@@ -23,3 +26,13 @@ def test_traced_names_are_public_functions():
         assert inspect.isfunction(fn), name
         # The tracer wraps only functions defined in the layer's own module.
         assert fn.__module__ == module.__name__, name
+
+
+def test_report_fields_read_by_the_benchmark_exist():
+    # worker.py reads each certify op's report as ``r``, workloads.py as
+    # ``report``; a renamed field would break every certify run.
+    read = set(re.findall(r"\br\.(\w+)", WORKER.read_text()))
+    read |= set(re.findall(r"\breport\.(\w+)", WORKLOADS.read_text()))
+    assert {"iterations", "converged", "constraint_residuals", "f_star"} <= read
+    fields = {f.name for f in dataclasses.fields(bb84_mismatch.MinimizationReport)}
+    assert read <= fields, sorted(read - fields)

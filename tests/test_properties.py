@@ -7,7 +7,7 @@ import contextlib
 import io
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -50,6 +50,7 @@ from bb84_mismatch import (  # noqa: E402
 from bb84_mismatch.cli import _sweep_rates, main  # noqa: E402
 from bb84_mismatch.decoy import _ec_term  # noqa: E402
 from bb84_mismatch.keyrates import _common_loss  # noqa: E402
+from bb84_mismatch.protocol import GammaSet  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
 SWEEP_METHODS = METHODS + ("general", "penalty_ratio")
@@ -233,6 +234,26 @@ def test_minimize_attains_the_closed_form_over_the_domain(point):
     # the closed form alike; the slack is 128 such units of t.
     slack = 0.0 if eta == 1.0 else 2.0**-45 * t / (1.0 - eta)
     assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 1e-9 + slack
+
+
+@seed(20261030)
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(1.0), st.floats(min_value=0.01, max_value=0.99)), st.integers(1, 47), st.booleans())
+def test_minimize_accepts_only_the_model_operators_exactly(eta, entry, up):
+    # The solve rests on the symmetry of build_gamma_set(eta)'s operators, so
+    # an entry one ulp off is refused. Entry 0, Gamma_1[0, 0], is where eta
+    # is read; nudging it changes the model the values are checked against.
+    values = (0.8 * eta, 0.04 * eta, 0.4 * (1.0 + eta))
+    reference = minimize(build_gamma_set(eta), values)
+    ops = np.array(build_gamma_set(eta).as_list())
+    # Equal operators in other arrays, even complex ones, give the same report.
+    same = minimize(GammaSet(*ops.astype(complex)), values)
+    for field in fields(reference):
+        assert np.array_equal(getattr(same, field.name), getattr(reference, field.name))
+    ops.reshape(-1)[entry] = np.nextafter(ops.reshape(-1)[entry], math.inf if up else -math.inf)
+    with pytest.raises(ValueError, match="not build_gamma_set") as info:
+        minimize(GammaSet(*ops), values)
+    assert not isinstance(info.value, FeasibilityError)
 
 
 def _assert_oracle_minimum(eta, a, b, q, value):

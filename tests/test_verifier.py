@@ -396,15 +396,19 @@ def test_minimize_state_is_invariant_and_minimal():
 
 
 def test_minimize_rejects_constraints_that_do_not_pin_the_minimum():
-    # Gamma_3 = Gamma_1 at eta = 0.5: the weights break Bob's bit flip, so the
-    # invariant states have 3 directions but the constraints fix only 2.
-    eta = 0.5
-    ops = build_gamma_set(eta)
+    # At eta = 1 - 2^-50 the weights break Bob's bit flip, so the invariant
+    # states have 3 directions, but Gamma_1 and Gamma_3 agree on them to
+    # rounding and the constraints fix only 2.
+    eta = 1.0 - 2.0**-50
     with pytest.raises(ValueError, match="rank 2 on the 3 invariant directions") as info:
-        minimize(GammaSet(ops.gamma1, ops.gamma2, ops.gamma1), (0.5, 0.025, 0.75))
+        minimize(build_gamma_set(eta), (eta, eta * 0.05, (1.0 + eta) / 2.0))
     assert not isinstance(info.value, FeasibilityError)
-    with pytest.raises(ValueError, match="must be real"):
-        minimize(GammaSet(ops.gamma1, 1j * np.triu(ops.gamma2), ops.gamma3), (0.5, 0.025, 0.75))
+    # Operators other than the model's need not have its symmetry.
+    ops = build_gamma_set(0.5)
+    for other in (ops.gamma1, ops.gamma2, ops.gamma1), (ops.gamma1, 1j * np.triu(ops.gamma2), ops.gamma3):
+        with pytest.raises(ValueError, match="not build_gamma_set") as info:
+            minimize(GammaSet(*other), (0.5, 0.025, 0.75))
+        assert not isinstance(info.value, FeasibilityError)
 
 
 def _signed_permutation_group(generators):
@@ -423,12 +427,11 @@ def _twirl(rho, group):
     return np.real(sum(p @ rho @ p.T for p in group)) / len(group)
 
 
-def test_theorem_by_symmetry_without_the_oracle():
-    # The constraints and the objective are invariant under Z(x)Z and X(x)I
-    # (and I(x)X at eta = 1) and under complex conjugation, and f is convex,
-    # so the twirl T maps a feasible state to a feasible invariant state with
-    # no larger f. On the invariant subspace the constraints fix the state
-    # uniquely; that state must attain the closed-form minimum.
+def _invariant_spaces():
+    """The symmetry groups of the constraints, Z(x)Z and X(x)I (and I(x)X at
+    eta = 1), and orthonormal bases of the real symmetric matrices they
+    leave unchanged, keyed by eta == 1: the span of the twirled elementary
+    symmetric matrices, by SVD."""
     zz = np.diag([1.0, -1.0, -1.0, 1.0])
     xi = np.eye(4)[[2, 3, 0, 1]]
     ix = np.eye(4)[[1, 0, 3, 2]]
@@ -443,6 +446,27 @@ def test_theorem_by_symmetry_without_the_oracle():
                 sym.append(_twirl(e, group).ravel())
         u, s, _ = np.linalg.svd(np.array(sym).T, full_matrices=False)
         bases[ideal] = u[:, s > 1e-12 * s[0]].T.reshape(-1, 4, 4)
+    return groups, bases
+
+
+def test_minimize_bases_span_the_derived_invariant_spaces():
+    # minimize's premise: its two fixed bases are orthonormal and span exactly
+    # the invariant spaces that the group closure and the twirl derive.
+    bases = _invariant_spaces()[1]
+    assert len(bases[False]) == 3 and len(bases[True]) == 2
+    for ideal, fixed in ((False, verifier._BASIS), (True, verifier._BASIS_AT_ONE)):
+        flat, derived = fixed.reshape(len(fixed), 16), bases[ideal].reshape(-1, 16)
+        np.testing.assert_allclose(flat @ flat.T, np.eye(len(flat)), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(flat.T @ flat, derived.T @ derived, rtol=0, atol=1e-15)
+
+
+def test_theorem_by_symmetry_without_the_oracle():
+    # The constraints and the objective are invariant under Z(x)Z and X(x)I
+    # (and I(x)X at eta = 1) and under complex conjugation, and f is convex,
+    # so the twirl T maps a feasible state to a feasible invariant state with
+    # no larger f. On the invariant subspace the constraints fix the state
+    # uniquely; that state must attain the closed-form minimum.
+    groups, bases = _invariant_spaces()
     assert len(bases[False]) == 3 and len(bases[True]) == 2
 
     rng = np.random.default_rng(20260418)
