@@ -121,7 +121,8 @@ def _relative_entropy(ws: np.ndarray, sigma: np.ndarray, wt: np.ndarray, Vt: np.
     term1 = float((pos * np.log2(pos)).sum())
 
     cut_t = SUPPORT_CUTOFF * max(float(wt[-1]), 1e-300)
-    sigma_in_tau = np.einsum("ij,jk,ki->i", Vt.conj().T, sigma, Vt).real
+    # The diagonal of Vt^dag sigma Vt, without forming the product.
+    sigma_in_tau = (Vt.conj() * (sigma @ Vt)).sum(axis=0).real
     on_support = wt > cut_t
     outside = float(sigma_in_tau[~on_support].clip(0.0, None).sum())
     if outside >= 1e-8:

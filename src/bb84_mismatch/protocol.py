@@ -44,15 +44,17 @@ class GammaSet:
         return [self.gamma1, self.gamma2, self.gamma3]
 
 
+# The operators are affine in eta, _GAMMA_CONST + eta * _GAMMA_LINEAR: Gamma_1 = eta*I,
+# Gamma_2 = (eta/2)*(I - anti-identity) and Gamma_3 = diag(1, eta, 1, eta). Each entry is
+# one product and a sum with 0 or 1, so exact.
+_GAMMA_CONST = np.array([np.zeros((4, 4)), np.zeros((4, 4)), np.diag([1.0, 0.0, 1.0, 0.0])])
+_GAMMA_LINEAR = np.array([np.eye(4), 0.5 * (np.eye(4) - np.eye(4)[::-1]), np.diag([0.0, 1.0, 0.0, 1.0])])
+
+
 def build_gamma_set(eta: float) -> GammaSet:
     """Constraint operators for mismatch eta, in the AB = 00,01,10,11 ordering."""
     _require_in("eta", eta, 0.0, 1.0, open_lo=True)
-    gamma1 = eta * np.eye(4)
-    gamma2 = (eta / 2.0) * np.array(
-        [[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0], [0.0, -1.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]
-    )
-    gamma3 = np.diag([1.0, eta, 1.0, eta])
-    return GammaSet(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3)
+    return GammaSet(*(_GAMMA_CONST + eta * _GAMMA_LINEAR))
 
 
 def photon_block(rho: np.ndarray) -> np.ndarray:

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
-from .keyrates import _phase_args, detection_imbalance, effective_phase_error, feasible as _feasible
+from .keyrates import _general_args, _phase_args, detection_imbalance, effective_phase_error
 from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
-from .protocol import ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_block
+from .protocol import _GAMMA_CONST, _GAMMA_LINEAR, ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_block
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
 _BOB_BIT_SUMS = BOB_BITS[:, None] + BOB_BITS[None, :]
@@ -230,20 +230,23 @@ def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray
     At a singular state the two-sided directions are those preserving the
     support face, so the gradient is compressed onto the face before the
     constraint span is projected out; the face keeps the eigenvalues above
-    ``_FACE_CUTOFF`` times the largest.
+    ``_FACE_CUTOFF`` times the largest. The projection is one real
+    least-squares solve of the compressed gradient on the compressed
+    operators. Near eta = 1 those of Gamma_1 and Gamma_3 nearly coincide,
+    with a condition number kappa of about 4/(1 - eta), which the direct
+    solve does not square: on interior points the residual stayed below
+    4*eps*kappa for 1 - eta in [1e-7, 1e-2], at most 3.1e-10 for 1 - eta in
+    [1e-6, 1e-5].
     """
     keep = w[0] > _FACE_CUTOFF * max(float(w[0][-1]), 1e-300)
     U = V[0][:, keep]
     if U.shape[1] == 0:
         return float("inf")
-    # The Gram matrix Re Tr(a b) of the Hermitian compressions in one product.
-    # Near eta = 1 it is ill-conditioned: lstsq's SVD solve rounds about ten
-    # times less there than an explicit pinv, with the same rcond cut.
-    Cs = U.conj().T @ np.array([_gradient(eta, w, V), *ops]) @ U
-    flat = Cs.reshape(len(Cs), -1)
-    gram = (flat @ flat.conj().T).real
-    coef = np.linalg.lstsq(gram[1:, 1:], gram[1:, 0], rcond=1e-12)[0]
-    return float(np.linalg.norm(Cs[0] - np.einsum("i,ijk->jk", coef, Cs[1:])))
+    # The compressions of the gradient and of the operators, flattened to real
+    # vectors (a complex entry as its real and imaginary parts).
+    flat = (U.conj().T @ np.array([_gradient(eta, w, V), *ops]) @ U).reshape(len(ops) + 1, -1).view(float)
+    coef = np.linalg.lstsq(flat[1:].T, flat[0], rcond=1e-12)[0]
+    return float(np.linalg.norm(flat[0] - coef @ flat[1:]))
 
 
 _EPS = np.finfo(float).eps
@@ -303,8 +306,10 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
 
     Raises:
         FeasibilityError: if ``values`` is not three finite numbers, its
-            detection rate gamma_1 is not positive, or it violates the
-            existence condition.
+            detection rate gamma_1 is not positive, or its closed-form
+            lambda is negative beyond the rounding allowance that
+            ``keyrate_general`` grants (``keyrates._consistent``), so that no
+            PSD state matches it.
         ValueError: if ``gammas`` are not ``build_gamma_set(eta)``'s
             operators, or the constraint system on the invariant states has
             rank below k, so that the argument does not pin the minimum.
@@ -315,20 +320,20 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
         raise FeasibilityError(f"constraint values must be three numbers: {exc}") from None
     if values.shape != (3,) or not np.isfinite(values).all():
         raise FeasibilityError(f"constraint values must be three finite numbers, got {values.tolist()}")
-    if not values[0] > 0.0:
-        raise FeasibilityError(f"detection rate gamma_1 = {values[0]} must be positive")
+    rate, error_rate, p_pass = values.tolist()
+    if not rate > 0.0:
+        raise FeasibilityError(f"detection rate gamma_1 = {rate} must be positive")
     eta = float(gammas.gamma1[0, 0].real)
-    t = values[0] / eta
-    qx_eff = values[1] / values[0]
     try:
-        delta = detection_imbalance(values[2], t, eta)
-    except ValueError as exc:
+        t = rate / eta
+        delta = detection_imbalance(p_pass, t, eta)
+    except (ValueError, ZeroDivisionError) as exc:
         raise FeasibilityError(str(exc)) from exc
-    if not _feasible(qx_eff, delta):
+    if not _general_args(error_rate / rate, eta, t, p_pass, delta)[3]:
         raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
 
-    ops = np.array(build_gamma_set(eta).as_list())
-    if not all(map(np.array_equal, gammas.as_list(), ops)):
+    ops = _GAMMA_CONST + eta * _GAMMA_LINEAR
+    if not np.array_equal(gammas.as_list(), ops):
         raise ValueError(f"gammas are not build_gamma_set({eta})'s operators, on whose symmetry the solve rests")
     basis = _BASIS_AT_ONE if eta == 1.0 else _BASIS
     # Tr(Gamma_i B_k) for the symmetric B_k, solved through its SVD; the

@@ -245,6 +245,15 @@ def test_verify_passes_on_default_grid(capsys):
         assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("eta", ["0.99999", "0.999999"])
+def test_verify_passes_near_eta_one(capsys, eta):
+    # Gamma_1 and Gamma_3 nearly coincide here; the KKT residual's least-squares
+    # solve must not square their condition number of about 4/(1 - eta).
+    code, out, _ = run(capsys, "verify", "--eta", eta)
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_verify_perturbation_detection(capsys):
     code, out, _ = run(
         capsys, "verify", "--grid-density", "1", "--eta", "0.6", "--perturb", "0.01"

@@ -212,6 +212,20 @@ def test_minimize_rejects_infeasible_constraints():
         minimize(build_gamma_set(0.5), (0.5, 0.0, 0.8))
 
 
+def test_minimize_accepts_the_boundary_point_that_keyrate_general_rates():
+    # On the lower boundary 2*q_x = 1 - sqrt(1 - delta^2) lambda is 0, and the
+    # values formed from the outcome gains put it at -1.1e-16: within the
+    # closed form's rounding allowance, which minimize's pre-check shares.
+    eta, t, delta = 0.625, 0.33611756080460514, 0.125
+    q_x = (1.0 - math.sqrt(1.0 - delta * delta)) / 2.0
+    p_pass = t * ((1.0 + eta) + delta * (1.0 - eta)) / 2.0
+    a = t * (1.0 + delta) / 2.0
+    b = p_pass - a
+    report = minimize(build_gamma_set(eta), (eta * a + b, eta * t * q_x, a + b))
+    assert report.converged
+    assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 3e-16
+
+
 def test_kkt_residual_small_at_attack_state():
     for eta in (0.3, 0.5, 1.0):
         rho = optimal_attack_state(0.05, 0.05, 0.0, 1.0)
@@ -405,7 +419,12 @@ def test_minimize_rejects_constraints_that_do_not_pin_the_minimum():
     assert not isinstance(info.value, FeasibilityError)
     # Operators other than the model's need not have its symmetry.
     ops = build_gamma_set(0.5)
-    for other in (ops.gamma1, ops.gamma2, ops.gamma1), (ops.gamma1, 1j * np.triu(ops.gamma2), ops.gamma3):
+    cases = (
+        (ops.gamma1, ops.gamma2, ops.gamma1),
+        (ops.gamma1, 1j * np.triu(ops.gamma2), ops.gamma3),
+        (ops.gamma1[:3, :3], ops.gamma2, ops.gamma3),
+    )
+    for other in cases:
         with pytest.raises(ValueError, match="not build_gamma_set") as info:
             minimize(GammaSet(*other), (0.5, 0.025, 0.75))
         assert not isinstance(info.value, FeasibilityError)
