@@ -452,7 +452,8 @@ def cmd_verify(args) -> int:
     lines = [f"# bb84-mismatch {__version__} verify"]
     failed = None
     for name, discrepancy, passed in _verify_checks(etas, qx_grid, (0.0, 0.05, -0.05), args.perturb):
-        lines.append(f"{name}: max discrepancy {_fmt(discrepancy)} [{'pass' if passed else 'FAIL'}]")
+        shown = "inf" if discrepancy == math.inf else _fmt(discrepancy)  # f* below the closed form
+        lines.append(f"{name}: max discrepancy {shown} [{'pass' if passed else 'FAIL'}]")
         if not passed and failed is None:
             failed = name
     if failed is not None:

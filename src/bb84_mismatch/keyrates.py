@@ -202,13 +202,16 @@ def _consistent(lam, scale):
 
 
 def _general_args(q_x, eta, t, p_pass, delta):
-    """(h argument, lambda, lambda clamped at 0, consistent) at pass rate p_pass
-    and imbalance delta, elementwise over numpy arrays or scalars (a numpy delta,
-    so that p = 0 divides without raising) and never raising: the closed form at
-    gains a = t*(1+delta)/2, b = p_pass - a and x-error gain x = t*q_x, with
-    lambda unclamped. ``consistent`` is ``_consistent``'s rule for lambda.
-    """
-    a, x = t * (1.0 + delta) / 2.0, t * q_x
+    """``_gain_args`` at imbalance delta: outcome-0 gain a = t*(1+delta)/2 and
+    x-error gain x = t*q_x (a numpy delta, so that p = 0 divides without raising)."""
+    return _gain_args(t * (1.0 + delta) / 2.0, t * q_x, eta, t, p_pass)
+
+
+def _gain_args(a, x, eta, t, p_pass):
+    """(h argument, lambda, lambda clamped at 0, consistent) at outcome-0 gain a,
+    x-error gain x and pass rate p_pass, elementwise and never raising: the
+    closed form at gains a, b = p_pass - a, with lambda unclamped and
+    ``consistent`` ``_consistent``'s rule for it."""
     # Gains that cancel to p = 0 give a lambda of -inf, which is inconsistent, or nan.
     with np.errstate(divide="ignore", invalid="ignore"):
         p, arg, lam = _entropy_args(a, p_pass - a, t, x, eta)

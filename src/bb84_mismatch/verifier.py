@@ -6,13 +6,14 @@ closed-form rate can be checked against an independent computation. The
 minimum needs no iteration: the constraints and the objective are invariant
 under a group of signed permutations and under complex conjugation, and the
 objective is convex, so the minimum is attained at the one feasible
-invariant state, which a small linear solve on one of two fixed bases finds
-(see ``minimize``, which accepts only ``build_gamma_set``'s operators, checked
-exactly, as the bases hold for those alone). Also hosts the spectral,
-stationarity and error-correction consistency checks. The stationarity check
-derives the allowed directions from the constraint operators of
-``build_gamma_set``, so it is the residual ``minimize`` reports and holds at
-every eta, eta = 1 (where two of the operators coincide) included.
+invariant state, which an exact dyadic solve on constant operators finds
+(for eta < 1 the outcome-0 gain operator G0 = (Gamma_3 - Gamma_1)/(1 - eta)
+takes Gamma_3's place; see ``minimize``, which accepts only
+``build_gamma_set``'s operators, checked exactly, as the symmetry holds for
+those alone). Also hosts the spectral, stationarity and error-correction
+consistency checks. The stationarity check projects on the same constant
+operators, which span what ``build_gamma_set``'s span, so it is the residual
+``minimize`` reports and holds at every eta, eta = 1 included.
 
 The objective, the gradient (``_gradient``), the stationarity residual and
 ``minimize``'s PSD test are all read off one ``np.linalg.eigh`` call on the
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
-from .keyrates import _general_args, _phase_args, detection_imbalance, effective_phase_error
+from .keyrates import _gain_args, _phase_args, detection_imbalance, effective_phase_error
 from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
-from .protocol import _GAMMA_CONST, _GAMMA_LINEAR, ALICE_BITS, BOB_BITS, GammaSet, build_gamma_set, photon_block
+from .protocol import _GAMMA_CONST, _GAMMA_LINEAR, ALICE_BITS, BOB_BITS, GammaSet, photon_block
 
 _PINCH_MASK = (ALICE_BITS[:, None] == ALICE_BITS[None, :]).astype(float)
 _BOB_BIT_SUMS = BOB_BITS[:, None] + BOB_BITS[None, :]
@@ -155,15 +156,16 @@ def _checked_block(rho_bar: np.ndarray) -> np.ndarray:
 def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
     """Norm of the gradient projected onto the directions the constraint
     operators of ``build_gamma_set(eta)`` allow at rho_bar: the stationarity
-    residual that ``minimize`` reports, with the same face restriction.
+    residual that ``minimize`` reports, with the same face restriction and
+    the same constant operators, which span what those operators span.
 
     A residual at rounding level certifies stationarity; a perturbed state
     shows a residual of the order of the perturbation. Near the feasibility
     boundary the gradient is only defined by continuity and the residual
     loses meaning.
     """
-    ops = np.array(build_gamma_set(eta).as_list())
-    return _face_kkt_residual(eta, *_spectra(_checked_block(rho_bar), eta)[1:], ops)
+    _require_in("eta", eta, 0.0, 1.0, open_lo=True)
+    return _face_kkt_residual(eta, *_spectra(_checked_block(rho_bar), eta)[1:], _SOLVES[eta == 1.0][0])
 
 
 def _extract_attack_parameters(block: np.ndarray, eta: float):
@@ -224,19 +226,18 @@ def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
 
 def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray) -> float:
     """Norm of the gradient projected onto the directions allowed at a state,
-    given the state's ``_spectra`` (w, V) and the stack ``ops`` of the
-    constraint operators.
+    given the state's ``_spectra`` (w, V) and a stack ``ops`` spanning the
+    constraint operators (``_SOLVES``' constant stack).
 
     At a singular state the two-sided directions are those preserving the
     support face, so the gradient is compressed onto the face before the
     constraint span is projected out; the face keeps the eigenvalues above
     ``_FACE_CUTOFF`` times the largest. The projection is one real
     least-squares solve of the compressed gradient on the compressed
-    operators. Near eta = 1 those of Gamma_1 and Gamma_3 nearly coincide,
-    with a condition number kappa of about 4/(1 - eta), which the direct
-    solve does not square: on interior points the residual stayed below
-    4*eps*kappa for 1 - eta in [1e-7, 1e-2], at most 3.1e-10 for 1 - eta in
-    [1e-6, 1e-5].
+    operators. The constant stack spans what ``build_gamma_set(eta)``'s
+    operators span, but stays well conditioned as eta -> 1, where Gamma_1
+    and Gamma_3 nearly coincide (a condition number of about 4/(1 - eta)),
+    so the residual stays at rounding level there.
     """
     keep = w[0] > _FACE_CUTOFF * max(float(w[0][-1]), 1e-300)
     U = V[0][:, keep]
@@ -249,18 +250,35 @@ def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray
     return float(np.linalg.norm(flat[0] - coef @ flat[1:]))
 
 
-_EPS = np.finfo(float).eps
-# Allowed negative eigenvalue of the solved state, in units of eps * kappa * t
-# (kappa the condition number of the constraint solve): the solve's rounding,
-# and that of ``eigh`` on entries of size t.
-_PSD_ALLOWANCE = 8.0
+# Bases of the real symmetric matrices that the symmetries of ``minimize``'s
+# docstring leave unchanged, for eta < 1 and for eta = 1: entries 0 and 1 on
+# disjoint supports. The anti-identity J is E03 + E30 + E12 + E21.
+_J = np.eye(4)[::-1]
+_BASIS = np.array([np.diag([1.0, 0, 1, 0]), _J, np.diag([0.0, 1, 0, 1])])
+_BASIS_AT_ONE = np.array([np.eye(4), _J])
+# For eta < 1 the solve runs on (Gamma_1/eta, Gamma_2/eta, G0 = (Gamma_3 - Gamma_1)/(1 - eta)),
+# which is (L_1, L_2, C_3) of the template C + eta*L at every eta, as C_1 = C_2 = 0 and L_3 = L_1 - C_3.
+_STACK = np.array([_GAMMA_LINEAR[0], _GAMMA_LINEAR[1], _GAMMA_CONST[2]])
 
-# Orthonormal bases of the real symmetric matrices that the symmetries of
-# ``minimize``'s docstring leave unchanged, for eta < 1 and for eta = 1; the
-# anti-identity is E03 + E30 + E12 + E21.
-_ANTI_IDENTITY = np.eye(4)[::-1]
-_BASIS = np.array([x / np.linalg.norm(x) for x in (np.diag([1.0, 0, 1, 0]), _ANTI_IDENTITY, np.diag([0.0, 1, 0, 1]))])
-_BASIS_AT_ONE = np.array([x / np.linalg.norm(x) for x in (np.eye(4), _ANTI_IDENTITY)])
+
+def _solve(stack: np.ndarray, basis: np.ndarray, kappa: float):
+    """(stack, rho map, PSD allowance per unit t) of Tr(stack_i rho) = v_i on
+    the span of ``basis``: rho = v @ rho map, with M = (S^T S)^-1 S^T for the
+    integer S_ik = Tr(stack_i basis_k) from integer row operations and one
+    division per row (no LAPACK call at import), required to give M S = I
+    exactly. The allowance is 8 * eps * kappa, kappa = cond(S) (``minimize``)."""
+    system, k = np.einsum("iab,kab->ik", stack, basis), len(basis)
+    aug = np.concatenate([np.einsum("ik,il->kl", system, system), system.T], axis=1)
+    for j in range(k):  # fraction-free Gauss-Jordan on [S^T S | S^T], S^T S positive definite
+        aug = np.array([r if i == j else aug[j, j] * r - r[j] * aug[j] for i, r in enumerate(aug)])
+    inverse = aug[:, k:] / np.diag(aug)[:, None]
+    if not np.array_equal(np.einsum("ki,il->kl", inverse, system), np.eye(k)):
+        raise RuntimeError(f"{inverse.tolist()} does not invert {system.tolist()} exactly")
+    return stack, np.einsum("ki,kab->iab", inverse, basis).reshape(len(stack), 16), 8.0 * np.finfo(float).eps * kappa
+
+
+# Keyed by eta == 1; kappa to two decimals.
+_SOLVES = {False: _solve(_STACK, _BASIS, 3.01), True: _solve(_GAMMA_CONST + _GAMMA_LINEAR, _BASIS_AT_ONE, 3.23)}
 
 
 def minimize(gammas: GammaSet, values) -> MinimizationReport:
@@ -285,34 +303,42 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     T(rho), the mean of g(rho) over the group, is then feasible and invariant,
     and f(T(rho)) <= f(rho) because f is convex. So the minimum over the
     feasible set equals the minimum over the feasible invariant states. The
-    invariant real symmetric matrices have the orthonormal basis
-    (E00 + E22)/sqrt(2), (E03 + E30 + E12 + E21)/2, (E11 + E33)/sqrt(2)
-    (k = 3 of them), or at eta = 1 (E00 + E11 + E22 + E33)/2 and
-    (E03 + E30 + E12 + E21)/2 (k = 2). When the 3 x k system of the
-    constraints has rank k it admits at most one invariant state: that state
-    is the minimizer.
+    invariant real symmetric matrices have the basis E00 + E22,
+    J = E03 + E30 + E12 + E21, E11 + E33 (k = 3 of them), or at eta = 1 I and
+    J (k = 2).
+
+    The solve. For eta < 1 the constraints are those of the constant
+    operators I, (I - J)/2 and the outcome-0 gain operator
+    G0 = (Gamma_3 - Gamma_1)/(1 - eta) = diag(1, 0, 1, 0), with values
+    t = gamma_1/eta, gamma_2/eta and the outcome-0 gain
+    a = (gamma_3 - gamma_1)/(1 - eta); at eta = 1 they are
+    ``build_gamma_set(1)``'s, with the values as given. On the invariant
+    states each is a 3 x k system of rank k and condition number kappa =
+    3.01 (eta < 1) or 3.23 (eta = 1) at every eta, whose dyadic left inverse
+    is derived and checked exact at import; the one invariant state it gives
+    is the minimizer, each entry a coefficient of at most two roundings.
 
     The report's ``rho_star`` is that state (real, 4x4), ``f_star`` the
     objective there, ``iterations`` is 0, ``constraint_residuals`` are
-    recomputed from the operators, and ``kkt_residual`` is the stationarity
+    recomputed from ``gammas``, and ``kkt_residual`` is the stationarity
     residual of ``kkt_orthogonality_check``. ``converged`` holds iff every
     residual is at most 1e-8 and the smallest eigenvalue of ``rho_star`` is
-    at least -8 * eps * kappa * t, with eps the float64 machine epsilon,
-    kappa the condition number of the constraint system and t = gamma_1 / eta.
-    This allowance covers the rounding of the solve, which kappa amplifies,
-    and of the eigenvalues, on entries of size t. kappa is about 4 / (1 - eta)
-    as eta -> 1, where Gamma_1 and Gamma_3 nearly coincide and the values
-    fix the imbalance only to about eps / (1 - eta).
+    at least -8 * eps * kappa * t, with eps the float64 machine epsilon.
+    The allowance: with u = eps/2, the solve's values are within 3u relative
+    of those the inputs fix (one division for t and gamma_2/eta, at most
+    three roundings for a), so the coefficients c are within (3 kappa + 2) u
+    times |c| <= 0.6 t; as each basis matrix has norm 1, rho's eigenvalues
+    move by at most sqrt(3) times that, below 12 u t, and ``eigh`` on entries
+    of size t adds a few eps * t: well inside 16 u kappa t >= 48 u t.
 
     Raises:
         FeasibilityError: if ``values`` is not three finite numbers, its
-            detection rate gamma_1 is not positive, or its closed-form
-            lambda is negative beyond the rounding allowance that
-            ``keyrate_general`` grants (``keyrates._consistent``), so that no
-            PSD state matches it.
+            detection rate gamma_1 is not positive, ``detection_imbalance``
+            rejects it, or the closed-form lambda at the solve's outcome-0
+            gain a (t/2 at eta = 1) is negative beyond the rounding allowance
+            of ``keyrates._consistent``, so that no PSD state matches it.
         ValueError: if ``gammas`` are not ``build_gamma_set(eta)``'s
-            operators, or the constraint system on the invariant states has
-            rank below k, so that the argument does not pin the minimum.
+            operators.
     """
     try:
         values = np.asarray(values, dtype=float)
@@ -326,38 +352,28 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     eta = float(gammas.gamma1[0, 0].real)
     try:
         t = rate / eta
-        delta = detection_imbalance(p_pass, t, eta)
+        detection_imbalance(p_pass, t, eta)  # for its errors only
     except (ValueError, ZeroDivisionError) as exc:
         raise FeasibilityError(str(exc)) from exc
-    if not _general_args(error_rate / rate, eta, t, p_pass, delta)[3]:
+    x, gain = error_rate / eta, t / 2.0 if eta == 1.0 else (p_pass - rate) / (1.0 - eta)
+    if not _gain_args(gain, x, eta, t, p_pass)[3]:
         raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
 
     ops = _GAMMA_CONST + eta * _GAMMA_LINEAR
     if not np.array_equal(gammas.as_list(), ops):
         raise ValueError(f"gammas are not build_gamma_set({eta})'s operators, on whose symmetry the solve rests")
-    basis = _BASIS_AT_ONE if eta == 1.0 else _BASIS
-    # Tr(Gamma_i B_k) for the symmetric B_k, solved through its SVD; the
-    # rank test is np.linalg.matrix_rank's.
-    system = np.einsum("iab,kab->ik", ops, basis)
-    u, s, vt = np.linalg.svd(system, full_matrices=False)
-    rank = int((s > s[0] * max(system.shape) * _EPS).sum())
-    if rank < len(basis):
-        raise ValueError(
-            f"the constraints have rank {rank} on the {len(basis)} invariant directions and do not pin the minimum"
-        )
-    # np.tensordot's own product, without its wrapper.
-    rho = np.dot((vt.T @ (u.T @ values / s))[None], basis.reshape(len(basis), -1)).reshape(4, 4)
+    stack, rho_map, allowance = _SOLVES[eta == 1.0]
+    rho = np.dot(values if eta == 1.0 else (t, x, gain), rho_map).reshape(4, 4)
 
     residuals = np.abs(np.einsum("iab,ba->i", ops, rho) - values)
-    allowance = _PSD_ALLOWANCE * _EPS * (s[0] / s[-1]) * t
     g, w, V = _spectra(rho, eta)
     return MinimizationReport(
         rho_star=rho,
         f_star=_objective(g, w, V),
         iterations=0,
-        converged=bool(residuals.max() <= 1e-8 and w[0][0] >= -allowance),
+        converged=bool(residuals.max() <= 1e-8 and w[0][0] >= -allowance * t),
         constraint_residuals=residuals,
-        kkt_residual=_face_kkt_residual(eta, w, V, ops),
+        kkt_residual=_face_kkt_residual(eta, w, V, stack),
     )
 
 

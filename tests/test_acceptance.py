@@ -182,9 +182,16 @@ def test_oracle_report_matches_the_public_checks():
         assert abs(rep.f_star - objective(rep.rho_star, eta)) <= 64 * eps
         kkt = kkt_orthogonality_check(rep.rho_star, eta)
         assert max(kkt, rep.kkt_residual) <= 1e-8 or abs(kkt - rep.kkt_residual) <= 64 * eps
-        # converged as minimize's docstring states it, with eigvalsh.
-        ops = np.array(gammas.as_list())
-        kappa = np.linalg.cond(np.einsum("iab,kab->ik", ops, _BASIS_AT_ONE if eta == 1.0 else _BASIS))
+        # converged as minimize's docstring states it, with eigvalsh: kappa is
+        # 3.01 (3.23 at eta = 1), the condition number of the constant
+        # operators on the invariant bases, (I, (I - J)/2, G0 = diag(1, 0, 1, 0))
+        # for eta < 1 and build_gamma_set(1)'s at eta = 1.
+        ops = np.array(gammas.as_list()) / eta
+        if eta < 1.0:
+            ops[2] = np.diag([1.0, 0.0, 1.0, 0.0])
+        kappa = 3.23 if eta == 1.0 else 3.01
+        cond = np.linalg.cond(np.einsum("iab,kab->ik", ops, _BASIS_AT_ONE if eta == 1.0 else _BASIS))
+        assert abs(cond - kappa) <= 0.005
         rule = rep.constraint_residuals.max() <= 1e-8 and np.linalg.eigvalsh(rep.rho_star)[0] >= -8 * eps * kappa * t
         assert rep.converged == rule
 

@@ -245,13 +245,26 @@ def test_verify_passes_on_default_grid(capsys):
         assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("eta", ["0.99999", "0.999999"])
+@pytest.mark.parametrize("eta", ["0.99999", "0.999999", "0.999999999"])
 def test_verify_passes_near_eta_one(capsys, eta):
-    # Gamma_1 and Gamma_3 nearly coincide here; the KKT residual's least-squares
-    # solve must not square their condition number of about 4/(1 - eta).
+    # Gamma_1 and Gamma_3 nearly coincide here, with a condition number of
+    # about 4/(1 - eta); the solve and the KKT residual run on the constant
+    # operators (I, (I - J)/2, G0), which do not.
     code, out, _ = run(capsys, "verify", "--eta", eta)
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_verify_kkt_stays_at_rounding_level_and_prints_inf_for_f_below_the_closed_form(capsys):
+    # At 1 - eta = 1e-12 the closed form's imbalance rounds 1 + eta, so f*
+    # falls more than 1e-6 below it and the check fails with an infinite
+    # discrepancy, printed as inf; the KKT residual stays at rounding level.
+    code, out, _ = run(capsys, "verify", "--eta", "0.999999999999")
+    assert code == 3
+    lines = dict(line.split(": max discrepancy ") for line in out.splitlines() if ": max discrepancy " in line)
+    assert lines["analytic_vs_numeric"] == "inf [FAIL]"
+    kkt, verdict = lines["kkt_orthogonality"].split()
+    assert float(kkt) < 1e-12 and verdict == "[pass]"
 
 
 def test_verify_perturbation_detection(capsys):

@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -409,14 +410,17 @@ def test_minimize_state_is_invariant_and_minimal():
     assert checked >= 100
 
 
-def test_minimize_rejects_constraints_that_do_not_pin_the_minimum():
+def test_minimize_pins_the_minimum_where_gamma_1_and_gamma_3_agree_to_rounding():
     # At eta = 1 - 2^-50 the weights break Bob's bit flip, so the invariant
-    # states have 3 directions, but Gamma_1 and Gamma_3 agree on them to
-    # rounding and the constraints fix only 2.
+    # states have 3 directions, and Gamma_1 and Gamma_3 agree on them to
+    # rounding; the constant operators (I, (I - J)/2, G0) still fix all 3.
     eta = 1.0 - 2.0**-50
-    with pytest.raises(ValueError, match="rank 2 on the 3 invariant directions") as info:
-        minimize(build_gamma_set(eta), (eta, eta * 0.05, (1.0 + eta) / 2.0))
-    assert not isinstance(info.value, FeasibilityError)
+    report = minimize(build_gamma_set(eta), (eta, eta * 0.05, (1.0 + eta) / 2.0))
+    assert report.converged and report.kkt_residual <= 1e-14
+    assert abs(report.f_star - ignorance_term(0.05, eta, 1.0, (1.0 + eta) / 2.0)) <= 2e-16
+
+
+def test_minimize_rejects_operators_other_than_the_model():
     # Operators other than the model's need not have its symmetry.
     ops = build_gamma_set(0.5)
     cases = (
@@ -469,14 +473,46 @@ def _invariant_spaces():
 
 
 def test_minimize_bases_span_the_derived_invariant_spaces():
-    # minimize's premise: its two fixed bases are orthonormal and span exactly
-    # the invariant spaces that the group closure and the twirl derive.
+    # minimize's premise: its two fixed bases, with entries 0 and 1 on disjoint
+    # supports, span exactly the invariant spaces that the group closure and
+    # the twirl derive.
     bases = _invariant_spaces()[1]
     assert len(bases[False]) == 3 and len(bases[True]) == 2
     for ideal, fixed in ((False, verifier._BASIS), (True, verifier._BASIS_AT_ONE)):
         flat, derived = fixed.reshape(len(fixed), 16), bases[ideal].reshape(-1, 16)
-        np.testing.assert_allclose(flat @ flat.T, np.eye(len(flat)), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(flat.T @ flat, derived.T @ derived, rtol=0, atol=1e-15)
+        assert set(flat.ravel()) == {0.0, 1.0} and flat.sum(axis=0).max() == 1.0
+        # Each fixed matrix lies in the derived span, and the dimensions agree.
+        np.testing.assert_allclose(flat @ derived.T @ derived, flat, rtol=0, atol=1e-15)
+        assert np.linalg.matrix_rank(flat) == len(derived)
+
+
+def _model_operators(eta):
+    """Gamma_1 = eta*I, Gamma_2 = eta*(I - J)/2 and Gamma_3 = diag(1, eta, 1, eta),
+    in exact rationals, written out from the measurement model."""
+    e, eye = Fraction(eta), np.eye(4, dtype=int)
+    return [e * eye, e * (eye - eye[::-1]) / 2, np.diag([1, e, 1, e])]
+
+
+def test_solve_runs_on_the_model_operators_and_inverts_exactly():
+    # For eta < 1 the solve's stack must be the image of build_gamma_set(eta)'s
+    # operators under the map it applies to the values, (Gamma_1/eta,
+    # Gamma_2/eta, (Gamma_3 - Gamma_1)/(1 - eta)), which is invertible, so both
+    # span the same space; at eta = 1 it must be the operators themselves. And
+    # its rho map must send the values of each basis matrix back to that
+    # matrix bit for bit: the solve matrix times its system is the identity.
+    rng = np.random.default_rng(20261020)
+    # 20 etas in (0, 1), 20 within 1e-12 of 1, and 1.
+    etas = [*rng.uniform(1e-6, 1.0, 20), *(1.0 - rng.integers(1, 4504, 20) * 2.0**-53), 1.0]
+    for eta in map(float, etas):
+        gammas = _model_operators(eta)
+        assert np.array_equal(np.array(gammas, dtype=float), build_gamma_set(eta).as_list())
+        e = Fraction(eta)
+        expected = gammas if eta == 1.0 else [gammas[0] / e, gammas[1] / e, (gammas[2] - gammas[0]) / (1 - e)]
+        stack, rho_map, _ = verifier._SOLVES[eta == 1.0]
+        assert [Fraction(x) for x in stack.ravel()] == list(np.ravel(expected))
+        basis = verifier._BASIS_AT_ONE if eta == 1.0 else verifier._BASIS
+        system = np.einsum("iab,kab->ik", stack, basis)
+        assert np.array_equal(system.T @ rho_map, basis.reshape(len(basis), 16))
 
 
 def test_theorem_by_symmetry_without_the_oracle():
