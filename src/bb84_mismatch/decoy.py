@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError, _require_in
-from .keyrates import KeyRateResult, _coherence_grad, _consistent, _entropy_args, _require_f_ec, detection_imbalance
-from .linalg import _h, binary_entropy
+from .keyrates import KeyRateResult, _coherence, _coherence_grad, _consistent, _require_f_ec, detection_imbalance
+from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
 BASES = ("z", "x")
@@ -337,7 +337,7 @@ def _gamma2_upper(gains: np.ndarray, error_rates: np.ndarray, cfg: DecoyConfig, 
 
 def _singles_rate(q1_0, q1_1, q, eta, ec_term):
     """Key rate from single-photon gains (q1_0, q1_1) and x-error gain q: the
-    closed form ``keyrates._entropy_args``, elementwise over arrays.
+    closed form's value kernel ``keyrates._coherence``, elementwise over arrays.
 
     Returns (rate, lambda_of_q), both nan where the point is infeasible: no
     detections, or a phase-error argument ``keyrates._consistent`` rejects.
@@ -346,12 +346,10 @@ def _singles_rate(q1_0, q1_1, q, eta, ec_term):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = q1_0 + q1_1 / eta
-        p_pass, arg, lam_q = _entropy_args(q1_0, q1_1, t, q, eta)
-        lam_q, ok = _consistent(lam_q, np.divide(p_pass + t + 2.0 * q, p_pass))
-    # Infeasible points get entropy arguments of 0, so h() sees no nan.
-    lam_q = np.where(ok, lam_q, 0.0)
-    rate = p_pass * (_h(np.where(ok, arg, 0.0)) - _h(lam_q)) - ec_term
-    return np.where(ok, rate, np.nan), np.where(ok, lam_q, np.nan)
+        p_pass, _, lam_q, clamped, h = _coherence(q1_0, q1_1, t, q, eta)
+        ok = _consistent(lam_q, p_pass, t, q)
+        rate = p_pass * h - ec_term
+    return np.where(ok, rate, np.nan), np.where(ok, clamped, np.nan)
 
 
 def _gain_grad(a, b, q, eta):

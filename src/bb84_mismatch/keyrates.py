@@ -1,9 +1,9 @@
 """Closed-form secret-key rates for BB84 with detection-efficiency mismatch.
 
-Every tight rate here is one formula in gain coordinates (``_entropy_args``).
+Every tight rate here is one formula in gain coordinates (``_coherence``).
 With outcome gains a, b, pass rate p = a + b, transparency t = a + b/eta and
 x-basis error gain x, it is p*[h(a/p) - h(lambda)] - f_ec*p*h(q_z), where
-lambda = 1/2 - sqrt((a-b)^2 + eta*(t-2x)^2) / (2p). ``keyrate_general`` takes
+lambda = 1/2 - sqrt((a-b)^2 + eta*(t-2x)^2) / (2p) (``_lam``). ``keyrate_general`` takes
 a = t*(1+delta)/2, b = p - a, x = t*q_x; the discard-optimized rate is the
 same form at gains (eta1*t/2, eta*t/2), x = eta1*t*q_x and mismatch eta/eta1.
 Its first term is the relative entropy of coherence of the block
@@ -138,12 +138,23 @@ def feasible(q_x, delta):
     return (abs(delta) <= 1.0) & (1.0 - root <= 2.0 * q_x) & (2.0 * q_x <= 1.0 + root)
 
 
-def _entropy_args(a, b, t, x, eta):
-    """(p, a/p, lambda) of the module docstring's formula, unclamped and
+def _lam(a, b, t, x, eta):
+    """(p, lambda) of the module docstring's formula, lambda unclamped and
     elementwise; p = 0 gives nan or inf, never ZeroDivisionError. The root is
     a ``hypot``, so gains far below 1e-154 do not underflow when squared."""
     p = a + b
-    return p, np.divide(a, p), 0.5 - np.hypot(a - b, np.sqrt(eta) * (t - 2.0 * x)) / (2.0 * p)
+    return p, 0.5 - np.hypot(a - b, np.sqrt(eta) * (t - 2.0 * x)) / (2.0 * p)
+
+
+def _coherence(a, b, t, x, eta):
+    """(p, a/p, lambda, lambda clamped at 0, h(a/p) - h(clamped lambda)): the
+    value of the module docstring's formula per pass rate, elementwise, with
+    a + b of the broadcast shape. Unchecked: ``_h`` reads an argument beyond
+    [0, 1] as its nearer end, and ``_consistent`` judges lambda."""
+    p, lam = _lam(a, b, t, x, eta)
+    arg, clamped = np.divide(a, p), np.maximum(lam, 0.0)
+    h_arg, h_lam = _h(np.array((arg, clamped)))  # one call for both halves the overhead
+    return p, arg, lam, clamped, h_arg - h_lam
 
 
 def _coherence_grad(a, b, w, r, ew, er):
@@ -192,40 +203,25 @@ def _coherence_grad(a, b, w, r, ew, er):
     return partials, allowances
 
 
-def _consistent(lam, scale):
-    """(lambda clamped at 0, consistent) for the value path's lambda = 1/2 -
-    r/(2p), elementwise: with r within 6u*s (u = 2^-53, s = p + t + 2x) it is
-    within 2^-51*scale, scale = s/p, and consistent where finite and at least
+def _consistent(lam, p, t, x):
+    """Whether the value path's lambda = 1/2 - r/(2p) is consistent, elementwise:
+    with r within 6u*s (u = 2^-53, s = p + t + 2x) it is within 2^-51*scale,
+    scale = s/p, and consistent where finite and at least
     -max(_LAM_FLOOR, 2^-51*scale), a bound capped so that -inf always fails."""
-    bound = np.minimum(np.maximum(_LAM_FLOOR, 2.0**-51 * scale), _MAX)
-    return np.maximum(lam, 0.0), lam >= -bound
-
-
-def _general_args(q_x, eta, t, p_pass, delta):
-    """``_gain_args`` at imbalance delta: outcome-0 gain a = t*(1+delta)/2 and
-    x-error gain x = t*q_x (a numpy delta, so that p = 0 divides without raising)."""
-    return _gain_args(t * (1.0 + delta) / 2.0, t * q_x, eta, t, p_pass)
-
-
-def _gain_args(a, x, eta, t, p_pass):
-    """(h argument, lambda, lambda clamped at 0, consistent) at outcome-0 gain a,
-    x-error gain x and pass rate p_pass, elementwise and never raising: the
-    closed form at gains a, b = p_pass - a, with lambda unclamped and
-    ``consistent`` ``_consistent``'s rule for it."""
-    # Gains that cancel to p = 0 give a lambda of -inf, which is inconsistent, or nan.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p, arg, lam = _entropy_args(a, p_pass - a, t, x, eta)
-        return (arg, lam, *_consistent(lam, np.divide(p + t + 2.0 * x, p)))
+    bound = np.minimum(np.maximum(_LAM_FLOOR, 2.0**-51 * np.divide(p + t + 2.0 * x, p)), _MAX)
+    return lam >= -bound
 
 
 def _phase_args(q_x: float, eta: float, t: float, p_pass: float) -> tuple[float, float]:
-    """(h argument, lambda clamped at 0) of ``_general_args`` at the observed
+    """(h argument a/p, lambda clamped at 0) of the closed form at the observed
     imbalance, after checking the inputs; ValueError if lambda is inconsistent."""
     _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
-    arg, raw, lam, consistent = _general_args(q_x, eta, t, p_pass, np.float64(detection_imbalance(p_pass, t, eta)))
-    if not consistent:
-        raise ValueError(f"phase-error argument {raw} is negative: observations are inconsistent")
-    return float(arg), float(lam)
+    a, x = t * (1.0 + detection_imbalance(p_pass, t, eta)) / 2.0, t * q_x
+    with np.errstate(divide="ignore", invalid="ignore"):  # gains that cancel to p = 0 give lambda -inf or nan
+        p, lam = _lam(a, p_pass - a, t, x, eta)
+        if not _consistent(lam, p, t, x):
+            raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
+    return float(a / p), float(np.maximum(lam, 0.0))
 
 
 def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
@@ -292,11 +288,9 @@ def _discarded_rate(q_x: float, eta: float, t: float, eta1, ec: float):
     over arrays q_x, eta and ec of one shape.
     """
     t_eff = eta1 * t
-    p, arg, lam = _entropy_args(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
     # lambda >= 0 holds exactly here; the clamp only absorbs rounding.
-    lam = np.maximum(lam, 0.0)
-    h_arg, h_lam = _h(np.array((arg, lam)))  # one call for both halves the overhead
-    return p * (h_arg - h_lam - ec), lam
+    p, _, _, lam, h = _coherence(t_eff / 2.0, eta * t / 2.0, t_eff, t_eff * q_x, eta / eta1)
+    return p * (h - ec), lam
 
 
 def _discard_slope(q_x, eta, ec):
@@ -324,9 +318,16 @@ def keyrate_discard_optimized(
     eta/eta1 = b/a makes lambda a function of s = a/(a + b), so the rate is
     (a + b)*g(a/(a + b)), the perspective of g(s) = h(s) - h(lambda(s)) -
     f_ec*h(q_z) (Boyd & Vandenberghe, Convex Optimization, sec. 3.2.6). g is
-    concave (checked to 40 digits; constant at q_x = 1/2), so the rate is
-    concave in eta1: a maximizer lies within one step of a grid's first best
-    point.
+    concave, so the rate is concave in eta1: a maximizer lies within one step
+    of a grid's first best point. Proof: with c = 4s(1 - s), k = 4q_x(1 - q_x)
+    and phi(u) = h((1 - sqrt(1 - u))/2), h(s) = phi(c), h(lambda(s)) = phi(kc)
+    and g = psi(c) - f_ec*h(q_z), psi(u) = phi(u) - phi(ku). c is concave in
+    s, so g is concave if psi is nondecreasing and concave (sec. 3.2.4), which
+    for 0 <= k <= 1 follows from (L1) u*phi'(u) nondecreasing and (L2)
+    u^2*phi''(u) nonincreasing. Both are series in w = 1 - u: u*phi'(u) =
+    [1 - sum_{j>=1} 2w^j/((2j-1)(2j+1))]/(2 ln 2) and u^2*phi''(u) =
+    -(1-w)^2*sum_{j>=0} (2j+2)/(2j+3)*w^j/(4 ln 2), whose product series has
+    coefficients 2/3, -8/15, then -Delta^2[1/(2j+1)] < 0 (1/x is convex).
 
     Certificate: a concave rate whose slope at eta1 = 1 is positive peaks
     there. So where the closed-form slope dR/da = g(s) + (1 - s)*g'(s) at
@@ -418,13 +419,13 @@ def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass
             rate = p * 2.0 * eta / (1.0 + eta) * (1.0 - h_z - h_x)
         rate = np.where(eta * p / (1.0 + eta) >= _MIN_GAIN, rate, np.nan)
     elif method == "general":
-        with np.errstate(over="ignore", invalid="ignore"):  # a tiny t can overflow delta: infeasible
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # delta can overflow, p cancel to 0
             extra, bad = _imbalance(p_pass, t, eta)
-            arg, _, clamped, consistent = _general_args(q_x, eta, t, p_pass, extra)
-            ok = ~bad & feasible(q_x, extra) & consistent & (arg >= -1e-12) & (arg <= 1 + 1e-12)
+            a, x = t * (1.0 + extra) / 2.0, t * q_x
+            p, arg, raw, clamped, h = _coherence(a, p_pass - a, t, x, eta)
+            ok = ~bad & feasible(q_x, extra) & _consistent(raw, p, t, x) & (arg >= -1e-12) & (arg <= 1 + 1e-12)
         lam[ok] = clamped[ok]
-        h = _h(np.clip(arg[ok], 0.0, 1.0)) - _h(lam[ok])
-        rate[ok] = p_pass * (h - f_ec * binary_entropy(q_z[ok]))
+        rate[ok] = p_pass * (h[ok] - f_ec * binary_entropy(q_z[ok]))
     else:
         ok = eta * t / 2.0 >= _MIN_GAIN
         ec = f_ec * binary_entropy(q_z)

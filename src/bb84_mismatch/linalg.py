@@ -76,10 +76,10 @@ def binary_entropy(p):
 
 
 def _h(p: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` of a float array, unchecked: entries must lie in [0, 1]."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """``binary_entropy`` of a float array, unchecked: beyond [0, 1] reads as the nearer end, nan as nan."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return np.where((p == 0.0) | (p == 1.0), 0.0, h)
+    return np.where((p <= 0.0) | (p >= 1.0), 0.0, h)
 
 
 def _require_psd(w: np.ndarray, name: str) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
-from .keyrates import _gain_args, _phase_args, detection_imbalance, effective_phase_error
+from .keyrates import _consistent, _lam, _phase_args, detection_imbalance, effective_phase_error
 from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
 from .protocol import _GAMMA_CONST, _GAMMA_LINEAR, ALICE_BITS, BOB_BITS, GammaSet, photon_block
 
@@ -237,12 +237,13 @@ def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray
     operators. The constant stack spans what ``build_gamma_set(eta)``'s
     operators span, but stays well conditioned as eta -> 1, where Gamma_1
     and Gamma_3 nearly coincide (a condition number of about 4/(1 - eta)),
-    so the residual stays at rounding level there.
+    so the residual stays at rounding level there. FeasibilityError where the
+    face is empty: no eigenvalue is above 1e-307, so the state underflows.
     """
     keep = w[0] > _FACE_CUTOFF * max(float(w[0][-1]), 1e-300)
     U = V[0][:, keep]
     if U.shape[1] == 0:
-        return float("inf")
+        raise FeasibilityError(f"largest state eigenvalue {float(w[0][-1]):.3g} is at most 1e-307: the state underflows")
     # The compressions of the gradient and of the operators, flattened to real
     # vectors (a complex entry as its real and imaginary parts).
     flat = (U.conj().T @ np.array([_gradient(eta, w, V), *ops]) @ U).reshape(len(ops) + 1, -1).view(float)
@@ -336,7 +337,8 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
             detection rate gamma_1 is not positive, ``detection_imbalance``
             rejects it, or the closed-form lambda at the solve's outcome-0
             gain a (t/2 at eta = 1) is negative beyond the rounding allowance
-            of ``keyrates._consistent``, so that no PSD state matches it.
+            of ``keyrates._consistent``, so that no PSD state matches it, or
+            if the state they fix underflows (``_face_kkt_residual``).
         ValueError: if ``gammas`` are not ``build_gamma_set(eta)``'s
             operators.
     """
@@ -356,8 +358,10 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     except (ValueError, ZeroDivisionError) as exc:
         raise FeasibilityError(str(exc)) from exc
     x, gain = error_rate / eta, t / 2.0 if eta == 1.0 else (p_pass - rate) / (1.0 - eta)
-    if not _gain_args(gain, x, eta, t, p_pass)[3]:
-        raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
+    with np.errstate(divide="ignore", invalid="ignore"):  # gains that cancel to p = 0 give lambda -inf or nan
+        p, lam = _lam(gain, p_pass - gain, t, x, eta)
+        if not _consistent(lam, p, t, x):
+            raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
 
     ops = _GAMMA_CONST + eta * _GAMMA_LINEAR
     if not np.array_equal(gammas.as_list(), ops):

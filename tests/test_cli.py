@@ -255,16 +255,26 @@ def test_verify_passes_near_eta_one(capsys, eta):
     assert "FAIL" not in out
 
 
-def test_verify_kkt_stays_at_rounding_level_and_prints_inf_for_f_below_the_closed_form(capsys):
+def test_verify_kkt_stays_at_rounding_level_and_prints_the_gap_of_f_below_the_closed_form(capsys):
     # At 1 - eta = 1e-12 the closed form's imbalance rounds 1 + eta, so f*
-    # falls more than 1e-6 below it and the check fails with an infinite
-    # discrepancy, printed as inf; the KKT residual stays at rounding level.
+    # falls 8.3e-6 below it at delta = 0.05 (and lies 8.3e-6 above it at
+    # -0.05): the check fails, printing the largest gap; the KKT residual
+    # stays at rounding level.
     code, out, _ = run(capsys, "verify", "--eta", "0.999999999999")
     assert code == 3
     lines = dict(line.split(": max discrepancy ") for line in out.splitlines() if ": max discrepancy " in line)
-    assert lines["analytic_vs_numeric"] == "inf [FAIL]"
+    assert lines["analytic_vs_numeric"] == "8.33961639357e-06 [FAIL]"
+    assert "verification failed: analytic_vs_numeric" in out
     kkt, verdict = lines["kkt_orthogonality"].split()
     assert float(kkt) < 1e-12 and verdict == "[pass]"
+
+
+def test_rate_reads_an_entropy_argument_rounded_above_one_as_one(capsys):
+    code, out, _ = run(capsys, "rate", "--qz", "0.02", "--qx", "0.5", "--eta", "0.019022432350671914",
+                       "--t", "0.8802329510773045", "--p-pass", "0.8802329510773039")
+    assert code == 0
+    report = parse_report(out)
+    assert (report["K"], report["delta"], report["lambda"]) == ("-0.124500626164", "1", "0")
 
 
 def test_verify_perturbation_detection(capsys):
@@ -486,6 +496,35 @@ def test_config_entries_parse_as_flags(capsys, tmp_path, command, line, message)
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_config_skips_blank_and_comment_lines_and_names_an_unreadable_file(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("# a comment\n\nqz = 0.05  # trailing\n   \nqx = 0.05\n")
+    assert run(capsys, "rate", "--config", str(config)) == run(capsys, "rate", "--qz", "0.05", "--qx", "0.05")
+    code, out, err = run(capsys, "rate", "--config", str(tmp_path / "missing.cfg"))
+    assert (code, out) == (1, "") and "cannot read config file" in err
+
+
+_SWEEP = ["sweep", "--start", "0.5", "--stop", "1", "--steps", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rate", "--qz", "0.05", "--qx", "0.05", "--eta0", "0.9"], "--eta0 and --eta1 must be given together"),
+        ([*_SWEEP, "--methods", "balanced"], "sweep requires --variable"),
+        ([*_SWEEP, "--variable", "eta", "--methods", " , "], "sweep requires at least one method"),
+        ([*_SWEEP, "--variable", "eta", "--methods", "balanced,best"], "unknown methods: best"),
+        (["sweep", "--variable", "distance_km", "--start", "0", "--stop", "10", "--steps", "2", "--methods",
+          "decoy,balanced"], "methods ['balanced'] not valid for a distance sweep"),
+    ],
+    ids=["eta0_alone", "no_variable", "no_method", "unknown_method", "rate_over_distance"],
+)
+def test_sweep_and_detector_usage_errors_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["1", "100001", "1000000000000000"])

@@ -131,6 +131,16 @@ def test_poisson_gain_truncation_error():
         poisson_gain([1.0] * 11, 8.0, 10)
 
 
+def test_decoy_inputs_that_leave_no_value_raise():
+    with pytest.raises(ValueError, match="need yields up to i_max"):
+        poisson_gain([0.1, 0.2], 0.0, 10)
+    # Without dark counts the vacuum never clicks, so its error rate is undefined.
+    with pytest.raises(ValueError, match="yield vanishes"):
+        simulate_error(benchmark_model(20.0, dark=0.0), 0, "z", 0)
+    with pytest.raises(ValueError, match="unknown basis 'y'"):
+        simulate_error(benchmark_model(20.0), 1, "y", 0)
+
+
 def test_bound_y0_vacuum_decoy_collapse():
     # With nu2 = 0 the bound equals the vacuum-decoy gain itself.
     model = benchmark_model(20.0)

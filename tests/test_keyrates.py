@@ -291,6 +291,56 @@ def test_discarded_rate_is_midpoint_concave_in_eta1():
         assert np.all(rate[2] >= (rate[0] + rate[1]) / 2.0 - 1e-14 * t * (2.0 + ec))
 
 
+def test_discard_concavity_premise_reduces_to_two_monotone_lemmas(mp50, h50):
+    # keyrate_discard_optimized's proof: with c = 4s(1 - s), k = 4q_x(1 - q_x)
+    # and phi(u) = h((1 - sqrt(1 - u))/2), h(s) = phi(c) and h(lambda(s)) =
+    # phi(kc); psi(u) = phi(u) - phi(ku) is nondecreasing and concave by (L1)
+    # u*phi'(u) nondecreasing and (L2) u^2*phi''(u) nonincreasing.
+    from fractions import Fraction
+
+    from bb84_mismatch.keyrates import _discarded_rate
+
+    mp = mp50
+    ln2 = mp.log(2)
+
+    def phi(u):
+        return h50((1 - mp.sqrt(1 - u)) / 2)
+
+    def lemmas(u):
+        # u*phi'(u) and u^2*phi''(u) from artanh(v) = ln((1 + v)^2/u)/2, v = sqrt(1 - u).
+        v = mp.sqrt(1 - u)
+        artanh = mp.log((1 + v) ** 2 / u) / 2
+        return u * artanh / (2 * v * ln2), -(u**2) * (v / u - artanh) / (4 * v**3 * ln2)
+
+    rng = np.random.default_rng(1810)
+    for s, q_x in [(0.5, 0.25), (0.9, 0.0), (0.3, 0.5), *rng.uniform(0.0, 1.0, (20, 2)) * (1.0, 0.5)]:
+        a, b, x = mp.mpf(s), 1 - mp.mpf(s), 2 * mp.mpf(s) * mp.mpf(q_x)  # eta1*t = 2a, mismatch b/a
+        lam = (1 - mp.sqrt((a - b) ** 2 + b / a * (2 * a - 2 * x) ** 2)) / 2
+        c, k = 4 * a * b, 4 * mp.mpf(q_x) * (1 - mp.mpf(q_x))
+        assert abs(h50(a) - phi(c)) < mp.mpf(10) ** -45 and abs(h50(lam) - phi(k * c)) < mp.mpf(10) ** -45
+        if 0.0 < s < 1.0:  # the rate at eta1 = 1 is the perspective (a + b)*(psi(c) - ec)
+            eta = (1.0 - s) / s
+            rate = _discarded_rate(q_x, eta, 2.0 * s, 1.0, 0.1)[0]
+            a, b = mp.mpf(s), mp.mpf(eta) * mp.mpf(s)
+            c = 4 * a * b / (a + b) ** 2
+            assert abs(rate - (a + b) * (phi(c) - phi(k * c) - mp.mpf(0.1))) <= 1e-14
+
+    grid = [mp.mpf(10) ** -30, mp.mpf(10) ** -9, *mp.linspace(mp.mpf(0.001), mp.mpf(0.999), 200), 1 - mp.mpf(10) ** -30]
+    values = [lemmas(u) for u in grid]
+    for (l1, l2), (m1, m2) in zip(values, values[1:]):
+        assert m1 >= l1 and m2 <= l2
+    for u in (mp.mpf(0.3), mp.mpf(0.77)):
+        w = 1 - u
+        l1 = (1 - mp.nsum(lambda j: 2 * w**j / ((2 * j - 1) * (2 * j + 1)), [1, mp.inf])) / (2 * ln2)
+        l2 = -(u**2) * mp.nsum(lambda j: (2 * j + 2) / (2 * j + 3) * w**j, [0, mp.inf]) / (4 * ln2)
+        assert abs(lemmas(u)[0] - l1) < 1e-41 and abs(lemmas(u)[1] - l2) < 1e-41
+
+    # (L2)'s series: (1 - w)^2 times sum (2j + 2)/(2j + 3) w^j, exactly.
+    series = [Fraction(2 * j + 2, 2 * j + 3) for j in range(200)]
+    product = [series[j] - 2 * (series[j - 1] if j else 0) + (series[j - 2] if j > 1 else 0) for j in range(200)]
+    assert product[:2] == [Fraction(2, 3), Fraction(-8, 15)] and all(c < 0 for c in product[2:])
+
+
 def test_discard_optimized_is_never_below_a_dense_grid():
     from bb84_mismatch.keyrates import _discarded_rate
 
@@ -554,6 +604,16 @@ def test_general_rejects_gains_that_cancel_without_warning():
     # and the outcome gains t/2 and p_pass - t/2 sum to 0.
     with pytest.raises(ValueError, match="inconsistent"):
         keyrate_general(0.0, 0.0, 1.0, 1.1754943508222875e-38, 1.1550564397656548e-307)
+
+
+def test_general_rate_reads_an_entropy_argument_rounded_above_one_as_one():
+    # a/p rounds to 1 + 2^-52 here; _h reads it as 1, so h(a/p) = 0 and lambda = 0.
+    from bb84_mismatch.keyrates import _phase_args
+
+    point = (0.5, 0.019022432350671914, 0.8802329510773045, 0.8802329510773039)
+    assert _phase_args(*point) == (1.0 + 2.0**-52, 0.0)
+    result = keyrate_general(0.02, *point)
+    assert result.rate == -0.8802329510773039 * h(0.02) == -0.12450062616356176 and result.lam == 0.0
 
 
 def test_eta_one_pass_rate_tolerance_is_relative_to_t():

@@ -13,6 +13,7 @@ from bb84_mismatch import (
     relative_entropy,
 )
 from bb84_mismatch.keyrates import effective_phase_error
+from bb84_mismatch.linalg import require_hermitian
 
 
 def random_hermitian(rng, dim):
@@ -161,3 +162,24 @@ def test_binary_entropy_array_rejects_bad_entries(bad):
         binary_entropy(np.array([0.2, bad, 0.5]))
     with pytest.raises(ValueError):
         binary_entropy(np.array(bad))
+
+
+def test_unchecked_entropy_reads_beyond_the_unit_interval_as_its_nearer_end():
+    # The rate paths pass _h unclamped arguments: a/p can round to 1 + 2^-52.
+    from bb84_mismatch.linalg import _h
+
+    rng = np.random.default_rng(28)
+    inside = np.concatenate([[0.0, 1.0, 0.5, 5e-324, 1.0 - 2.0**-53], rng.random(500), 10.0 ** rng.uniform(-300, 0, 200)])
+    assert np.array_equal(_h(inside), [binary_entropy(float(x)) for x in inside])
+    beyond = np.array([-0.0, -5e-324, -1e-12, -1.0, -1e308, -math.inf, 1.0 + 2.0**-52, 1.5, 1e308, math.inf])
+    assert np.array_equal(_h(beyond), np.zeros(beyond.size))
+    assert np.isnan(_h(np.array([math.nan, 0.3]))[0])
+
+
+def test_matrix_checks_reject_bad_shapes_and_spectra():
+    with pytest.raises(ValueError, match="square matrix"):
+        require_hermitian(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="sigma is not positive semidefinite"):
+        relative_entropy(np.diag([1.0, -0.5]), np.eye(2))
+    with pytest.raises(ValueError, match="share dimensions"):
+        relative_entropy(np.eye(2) / 2, np.eye(3) / 3)

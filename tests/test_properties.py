@@ -452,6 +452,47 @@ def test_subnormal_transparency_gives_finite_results_or_raises(t, q, eta, p_pass
         assert np.all(np.isfinite(result)), name
 
 
+@st.composite
+def _closed_form_point(draw):
+    """(q_z, q_x, eta, t, p_pass) over the closed form's whole domain and past
+    it: 1 - eta down to 1e-15, eta down to 1e-12, t down to subnormal, delta
+    slightly beyond [-1, 1], p_pass = 0 or above t, q_x of 0 and 1/2."""
+    eta = draw(st.one_of(st.just(1.0), st.floats(1e-12, 1.0), st.floats(1.0, 15.0).map(lambda e: 1.0 - 10.0**-e),
+                         st.floats(0.0, 12.0).map(lambda e: 10.0**-e)))
+    t = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0), st.floats(0.0, 323.0).map(lambda e: 10.0**-e),
+                       st.sampled_from([5e-324, 1e-310])))
+    delta = draw(st.floats(-1.05, 1.05))
+    p_pass = draw(st.one_of(st.just(t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)), st.just(0.0),
+                            st.floats(1.0, 2.0).map(lambda f: f * t)))
+    q_x = draw(st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5), st.floats(0.0, 1.0)))
+    return draw(st.floats(0.0, 0.2)), q_x, eta, t, p_pass
+
+
+@seed(20261032)
+@settings(max_examples=300, deadline=None)
+@given(_closed_form_point())
+def test_closed_form_and_oracle_return_finite_values_or_raise_value_errors(point):
+    # pytest's configuration turns any RuntimeWarning into an error.
+    q_z, q_x, eta, t, p_pass = point
+    calls = {
+        "keyrate_general": lambda: keyrate_general(q_z, q_x, eta, t, p_pass),
+        "effective_phase_error": lambda: effective_phase_error(q_x, eta, t, p_pass),
+        "ignorance_term": lambda: ignorance_term(q_x, eta, t, p_pass),
+        "minimize": lambda: minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass)),
+    }
+    for name, call in calls.items():
+        try:
+            result = call()
+        except ValueError:
+            continue
+        if name == "keyrate_general":
+            # An infeasible result has no rate and no lambda, but its delta.
+            result = (result.delta,) if not result.feasible else (result.rate, result.delta, result.lam)
+        elif name == "minimize":
+            result = (result.f_star, result.kkt_residual, *result.rho_star.ravel(), *result.constraint_residuals)
+        assert np.all(np.isfinite(result)), name
+
+
 # Flag values: about one in six is a float that breaks naive checks, the rest
 # lie in [lo, hi]. Each goes as one ``--flag=value`` token, so "-inf" reads as a value.
 _SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e-320", "1e300"])

@@ -125,6 +125,11 @@ def test_attack_state_delta_domain():
         optimal_attack_state(0.05, 0.05, 1.5, 1.0)
 
 
+def test_photon_block_rejects_other_shapes():
+    with pytest.raises(ValueError, match="4x4 or 6x6"):
+        photon_block(np.eye(5))
+
+
 def test_attack_state_minimum_eigenvalue_sign_change():
     # Bisection on q_x at fixed delta locates the PSD boundary at
     # q_x = (1 - sqrt(1 - delta^2))/2.

@@ -82,6 +82,11 @@ def test_pinch_keeps_diagonal_and_same_alice_blocks():
     assert out[0, 2] == 0.0
 
 
+def test_pinch_rejects_other_shapes():
+    with pytest.raises(ValueError, match="4x4 matrix"):
+        pinch_Z(np.eye(3))
+
+
 def test_pinch_of_attack_image_is_diagonal():
     g = channel_G(optimal_attack_state(0.05, 0.05, 0.0, 1.0), 0.5)
     np.testing.assert_allclose(pinch_Z(g), np.diag(np.diag(g)), atol=1e-14)
@@ -213,6 +218,30 @@ def test_minimize_rejects_infeasible_constraints():
         minimize(build_gamma_set(0.5), (0.5, 0.0, 0.8))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "eta,values,message",
+    [
+        (1.0, (0.5, 0.01, 0.7), "eta = 1 requires p_pass = t"),
+        (0.5, (0.5, 0.01, -0.1), "p_pass = -0.1 outside"),
+        # The outcome gains -1 and 1 cancel to p = 0: lambda is -inf, without a warning.
+        (0.5, (0.5, 0.01, 0.0), "admit no PSD state"),
+    ],
+)
+def test_minimize_turns_inconsistent_pass_rates_into_feasibility_errors(eta, values, message):
+    with pytest.raises(FeasibilityError, match=message):
+        minimize(build_gamma_set(eta), values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_state_that_underflows_has_no_stationarity_to_report():
+    # Below 1e-307 the support face is empty; the residual was inf, with converged True.
+    with pytest.raises(FeasibilityError, match="underflows"):
+        minimize(build_gamma_set(1.0), (5e-324, 0.0, 5e-324))
+    with pytest.raises(FeasibilityError, match="underflows"):
+        kkt_orthogonality_check(1e-310 * optimal_attack_state(0.05, 0.05, 0.0, 1.0), 0.5)
+
+
 def test_minimize_accepts_the_boundary_point_that_keyrate_general_rates():
     # On the lower boundary 2*q_x = 1 - sqrt(1 - delta^2) lambda is 0, and the
     # values formed from the outcome gains put it at -1.1e-16: within the
@@ -251,6 +280,12 @@ def test_kkt_residual_detects_perturbation():
 
 
 def test_eigenvalue_formula_checks():
+    # At q_z = 1 the parameters are read off the block's middle entries.
+    for eta, delta in ((0.5, 0.02), (1.0, 0.0)):
+        rho = optimal_attack_state(1.0, 0.05, delta, 0.7)
+        got = verifier._extract_attack_parameters(photon_block(rho), eta)
+        np.testing.assert_allclose(got[:4], (1.0, 0.05, delta, 0.7), atol=1e-15)
+        assert eigenvalues_check(rho, eta)
     assert eigenvalues_check(optimal_attack_state(0.0, 0.05, 0.0, 1.0), 0.5)
     assert eigenvalues_check(optimal_attack_state(0.05, 0.05, 0.0, 1.0), 0.5)
     assert eigenvalues_check(optimal_attack_state(0.05, 0.05, 0.0, 1.0), 1.0)
@@ -562,7 +597,7 @@ def test_ignorance_term_accepts_every_converged_minimize_at_tiny_eta():
     # With delta near -1 and eta down to 1e-9, t = a + b/eta is far above
     # p = a + b, and lambda's rounding grows with (p + t + 2x)/p beyond an
     # absolute 1e-12; the closed form must still accept what minimize accepts.
-    from bb84_mismatch.keyrates import _entropy_args, detection_imbalance
+    from bb84_mismatch.keyrates import _lam, detection_imbalance
 
     rng = np.random.default_rng(20261019)
     converged = beyond_absolute = 0
@@ -580,6 +615,6 @@ def test_ignorance_term_accepts_every_converged_minimize_at_tiny_eta():
             continue
         converged += 1
         a = t * (1.0 + detection_imbalance(p_pass, t, eta)) / 2.0
-        beyond_absolute += _entropy_args(a, p_pass - a, t, t * q_x, eta)[2] < -1e-12
+        beyond_absolute += _lam(a, p_pass - a, t, t * q_x, eta)[1] < -1e-12
         assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 1e-12
     assert converged > 400 and beyond_absolute > 0
