@@ -230,6 +230,11 @@ def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> floa
     return _phase_args(q, eta, t, p_pass)[1]
 
 
+def _subnormal(gain):
+    """Whether an outcome gain is nonzero but below ``_MIN_GAIN`` in size, elementwise."""
+    return (gain != 0.0) & (np.abs(gain) < _MIN_GAIN)
+
+
 def keyrate_general(
     q_z: float, q_x: float, eta: float, t: float, p_pass: float, f_ec: float = 1.0
 ) -> KeyRateResult:
@@ -237,13 +242,19 @@ def keyrate_general(
     p_pass * [h(t*(1+delta)/(2*p_pass)) - h(lambda) - f_ec*h(q_z)].
 
     Returns an infeasible result (rate None) when no PSD state matches the
-    observations. Raises ValueError if t*(1+delta)/(2*p_pass) falls outside
-    [0, 1] beyond rounding, which signals inconsistent observations, and
+    observations. Raises ValueError if an outcome gain a = t*(1+delta)/2 or
+    p_pass - a is nonzero but below ``_MIN_GAIN`` (a gain of 0, at
+    delta = +-1, is kept), or if t*(1+delta)/(2*p_pass) falls outside [0, 1]
+    beyond rounding, which signals inconsistent observations, and
     ConfigError unless f_ec is finite and non-negative.
     """
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=p_pass)
     _require_f_ec(f_ec)
     delta = detection_imbalance(p_pass, t, eta)
+    a = t * (1.0 + delta) / 2.0
+    for name, gain in (("t*(1+delta)/2", a), ("p_pass - t*(1+delta)/2", p_pass - a)):
+        if _subnormal(gain):
+            _require_in(f"outcome gain {name}", gain, _MIN_GAIN, 1.0)
     if not feasible(q_x, delta):
         return KeyRateResult(rate=None, feasible=False, delta=delta, lam=None, method="general")
     rate, lam, _ = _rates("general", q_z, q_x, eta, t, f_ec, p_pass)
@@ -424,6 +435,7 @@ def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass
             a, x = t * (1.0 + extra) / 2.0, t * q_x
             p, arg, raw, clamped, h = _coherence(a, p_pass - a, t, x, eta)
             ok = ~bad & feasible(q_x, extra) & _consistent(raw, p, t, x) & (arg >= -1e-12) & (arg <= 1 + 1e-12)
+            ok &= ~_subnormal(a) & ~_subnormal(p_pass - a)
         lam[ok] = clamped[ok]
         rate[ok] = p_pass * (h[ok] - f_ec * binary_entropy(q_z[ok]))
     else:

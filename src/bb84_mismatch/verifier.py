@@ -11,9 +11,12 @@ invariant state, which an exact dyadic solve on constant operators finds
 takes Gamma_3's place; see ``minimize``, which accepts only
 ``build_gamma_set``'s operators, checked exactly, as the symmetry holds for
 those alone). Also hosts the spectral, stationarity and error-correction
-consistency checks. The stationarity check projects on the same constant
-operators, which span what ``build_gamma_set``'s span, so it is the residual
-``minimize`` reports and holds at every eta, eta = 1 included.
+consistency checks. The stationarity check projects out the span of the same
+constant operators, which span what ``build_gamma_set``'s span, so it is the
+residual ``minimize`` reports and holds at every eta, eta = 1 included. At a
+full-rank state that is one product with a constant, exact projector built
+beside each solve; only a singular state is compressed onto its support and
+solved by least squares (``_face_kkt_residual``).
 
 The objective, the gradient (``_gradient``), the stationarity residual and
 ``minimize``'s PSD test are all read off one ``np.linalg.eigh`` call on the
@@ -50,7 +53,8 @@ class MinimizationReport:
 
     ``constraint_residuals`` are |Tr Gamma_i rho* - gamma_i|; ``kkt_residual``
     is the norm of the gradient projected onto the allowed directions at
-    rho_star (restricted to the support face when rho_star is singular).
+    rho_star: one product with a constant projector when rho_star has full
+    rank, a least-squares solve on the support face when it is singular.
     ``f_star`` and ``kkt_residual`` are ``objective`` and
     ``kkt_orthogonality_check`` at rho_star, from a real instead of a complex
     eigendecomposition. ``iterations`` is always 0: the minimum comes from
@@ -165,7 +169,7 @@ def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
     loses meaning.
     """
     _require_in("eta", eta, 0.0, 1.0, open_lo=True)
-    return _face_kkt_residual(eta, *_spectra(_checked_block(rho_bar), eta)[1:], _SOLVES[eta == 1.0][0])
+    return _face_kkt_residual(eta, *_spectra(_checked_block(rho_bar), eta)[1:])
 
 
 def _extract_attack_parameters(block: np.ndarray, eta: float):
@@ -224,29 +228,41 @@ def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
     return joint - marg
 
 
-def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray, ops: np.ndarray) -> float:
+def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray) -> float:
     """Norm of the gradient projected onto the directions allowed at a state,
-    given the state's ``_spectra`` (w, V) and a stack ``ops`` spanning the
-    constraint operators (``_SOLVES``' constant stack).
+    given the state's ``_spectra`` (w, V): the part of the gradient outside
+    the span of ``_SOLVES``' constant stack for ``eta``.
 
-    At a singular state the two-sided directions are those preserving the
-    support face, so the gradient is compressed onto the face before the
-    constraint span is projected out; the face keeps the eigenvalues above
-    ``_FACE_CUTOFF`` times the largest. The projection is one real
-    least-squares solve of the compressed gradient on the compressed
-    operators. The constant stack spans what ``build_gamma_set(eta)``'s
-    operators span, but stays well conditioned as eta -> 1, where Gamma_1
-    and Gamma_3 nearly coincide (a condition number of about 4/(1 - eta)),
-    so the residual stays at rounding level there. FeasibilityError where the
-    face is empty: no eigenvalue is above 1e-307, so the state underflows.
+    The face keeps the eigenvalues above ``_FACE_CUTOFF`` times the largest.
+    Where it keeps them all, the state has full rank and every direction is
+    two-sided, so the residual is |R vec(grad)| with the stack's constant
+    projector R (``_solve``): no compression and no solve. At a singular
+    state the two-sided directions are those preserving the support face, so
+    the gradient is compressed onto the face U before the constraint span is
+    projected out, by one real least-squares solve of the compressed gradient
+    on the compressed operators. On a full face the two compute one quantity:
+    U = V[0] is then unitary, so X -> U^H X U keeps the real Frobenius inner
+    product, and the real R acts on the gradient's real and imaginary parts
+    apart and fixes the imaginary part, which is antisymmetric and so
+    orthogonal to the real symmetric stack, as the solve leaves it.
+
+    The constant stack spans what ``build_gamma_set(eta)``'s operators span,
+    but stays well conditioned as eta -> 1, where Gamma_1 and Gamma_3 nearly
+    coincide (a condition number of about 4/(1 - eta)), so the residual stays
+    at rounding level there. FeasibilityError where the face is empty: no
+    eigenvalue is above 1e-307, so the state underflows.
     """
     keep = w[0] > _FACE_CUTOFF * max(float(w[0][-1]), 1e-300)
-    U = V[0][:, keep]
-    if U.shape[1] == 0:
+    if not keep.any():
         raise FeasibilityError(f"largest state eigenvalue {float(w[0][-1]):.3g} is at most 1e-307: the state underflows")
+    stack, _, projector, _ = _SOLVES[eta == 1.0]
+    grad = _gradient(eta, w, V)
+    if keep.all():
+        return float(np.linalg.norm(grad.reshape(16) @ projector))
+    U = V[0][:, keep]
     # The compressions of the gradient and of the operators, flattened to real
     # vectors (a complex entry as its real and imaginary parts).
-    flat = (U.conj().T @ np.array([_gradient(eta, w, V), *ops]) @ U).reshape(len(ops) + 1, -1).view(float)
+    flat = (U.conj().T @ np.array([grad, *stack]) @ U).reshape(len(stack) + 1, -1).view(float)
     coef = np.linalg.lstsq(flat[1:].T, flat[0], rcond=1e-12)[0]
     return float(np.linalg.norm(flat[0] - coef @ flat[1:]))
 
@@ -263,11 +279,17 @@ _STACK = np.array([_GAMMA_LINEAR[0], _GAMMA_LINEAR[1], _GAMMA_CONST[2]])
 
 
 def _solve(stack: np.ndarray, basis: np.ndarray, kappa: float):
-    """(stack, rho map, PSD allowance per unit t) of Tr(stack_i rho) = v_i on
-    the span of ``basis``: rho = v @ rho map, with M = (S^T S)^-1 S^T for the
-    integer S_ik = Tr(stack_i basis_k) from integer row operations and one
-    division per row (no LAPACK call at import), required to give M S = I
-    exactly. The allowance is 8 * eps * kappa, kappa = cond(S) (``minimize``)."""
+    """(stack, rho map, residual projector, PSD allowance per unit t) of
+    Tr(stack_i rho) = v_i on the span of ``basis``: rho = v @ rho map, with
+    M = (S^T S)^-1 S^T for the integer S_ik = Tr(stack_i basis_k) from integer
+    row operations and one division per row, required to give M S = I exactly.
+    The projector R = I - sum_k b_k b_k^T / |b_k|^2 on the flattened basis
+    matrices b_k removes their span, as they have disjoint 0/1 supports: its
+    entries are multiples of 1/4, and R = R^T, R R = R and R vec(stack_i) = 0
+    are required exactly. With the rank k that M S = I proves, the last shows
+    that the stack spans what the basis spans. All of it is ``einsum`` on
+    exact dyadic numbers, with no BLAS or LAPACK call at import. The
+    allowance is 8 * eps * kappa, kappa = cond(S) (``minimize``)."""
     system, k = np.einsum("iab,kab->ik", stack, basis), len(basis)
     aug = np.concatenate([np.einsum("ik,il->kl", system, system), system.T], axis=1)
     for j in range(k):  # fraction-free Gauss-Jordan on [S^T S | S^T], S^T S positive definite
@@ -275,7 +297,14 @@ def _solve(stack: np.ndarray, basis: np.ndarray, kappa: float):
     inverse = aug[:, k:] / np.diag(aug)[:, None]
     if not np.array_equal(np.einsum("ki,il->kl", inverse, system), np.eye(k)):
         raise RuntimeError(f"{inverse.tolist()} does not invert {system.tolist()} exactly")
-    return stack, np.einsum("ki,kab->iab", inverse, basis).reshape(len(stack), 16), 8.0 * np.finfo(float).eps * kappa
+    flat = basis.reshape(k, 16)
+    projector = np.eye(16) - np.einsum("ka,kb,k->ab", flat, flat, 1.0 / np.einsum("ka,ka->k", flat, flat))
+    squared = np.einsum("ab,bc->ac", projector, projector)
+    removed = np.einsum("ab,ib->ia", projector, stack.reshape(-1, 16))
+    if not (np.array_equal(projector, projector.T) and np.array_equal(squared, projector) and not removed.any()):
+        raise RuntimeError(f"basis {flat.tolist()} gives no exact projector that removes the stack")
+    rho_map = np.einsum("ki,kab->iab", inverse, basis).reshape(len(stack), 16)
+    return stack, rho_map, projector, 8.0 * np.finfo(float).eps * kappa
 
 
 # Keyed by eta == 1; kappa to two decimals.
@@ -366,7 +395,7 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     ops = _GAMMA_CONST + eta * _GAMMA_LINEAR
     if not np.array_equal(gammas.as_list(), ops):
         raise ValueError(f"gammas are not build_gamma_set({eta})'s operators, on whose symmetry the solve rests")
-    stack, rho_map, allowance = _SOLVES[eta == 1.0]
+    _, rho_map, _, allowance = _SOLVES[eta == 1.0]
     rho = np.dot(values if eta == 1.0 else (t, x, gain), rho_map).reshape(4, 4)
 
     residuals = np.abs(np.einsum("iab,ba->i", ops, rho) - values)
@@ -377,7 +406,7 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
         iterations=0,
         converged=bool(residuals.max() <= 1e-8 and w[0][0] >= -allowance * t),
         constraint_residuals=residuals,
-        kkt_residual=_face_kkt_residual(eta, w, V, stack),
+        kkt_residual=_face_kkt_residual(eta, w, V),
     )
 
 

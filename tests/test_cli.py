@@ -611,7 +611,7 @@ def test_subnormal_outcome_gains_give_no_rate(capsys):
     # A gain below the normal range carries a few significant bits at most:
     # the Fung et al. columns printed +-5e-324 and -0 here with exit 0, and a
     # mismatch of 1e-320 printed a subnormal discard_optimized cell.
-    from bb84_mismatch import keyrate_discard_optimized, keyrate_fung1, keyrate_fung2
+    from bb84_mismatch import keyrate_discard_optimized, keyrate_fung1, keyrate_fung2, keyrate_general
 
     code, out, err = run(
         capsys, "sweep", "--variable", "q", "--start", "0", "--stop", "0.3", "--steps", "4", "--eta", "0.7",
@@ -632,6 +632,20 @@ def test_subnormal_outcome_gains_give_no_rate(capsys):
                  lambda: keyrate_discard_optimized(0.0, 0.0, 1e-320), lambda: mismatch_penalty_ratio(0.0, 1e-320)):
         with pytest.raises(ValueError, match="outcome gain"):
             call()
+    # The general rate's gains t*(1+delta)/2 = 5e-321 and 2.5e-321 printed K = 2.78158958609e-321 with exit 0.
+    point = ["--qz", "0.05", "--qx", "0.05", "--eta", "0.5", "--t", "1e-320", "--p-pass", "0.75e-320"]
+    code, out, err = run(capsys, "rate", *point)
+    assert (code, out) == (2, "")
+    assert err == "infeasible: outcome gain t*(1+delta)/2 = 5e-321 outside [2.22507e-308, 1]\n"
+    code, out, err = run(capsys, "sweep", "--variable", "q", "--start", "0.05", "--stop", "0.1", "--steps", "2",
+                         *point[4:], "--methods", "general")
+    _, data = parse_csv(out)
+    assert (code, err) == (0, "") and all(math.isnan(row[1]) for row in data)
+    # At t = 1e-300 the second gain p_pass - a is 1.0e-310 here.
+    with pytest.raises(ValueError, match=r"outcome gain p_pass - t\*\(1\+delta\)/2 = 1\.00000212115687e-310 outside"):
+        keyrate_general(0.05, 0.5, 0.5, 1e-300, 1e-300 - 1e-310)
+    # An exact zero gain (delta = 1, so p_pass - a = 0) keeps its rate, -h(q_z).
+    assert keyrate_general(0.05, 0.5, 0.5, 1.0, 1.0).rate == -0.28639695711595625
 
 
 @pytest.mark.filterwarnings("error")

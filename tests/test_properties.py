@@ -49,7 +49,7 @@ from bb84_mismatch import (  # noqa: E402
 )
 from bb84_mismatch.cli import _sweep_rates, main  # noqa: E402
 from bb84_mismatch.decoy import _ec_term  # noqa: E402
-from bb84_mismatch.keyrates import _common_loss  # noqa: E402
+from bb84_mismatch.keyrates import _MIN_GAIN, _common_loss  # noqa: E402
 from bb84_mismatch.protocol import GammaSet  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
@@ -240,9 +240,10 @@ def test_minimize_kkt_residual_near_eta_one_is_rounding(log_gap, t, delta, place
     |delta| <= 0.9 and q_x in the middle half of its feasible interval, where
     lambda >= 0.037.
 
-    The residual is the compressed gradient's distance from the span of the
-    compressed constant operators I, (I - J)/2 and G0 = diag(1, 0, 1, 0)
-    (``minimize``'s docstring), whose condition does not depend on eta, and
+    The residual is the gradient's distance from the span of the constant
+    operators I, (I - J)/2 and G0 = diag(1, 0, 1, 0) (``minimize``'s
+    docstring), one product with their exact projector on these full-rank
+    states, whose condition does not depend on eta, and
     the solved state's entries are coefficients of at most two roundings of
     t, gamma_2/eta and the outcome-0 gain. So no factor 1/(1 - eta) reaches
     the residual, which Gamma_1 and Gamma_3 would bring with their condition
@@ -259,6 +260,36 @@ def test_minimize_kkt_residual_near_eta_one_is_rounding(log_gap, t, delta, place
     report = minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass))
     assert report.converged
     assert report.kkt_residual <= 2.0**-40
+
+
+def _kkt_by_compressed_least_squares(rho, eta):
+    """(residual, |grad|_F): the stationarity residual as a real least-squares
+    solve of the gradient compressed onto rho's eigenbasis on the compressed
+    constant operators, written out here from the measurement model."""
+    eye, anti = np.eye(4), np.eye(4)[::-1]
+    ops = build_gamma_set(1.0).as_list() if eta == 1.0 else [eye, (eye - anti) / 2.0, np.diag([1.0, 0, 1, 0])]
+    grad = gradient(rho, eta)
+    U = np.linalg.eigh(rho)[1]
+    flat = (U.conj().T @ np.array([grad, *ops]) @ U).reshape(len(ops) + 1, -1).view(float)
+    coef = np.linalg.lstsq(flat[1:].T, flat[0], rcond=1e-12)[0]
+    return float(np.linalg.norm(flat[0] - coef @ flat[1:])), float(np.linalg.norm(grad))
+
+
+@seed(20261033)
+@props
+@given(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32), st.floats(1e-3, 1.0),
+       st.one_of(unit_open, st.floats(1.0, 15.0).map(lambda e: 1.0 - 10.0**-e), st.just(1.0)))
+def test_full_rank_kkt_residual_is_the_compressed_least_squares_residual(entries, floor, eta):
+    """On a full-rank state ``kkt_orthogonality_check`` takes one product with
+    the constant projector; it must agree with the compressed solve, which is
+    the same quantity as the compression is a rotation there, to 2^-45 times
+    max(1, |grad|_F). The smallest eigenvalue is at least floor/36 of the
+    largest, far above ``_FACE_CUTOFF``, so the face is always full."""
+    raw = np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4))
+    rho = raw @ raw.conj().T + floor * np.eye(4)
+    rho /= np.trace(rho).real
+    reference, size = _kkt_by_compressed_least_squares(rho, eta)
+    assert abs(kkt_orthogonality_check(rho, eta) - reference) <= 2.0**-45 * max(1.0, size)
 
 
 @seed(20261030)
@@ -486,6 +517,9 @@ def test_closed_form_and_oracle_return_finite_values_or_raise_value_errors(point
         except ValueError:
             continue
         if name == "keyrate_general":
+            # A rate needs outcome gains of 0 or in the normal range: fewer bits are noise.
+            a = t * (1.0 + result.delta) / 2.0
+            assert not result.feasible or all(g == 0.0 or abs(g) >= _MIN_GAIN for g in (a, p_pass - a)), (a, p_pass)
             # An infeasible result has no rate and no lambda, but its delta.
             result = (result.delta,) if not result.feasible else (result.rate, result.delta, result.lam)
         elif name == "minimize":

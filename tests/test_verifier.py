@@ -543,11 +543,53 @@ def test_solve_runs_on_the_model_operators_and_inverts_exactly():
         assert np.array_equal(np.array(gammas, dtype=float), build_gamma_set(eta).as_list())
         e = Fraction(eta)
         expected = gammas if eta == 1.0 else [gammas[0] / e, gammas[1] / e, (gammas[2] - gammas[0]) / (1 - e)]
-        stack, rho_map, _ = verifier._SOLVES[eta == 1.0]
+        stack, rho_map, _, _ = verifier._SOLVES[eta == 1.0]
         assert [Fraction(x) for x in stack.ravel()] == list(np.ravel(expected))
         basis = verifier._BASIS_AT_ONE if eta == 1.0 else verifier._BASIS
         system = np.einsum("iab,kab->ik", stack, basis)
         assert np.array_equal(system.T @ rho_map, basis.reshape(len(basis), 16))
+
+
+def test_kkt_projector_is_exact_and_removes_exactly_the_stack_span():
+    # The residual projector R = I - sum_k b_k b_k^T/|b_k|^2 of each solve:
+    # entries in quarters, an exact orthogonal projector, zero on every stack
+    # operator, and the identity on integer vectors spanning the orthogonal
+    # complement of the basis (unit vectors off every support, and differences
+    # of two unit vectors within one support).
+    for ideal, basis in ((False, verifier._BASIS), (True, verifier._BASIS_AT_ONE)):
+        stack, _, R, _ = verifier._SOLVES[ideal]
+        quarters = 4.0 * R
+        assert np.array_equal(quarters, np.round(quarters)) and set(quarters.ravel()) <= {-2, -1, 0, 2, 3, 4}
+        assert np.array_equal(R, R.T) and np.array_equal(R @ R, R)
+        assert not (stack.reshape(len(stack), 16) @ R).any()
+        flat, eye = basis.reshape(len(basis), 16), np.eye(16)
+        complement = [eye[a] for a in np.flatnonzero(flat.sum(axis=0) == 0)]
+        for b in flat:
+            first, *rest = np.flatnonzero(b)
+            complement += [eye[first] - eye[a] for a in rest]
+        complement = np.array(complement)
+        assert not (complement @ flat.T).any() and np.linalg.matrix_rank(complement) == 16 - len(basis)
+        assert np.array_equal(complement @ R, complement)
+
+
+def test_boundary_kkt_residual_keeps_the_singular_face_solve():
+    # At q_x = 0, delta = 0 the minimizer has rank 2, so its residual comes
+    # from the face compression and least-squares solve: its bits are pinned.
+    for eta, bits in ((0.3, "0x1.6a09e667f3bcdp-52"), (0.5, "0x1.6a09e667f3bcdp-51"),
+                      (0.7, "0x1.1e3779b97f4a8p-52"), (0.9, "0x1.6a09e667f3bcdp-52")):
+        report = minimize(build_gamma_set(eta), (eta, 0.0, (1.0 + eta) / 2.0))
+        assert np.array_equal(np.linalg.eigvalsh(report.rho_star), [0.0, 0.0, 0.5, 0.5])
+        assert report.kkt_residual.hex() == bits
+
+
+def test_solve_refuses_a_basis_without_an_exact_projector_onto_the_stack_span():
+    # E11 alone in place of E11 + E33 still gives a 3 x 3 system of rank 3, but
+    # leaves I outside the basis span; E00 + E11 + E33 overlaps E00 + E22, so
+    # R is no projector.
+    for last in (np.diag([0.0, 1, 0, 0]), np.diag([1.0, 1, 0, 1])):
+        basis = np.array([*verifier._BASIS[:2], last])
+        with pytest.raises(RuntimeError, match="no exact projector"):
+            verifier._solve(verifier._STACK, basis, 3.01)
 
 
 def test_theorem_by_symmetry_without_the_oracle():
