@@ -4,12 +4,12 @@ Every tight rate here is one formula in gain coordinates (``_coherence``).
 With outcome gains a, b, pass rate p = a + b, transparency t = a + b/eta and
 x-basis error gain x, it is p*[h(a/p) - h(lambda)] - f_ec*p*h(q_z), where
 lambda = 1/2 - sqrt((a-b)^2 + eta*(t-2x)^2) / (2p) (``_lam``). ``keyrate_general`` takes
-a = t*(1+delta)/2, b = p - a, x = t*q_x; the discard-optimized rate is the
+the gains of ``_gains`` and x = t*q_x; the discard-optimized rate is the
 same form at gains (eta1*t/2, eta*t/2), x = eta1*t*q_x and mismatch eta/eta1.
 Its first term is the relative entropy of coherence of the block
 [[a, y/2], [y/2, b]], y^2 = eta*(t-2x)^2, with eigenvalues p*lambda and
 p*(1 - lambda): ``_coherence_grad`` gives its partials, whose chain rules are
-the decoy corner test and the discard slope, and ``_consistent`` judges lambda.
+the decoy corner test and the discard slope, and ``_admissible`` judges gains.
 
 Rates are in bits per channel use and may be negative; callers decide
 whether to clamp. The error-correction term h(q_z) can be scaled by an
@@ -128,6 +128,14 @@ def _imbalance(p_pass, t, eta):
     return delta, bad | overflow
 
 
+def _gains(p_pass, rate, eta):
+    """The one home of the outcome gains (a, b) that p_pass, rate = t*eta and eta fix, elementwise:
+    a = (p_pass - rate)/(1 - eta), or t/2 at eta = 1, b = p_pass - a. No ``np.where``: 5 us a call."""
+    one = eta == 1.0
+    a = (p_pass - rate) * (1.0 - one) / (1.0 - eta + one) + one * rate / 2.0
+    return a, p_pass - a
+
+
 def feasible(q_x, delta):
     """Whether a PSD state compatible with (q_x, delta) exists, elementwise.
 
@@ -212,22 +220,32 @@ def _consistent(lam, p, t, x):
     return lam >= -bound
 
 
-def _phase_args(q_x: float, eta: float, t: float, p_pass: float) -> tuple[float, float]:
-    """(h argument a/p, lambda clamped at 0) of the closed form at the observed
-    imbalance, after checking the inputs; ValueError if lambda is inconsistent."""
-    _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
-    a, x = t * (1.0 + detection_imbalance(p_pass, t, eta)) / 2.0, t * q_x
+def _admissible(lam, a, b, t, x, eta):
+    """The rule of the general rate, ``ignorance_term`` and ``minimize``: ``_consistent``, whose floor admits a
+    gain near -1e-12*p (|delta| > 1), and gains of ``_gains`` above -8u*t/(1 - eta), twice their rounding, u = 2^-53."""
+    floor = -(2.0**-50) * t
+    return (a * (1.0 - eta) >= floor) & (b * (1.0 - eta) >= floor) & _consistent(lam, a + b, t, x)
+
+
+def _checked_lam(p_pass, rate, t, x, eta):
+    """(a, p, lambda unclamped) at the gains of ``_gains`` and x-error gain x:
+    the one check of ``effective_phase_error``, ``verifier.ignorance_term`` and
+    ``verifier.minimize``. ValueError where ``detection_imbalance`` or
+    ``_admissible`` rejects the values."""
+    detection_imbalance(p_pass, t, eta)  # for its errors only
+    a, b = _gains(p_pass, rate, eta)
     with np.errstate(divide="ignore", invalid="ignore"):  # gains that cancel to p = 0 give lambda -inf or nan
-        p, lam = _lam(a, p_pass - a, t, x, eta)
-        if not _consistent(lam, p, t, x):
-            raise ValueError(f"phase-error argument {lam} is negative: observations are inconsistent")
-    return float(a / p), float(np.maximum(lam, 0.0))
+        p, lam = _lam(a, b, t, x, eta)
+        if not _admissible(lam, a, b, t, x, eta):
+            raise ValueError(f"phase-error argument {lam} at gains ({a}, {b}): the observations admit no PSD state")
+    return a, p, lam
 
 
 def effective_phase_error(q: float, eta: float, t: float, p_pass: float) -> float:
     """The phase-error argument lambda of the closed form, in [0, 1/2], at
     pass rate p_pass and x-basis error rate q."""
-    return _phase_args(q, eta, t, p_pass)[1]
+    _check_ranges(q_x=q, eta=eta, t=t, p_pass=p_pass)
+    return float(max(_checked_lam(p_pass, t * eta, t, t * q, eta)[2], 0.0))
 
 
 def _subnormal(gain):
@@ -239,28 +257,24 @@ def keyrate_general(
     q_z: float, q_x: float, eta: float, t: float, p_pass: float, f_ec: float = 1.0
 ) -> KeyRateResult:
     """Tight key rate for arbitrary pass rate:
-    p_pass * [h(t*(1+delta)/(2*p_pass)) - h(lambda) - f_ec*h(q_z)].
+    p_pass * [h(a/p_pass) - h(lambda) - f_ec*h(q_z)], a the outcome-0 gain of ``_gains``.
 
-    Returns an infeasible result (rate None) when no PSD state matches the
-    observations. Raises ValueError if an outcome gain a = t*(1+delta)/2 or
+    Returns an infeasible result (rate None) where ``_admissible`` rejects
+    the gains: no PSD state matches the observations. Raises ValueError if
+    ``detection_imbalance`` rejects the inputs or an outcome gain a or
     p_pass - a is nonzero but below ``_MIN_GAIN`` (a gain of 0, at
-    delta = +-1, is kept), or if t*(1+delta)/(2*p_pass) falls outside [0, 1]
-    beyond rounding, which signals inconsistent observations, and
-    ConfigError unless f_ec is finite and non-negative.
+    delta = +-1, is kept), and ConfigError unless f_ec is finite and
+    non-negative.
     """
     _check_ranges(q_z=q_z, q_x=q_x, eta=eta, t=t, p_pass=p_pass)
     _require_f_ec(f_ec)
     delta = detection_imbalance(p_pass, t, eta)
-    a = t * (1.0 + delta) / 2.0
-    for name, gain in (("t*(1+delta)/2", a), ("p_pass - t*(1+delta)/2", p_pass - a)):
+    for name, gain in zip(("a", "p_pass - a"), _gains(p_pass, t * eta, eta)):
         if _subnormal(gain):
             _require_in(f"outcome gain {name}", gain, _MIN_GAIN, 1.0)
-    if not feasible(q_x, delta):
-        return KeyRateResult(rate=None, feasible=False, delta=delta, lam=None, method="general")
     rate, lam, _ = _rates("general", q_z, q_x, eta, t, f_ec, p_pass)
     if np.isnan(rate[0]):
-        arg = _phase_args(q_x, eta, t, p_pass)[0]  # raises where lambda is the cause
-        raise ValueError(f"entropy argument {arg} outside [0, 1]: observations are inconsistent")
+        return KeyRateResult(rate=None, feasible=False, delta=delta, lam=None, method="general")
     return KeyRateResult(rate=rate.item(), feasible=True, delta=delta, lam=lam.item(), method="general")
 
 
@@ -432,10 +446,9 @@ def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass
     elif method == "general":
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # delta can overflow, p cancel to 0
             extra, bad = _imbalance(p_pass, t, eta)
-            a, x = t * (1.0 + extra) / 2.0, t * q_x
-            p, arg, raw, clamped, h = _coherence(a, p_pass - a, t, x, eta)
-            ok = ~bad & feasible(q_x, extra) & _consistent(raw, p, t, x) & (arg >= -1e-12) & (arg <= 1 + 1e-12)
-            ok &= ~_subnormal(a) & ~_subnormal(p_pass - a)
+            (a, b), x = _gains(p_pass, t * eta, eta), t * q_x
+            _, _, raw, clamped, h = _coherence(a, b, t, x, eta)
+            ok = ~bad & _admissible(raw, a, b, t, x, eta) & ~_subnormal(a) & ~_subnormal(b)
         lam[ok] = clamped[ok]
         rate[ok] = p_pass * (h[ok] - f_ec * binary_entropy(q_z[ok]))
     else:

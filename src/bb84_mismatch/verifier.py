@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
-from .keyrates import _consistent, _lam, _phase_args, detection_imbalance, effective_phase_error
+from .keyrates import _check_ranges, _checked_lam, _lam
 from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
 from .protocol import _GAMMA_CONST, _GAMMA_LINEAR, ALICE_BITS, BOB_BITS, GammaSet, photon_block
 
@@ -173,42 +173,33 @@ def kkt_orthogonality_check(rho_bar: np.ndarray, eta: float) -> float:
 
 
 def _extract_attack_parameters(block: np.ndarray, eta: float):
-    """Recover (q_z, q_x, delta, t, p_pass) from a two-block attack state."""
+    """Recover (q_z, q_x, t, (a, b)) from a two-block attack state, with the
+    outcome gains a = d0 + d2 and b = eta*(d1 + d3) of its diagonal d."""
     diag = np.real(np.diag(block))
     t = float(diag.sum())
     qz = float((diag[1] + diag[2]) / t)
     if qz < 1.0:
-        delta = float((diag[0] - diag[3]) / (t * (1.0 - qz)))
         corner = float(np.real(block[0, 3]))
         qx = 0.5 * (1.0 - 2.0 * corner / (t * (1.0 - qz)))
     else:
-        delta = float((diag[2] - diag[1]) / (t * qz))
         corner = float(np.real(block[1, 2]))
         qx = 0.5 * (1.0 - 2.0 * corner / (t * qz))
-    p_pass = float(diag[0] + eta * diag[1] + diag[2] + eta * diag[3])
-    return qz, qx, delta, t, p_pass
+    return qz, qx, t, (float(diag[0] + diag[2]), float(eta * (diag[1] + diag[3])))
 
 
 def eigenvalues_check(rho_bar: np.ndarray, eta: float, tol: float = 1e-10) -> bool:
     """Whether the spectrum of G(rho_bar) matches its closed form.
 
     The expected eigenvalues are {(1-q_z)*lam_pm, q_z*lam_pm} with
-    lam_minus = p_pass * lambda(q_x, eta, t, p_pass) and
-    lam_plus = p_pass - lam_minus.
+    lam_minus = p * lambda and lam_plus = p - lam_minus, where lambda and
+    p = a + b are the closed form's at the state's own outcome gains a, b.
     """
     block = _checked_block(rho_bar)
-    qz, qx, _, t, p_pass = _extract_attack_parameters(block, eta)
-    lam_minus = p_pass * effective_phase_error(qx, eta, t, p_pass)
-    lam_plus = p_pass - lam_minus
-    expected = np.sort(
-        [
-            (1.0 - qz) * lam_minus,
-            (1.0 - qz) * lam_plus,
-            qz * lam_minus,
-            qz * lam_plus,
-        ]
-    )
-    actual = np.sort(np.linalg.eigvalsh(channel_G(block, eta)))
+    actual = np.sort(np.linalg.eigvalsh(channel_G(block, eta)))  # checks eta before the gains are read
+    qz, qx, t, (a, b) = _extract_attack_parameters(block, eta)
+    p, lam = _lam(a, b, t, t * qx, eta)
+    lam_minus = p * lam
+    expected = np.sort(np.outer((1.0 - qz, qz), (lam_minus, p - lam_minus)).ravel())
     return bool(np.max(np.abs(actual - expected)) <= tol)
 
 
@@ -364,10 +355,10 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     Raises:
         FeasibilityError: if ``values`` is not three finite numbers, its
             detection rate gamma_1 is not positive, ``detection_imbalance``
-            rejects it, or the closed-form lambda at the solve's outcome-0
-            gain a (t/2 at eta = 1) is negative beyond the rounding allowance
-            of ``keyrates._consistent``, so that no PSD state matches it, or
-            if the state they fix underflows (``_face_kkt_residual``).
+            rejects it, or ``keyrates._admissible`` finds no PSD state at
+            the solve's outcome-0 gain a (the check ``keyrates._checked_lam``
+            of ``ignorance_term``), or if the state they fix underflows
+            (``_face_kkt_residual``).
         ValueError: if ``gammas`` are not ``build_gamma_set(eta)``'s
             operators.
     """
@@ -382,15 +373,10 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
         raise FeasibilityError(f"detection rate gamma_1 = {rate} must be positive")
     eta = float(gammas.gamma1[0, 0].real)
     try:
-        t = rate / eta
-        detection_imbalance(p_pass, t, eta)  # for its errors only
+        t, x = rate / eta, error_rate / eta
+        gain = _checked_lam(p_pass, rate, t, x, eta)[0]
     except (ValueError, ZeroDivisionError) as exc:
         raise FeasibilityError(str(exc)) from exc
-    x, gain = error_rate / eta, t / 2.0 if eta == 1.0 else (p_pass - rate) / (1.0 - eta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # gains that cancel to p = 0 give lambda -inf or nan
-        p, lam = _lam(gain, p_pass - gain, t, x, eta)
-        if not _consistent(lam, p, t, x):
-            raise FeasibilityError(f"constraint values {values.tolist()} admit no PSD state")
 
     ops = _GAMMA_CONST + eta * _GAMMA_LINEAR
     if not np.array_equal(gammas.as_list(), ops):
@@ -412,9 +398,10 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
 
 def ignorance_term(q_x: float, eta: float, t: float, p_pass: float) -> float:
     """Closed-form minimum of the coherence objective:
-    p_pass * [h(t*(1+delta)/(2*p_pass)) - h(lambda)].
+    p_pass * [h(a/p_pass) - h(lambda)], a the outcome-0 gain of ``keyrates._gains``.
 
     This is the analytic value the minimizer is verified against.
     """
-    arg, lam = _phase_args(q_x, eta, t, p_pass)
-    return p_pass * (binary_entropy(min(max(arg, 0.0), 1.0)) - binary_entropy(lam))
+    _check_ranges(q_x=q_x, eta=eta, t=t, p_pass=p_pass)
+    a, p, lam = _checked_lam(p_pass, t * eta, t, t * q_x, eta)
+    return p_pass * (binary_entropy(min(max(a / p, 0.0), 1.0)) - binary_entropy(max(lam, 0.0)))

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -256,15 +257,15 @@ def test_verify_passes_near_eta_one(capsys, eta):
 
 
 def test_verify_kkt_stays_at_rounding_level_and_prints_the_gap_of_f_below_the_closed_form(capsys):
-    # At 1 - eta = 1e-12 the closed form's imbalance rounds 1 + eta, so f*
-    # falls 8.3e-6 below it at delta = 0.05 (and lies 8.3e-6 above it at
-    # -0.05): the check fails, printing the largest gap; the KKT residual
+    # At 1 - eta = 1e-12 the closed form and the solve read one outcome-0 gain
+    # (p_pass - t*eta)/(1 - eta), so the largest gap is rounding. An imbalance
+    # rounding 1 + eta put f* 8.3e-6 below the closed form at delta = 0.05
+    # (and 8.3e-6 above it at -0.05), and the check failed. The KKT residual
     # stays at rounding level.
     code, out, _ = run(capsys, "verify", "--eta", "0.999999999999")
-    assert code == 3
+    assert code == 0
     lines = dict(line.split(": max discrepancy ") for line in out.splitlines() if ": max discrepancy " in line)
-    assert lines["analytic_vs_numeric"] == "8.33961639357e-06 [FAIL]"
-    assert "verification failed: analytic_vs_numeric" in out
+    assert lines["analytic_vs_numeric"] == "6.66133814775e-16 [pass]"
     kkt, verdict = lines["kkt_orthogonality"].split()
     assert float(kkt) < 1e-12 and verdict == "[pass]"
 
@@ -333,37 +334,8 @@ def test_malformed_config_exits_one(capsys, tmp_path):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("decoy_sim_0_120_25.csv", ["decoy-sim", "--l-min", "0", "--l-max", "120", "--l-steps", "25"]),
-        (
-            "sweep_distance_decoy_limit.csv",
-            ["sweep", "--variable", "distance_km", "--start", "0", "--stop", "120", "--steps", "13",
-             "--methods", "decoy,theoretical_limit"],
-        ),
-        ("rate_qz005_eta07.txt", ["rate", "--qz", "0.05", "--qx", "0.05", "--eta", "0.7"]),
-        (
-            "rate_qz002_eta0_01_eta1_007.txt",
-            ["rate", "--qz", "0.02", "--qx", "0.02", "--eta0", "0.1", "--eta1", "0.07"],
-        ),
-        (
-            "sweep_eta_four_methods.csv",
-            ["sweep", "--variable", "eta", "--start", "0.02", "--stop", "1.0", "--steps", "99",
-             "--qz", "0.05", "--qx", "0.05", "--methods", "balanced,discard_optimized,fung1,fung2"],
-        ),
-        (
-            "sweep_eta_penalty_ratio.csv",
-            ["sweep", "--variable", "eta", "--start", "0.5", "--stop", "1.0", "--steps", "51",
-             "--qz", "0.09", "--qx", "0.09", "--methods", "penalty_ratio"],
-        ),
-        (
-            "sweep_q_all_methods.csv",
-            ["sweep", "--variable", "q", "--start", "0", "--stop", "0.2", "--steps", "41", "--eta", "0.6",
-             "--p-pass", "0.8", "--methods", "balanced,discard_optimized,fung1,fung2,general,penalty_ratio"],
-        ),
-    ],
-)
+# Each golden file with its argument list; tools/compare_outputs.py runs the same cases.
+@pytest.mark.parametrize("name,argv", json.loads((GOLDEN / "cases.json").read_text()))
 def test_decoy_outputs_match_golden_bytes(capsys, name, argv):
     # The decoy cases were captured from the scalar-loop implementation of the
     # decoy path, the rate and eta/q sweep cases from the implementation with
@@ -632,17 +604,17 @@ def test_subnormal_outcome_gains_give_no_rate(capsys):
                  lambda: keyrate_discard_optimized(0.0, 0.0, 1e-320), lambda: mismatch_penalty_ratio(0.0, 1e-320)):
         with pytest.raises(ValueError, match="outcome gain"):
             call()
-    # The general rate's gains t*(1+delta)/2 = 5e-321 and 2.5e-321 printed K = 2.78158958609e-321 with exit 0.
+    # The general rate's gains a = 5e-321 and 2.5e-321 printed K = 2.78158958609e-321 with exit 0.
     point = ["--qz", "0.05", "--qx", "0.05", "--eta", "0.5", "--t", "1e-320", "--p-pass", "0.75e-320"]
     code, out, err = run(capsys, "rate", *point)
     assert (code, out) == (2, "")
-    assert err == "infeasible: outcome gain t*(1+delta)/2 = 5e-321 outside [2.22507e-308, 1]\n"
+    assert err == "infeasible: outcome gain a = 5e-321 outside [2.22507e-308, 1]\n"
     code, out, err = run(capsys, "sweep", "--variable", "q", "--start", "0.05", "--stop", "0.1", "--steps", "2",
                          *point[4:], "--methods", "general")
     _, data = parse_csv(out)
     assert (code, err) == (0, "") and all(math.isnan(row[1]) for row in data)
     # At t = 1e-300 the second gain p_pass - a is 1.0e-310 here.
-    with pytest.raises(ValueError, match=r"outcome gain p_pass - t\*\(1\+delta\)/2 = 1\.00000212115687e-310 outside"):
+    with pytest.raises(ValueError, match=r"outcome gain p_pass - a = 1\.00000046334765e-310 outside"):
         keyrate_general(0.05, 0.5, 0.5, 1e-300, 1e-300 - 1e-310)
     # An exact zero gain (delta = 1, so p_pass - a = 0) keeps its rate, -h(q_z).
     assert keyrate_general(0.05, 0.5, 0.5, 1.0, 1.0).rate == -0.28639695711595625

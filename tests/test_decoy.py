@@ -567,9 +567,12 @@ def test_poisson_weights_are_cached_read_only():
         weights[0] = 1.0
 
 
-def _seeded_boxes(seed, count):
+def _seeded_boxes(seed, count, wide=False):
     """Observations of seeded channels, each also with its outcome axis swapped,
-    all under one config and mismatch, as one decoy row of ``_evaluate`` takes them."""
+    all under one config and mismatch, as one decoy row of ``_evaluate`` takes them.
+    ``wide`` draws lengths up to 250 km, e_det up to 0.15 and dark counts from
+    1e-9 to 1e-3, where a box's minimum can lie inside the box."""
+    length, e_det, dark = (250.0, 0.15, (-9.0, -3.0)) if wide else (150.0, 0.08, (-8.0, -4.0))
     rng = np.random.default_rng(seed)
     mu = float(rng.uniform(0.3, 0.8))
     cfg = DecoyConfig(mu=mu, nu1=0.2 * mu, nu2=float(rng.uniform(0.0, 0.05)) * mu)
@@ -579,12 +582,12 @@ def _seeded_boxes(seed, count):
     for _ in range(count):
         model = ChannelModel(
             alpha_db_per_km=0.2,
-            length_km=float(rng.uniform(0.0, 150.0)),
+            length_km=float(rng.uniform(0.0, length)),
             bob_loss_db=float(rng.uniform(0.0, 6.0)),
-            e_det=float(rng.uniform(0.0, 0.08)),
+            e_det=float(rng.uniform(0.0, e_det)),
             eta0=eta0,
             eta1=eta1,
-            dark=tuple(10.0 ** rng.uniform(-8.0, -4.0, 2)),
+            dark=tuple(10.0 ** rng.uniform(*dark, 2)),
         )
         obs = simulate_observations(model, cfg)
         # A swapped outcome axis is what a channel with eta0 < eta1 would
@@ -702,11 +705,14 @@ def test_batched_boxes_match_one_box_at_a_time():
 
 
 def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
+    # The wide draws (seeds 0-23) end searches inside the box, off both lower
+    # edges, where an edge root would not reach the minimum.
     from bb84_mismatch.decoy import _ec_term, _singles_rate
 
     feasible = certified = 0
-    for seed in range(12):
-        observations, cfg, eta = _seeded_boxes(seed, 8)
+    ends = {"b = lo1": 0, "a = lo0": 0, "inside": 0}
+    for seed, wide in [(seed, False) for seed in range(12)] + [(seed, True) for seed in range(24)]:
+        observations, cfg, eta = _seeded_boxes(seed, 8, wide)
         f_ec = (1.0, 1.16, 0.0)[seed % 3]
         for obs in observations:
             (lo0, up0), (lo1, up1) = bound_Q1(obs, cfg, 0), bound_Q1(obs, cfg, 1)
@@ -721,8 +727,12 @@ def test_decoy_keyrate_is_at_most_the_dense_grid_minimum():
             # A certified corner and a searched point alike.
             assert res.rate <= dense + 1e-12 * max(abs(dense), ec)
             assert res.rate_lower <= min(res.rate, dense + 1e-12 * max(abs(dense), ec))
-            certified += res.rate_lower == res.rate and res.argmin == (lo0, lo1)
+            corner = res.rate_lower == res.rate and res.argmin == (lo0, lo1)
+            certified += corner
+            if wide and not corner:
+                ends["b = lo1" if res.argmin[1] == lo1 else "a = lo0" if res.argmin[0] == lo0 else "inside"] += 1
     assert feasible > 100 and certified > 50
+    assert min(ends.values()) > 0, ends
 
 
 def test_entropy_grad_matches_central_differences():

@@ -607,12 +607,19 @@ def test_general_rejects_gains_that_cancel_without_warning():
 
 
 def test_general_rate_reads_an_entropy_argument_rounded_above_one_as_one():
-    # a/p rounds to 1 + 2^-52 here; _h reads it as 1, so h(a/p) = 0 and lambda = 0.
-    from bb84_mismatch.keyrates import _phase_args
+    # At delta = 1 the gain a = (p_pass - t*eta)/(1 - eta) rounds above p_pass
+    # here, so b = p_pass - a is a rounding below 0 and a/p rounds to
+    # 1 + 2^-52; _h reads it as 1, so h(a/p) = 0 and lambda = 0.
+    from bb84_mismatch.keyrates import _checked_lam
 
-    point = (0.5, 0.019022432350671914, 0.8802329510773045, 0.8802329510773039)
-    assert _phase_args(*point) == (1.0 + 2.0**-52, 0.0)
+    point = (0.5, 0.7322308634965454, 0.5579328062353852, 0.5579328062353852)
+    q_x, eta, t, p_pass = point
+    a, p, lam = _checked_lam(p_pass, t * eta, t, t * q_x, eta)
+    assert (a / p, lam) == (1.0 + 2.0**-52, -(2.0**-52))
     result = keyrate_general(0.02, *point)
+    assert result.rate == -p_pass * h(0.02) and result.lam == 0.0
+    # The CLI twin's point: a/p rounded to 1 + 2^-52 at a = t*(1 + delta)/2 and is exactly 1 now.
+    result = keyrate_general(0.02, 0.5, 0.019022432350671914, 0.8802329510773045, 0.8802329510773039)
     assert result.rate == -0.8802329510773039 * h(0.02) == -0.12450062616356176 and result.lam == 0.0
 
 

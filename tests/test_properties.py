@@ -49,8 +49,9 @@ from bb84_mismatch import (  # noqa: E402
 )
 from bb84_mismatch.cli import _sweep_rates, main  # noqa: E402
 from bb84_mismatch.decoy import _ec_term  # noqa: E402
-from bb84_mismatch.keyrates import _MIN_GAIN, _common_loss  # noqa: E402
+from bb84_mismatch.keyrates import _MIN_GAIN, _common_loss, _gains, _lam  # noqa: E402
 from bb84_mismatch.protocol import GammaSet  # noqa: E402
+from bb84_mismatch.verifier import _SOLVES  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
 SWEEP_METHODS = METHODS + ("general", "penalty_ratio")
@@ -201,8 +202,12 @@ def test_decoy_sim_limit_is_finite_and_dominates_either_detector_order(eta0, eta
 @st.composite
 def _oracle_point(draw):
     """(eta, t, delta, q_x) with q_x in the feasible interval of delta, half
-    the time on its lower edge 2*q_x = 1 - sqrt(1 - delta^2)."""
-    eta = draw(st.floats(min_value=0.01, max_value=1.0))
+    the time on its lower edge 2*q_x = 1 - sqrt(1 - delta^2), and 1 - eta
+    log-uniform in [1e-15, 1e-2] in half the draws."""
+    if draw(st.booleans()):
+        eta = 1.0 - 10.0 ** draw(st.floats(min_value=-15.0, max_value=-2.0))
+    else:
+        eta = draw(st.floats(min_value=0.01, max_value=1.0))
     t = draw(st.floats(min_value=1e-3, max_value=1.0))
     # At eta = 1 the pass rate carries no imbalance.
     delta = 0.0 if eta == 1.0 else draw(st.floats(min_value=-0.999999, max_value=0.999999))
@@ -216,19 +221,46 @@ def _oracle_point(draw):
 @settings(max_examples=400, deadline=None)
 @given(_oracle_point())
 def test_minimize_attains_the_closed_form_over_the_domain(point):
+    """|f* - ignorance_term| <= 2^-45*t off the q_x edge, and ignorance_term
+    raises exactly where minimize does.
+
+    Both read the outcome-0 gain of ``keyrates._gains``, so off the edge the
+    gap is the rounding of eigh and of the logarithms. On the edge the float
+    inputs can leave the closed form's lambda below 0, by up to
+    ``_LAM_FLOOR`` as 1 - eta -> 0, where p_pass carries delta only through
+    t*(1 - eta)*delta/2. The closed form reads such a lambda as 0. The solved
+    state keeps the eigenvalue p*lambda/2 < 0 in each of its two blocks, and
+    the objective's sum of w*log2(w) over positive eigenvalues drops it, so
+    f* - F = p(1 - lambda)log2(p(1 - lambda)/2) - p*log2(p/2)
+           = -p|lambda|log2(2/p) + p(1 + |lambda|)log2(1 + |lambda|),
+    at most p|lambda|(log2(2/p) + 2) in size, as p <= t <= 1: the objective's
+    own sensitivity at lambda = 0.
+
+    ``converged`` is the solved state's PSD test: its least eigenvalue, that
+    of the state the values fix, (t - hypot(2a - t, t - 2x))/4, must be at
+    least the solve's allowance 8*eps*kappa*t below 0. The test requires
+    ``converged`` where that eigenvalue is within half the allowance, which
+    covers every lambda at rounding level, and its failure beyond twice it;
+    in between, rounding decides.
+    """
     eta, t, delta, q_x = point
     p_pass = t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)
     try:
         report = minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass))
     except FeasibilityError:
+        with pytest.raises(ValueError):
+            ignorance_term(q_x, eta, t, p_pass)
         return
-    assert report.converged
+    a, b = _gains(p_pass, t * eta, eta)
+    p, lam = _lam(a, b, t, t * q_x, eta)
+    least, allowance = (t - math.hypot(2.0 * a - t, t - 2.0 * t * q_x)) / 4.0, _SOLVES[eta == 1.0][-1] * t
+    if least >= -allowance / 2.0:
+        assert report.converged
+    elif least < -2.0 * allowance:
+        assert not report.converged
     assert report.constraint_residuals.max() <= 1e-14
-    # p_pass carries delta only through t*(1 - eta)*delta/2, so the rounding
-    # of the inputs fixes delta to about eps/(1 - eta), for the solve and for
-    # the closed form alike; the slack is 128 such units of t.
-    slack = 0.0 if eta == 1.0 else 2.0**-45 * t / (1.0 - eta)
-    assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 1e-9 + slack
+    edge = p * max(-lam, 0.0) * (math.log2(2.0 / p) + 2.0)
+    assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 2.0**-45 * t + edge
 
 
 @seed(20261031)
@@ -326,8 +358,10 @@ def _assert_oracle_minimum(eta, a, b, q, value):
 def _assert_oracle_values(eta, values, value, one_sided=False):
     """Assert that the convex program at constraint ``values`` and mismatch
     eta has f* = value within 2^-45*t/(1 - eta), or 2^-45*t at eta = 1, with
-    t = values[0]/eta: the slack of the whole-domain property above; only
-    f* <= value within it if ``one_sided``.
+    t = values[0]/eta; only f* <= value within it if ``one_sided``. Values
+    formed from gains round apart from them, and the program reads the
+    outcome-0 gain back as (gamma_3 - gamma_1)/(1 - eta), within about
+    eps/(1 - eta) of the gain ``value`` rests on.
     """
     t = values[0] / eta
     try:
@@ -404,9 +438,8 @@ def test_sweep_rates_are_the_oracle_minimum_at_their_eta1(q_z, q_x, eta, t, f):
         _assert_oracle_minimum(eta / eta1, a, b, eta1 * t * q_x, res.rate + (a + b) * f * binary_entropy(q_z))
 
 
-# The oracle behind the printed general sweep cells: the program at the
-# values its gains a = t*(1 + delta)/2, b = p_pass - a and x-error gain t*q_x
-# form, which round apart from the rate's own inputs (t*eta, t*eta*q_x, p_pass).
+# The oracle behind the printed general sweep cells: the program at the rate's
+# own inputs (t*eta, t*eta*q_x, p_pass), from which both read the outcome gains.
 @seed(20261029)
 @settings(max_examples=120, deadline=None)
 @given(qber, st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0), f_ec,
@@ -418,8 +451,7 @@ def test_general_rates_are_the_oracle_minimum(q_z, eta, t, f, delta, place):
     p_pass = t * ((1.0 + eta) + delta * (1.0 - eta)) / 2.0
     rate = keyrate_general(q_z, q_x, eta, t, p_pass, f).rate
     if rate is not None:
-        a = t * (1.0 + delta) / 2.0
-        _assert_oracle_minimum(eta, a, p_pass - a, t * q_x, rate + p_pass * f * binary_entropy(q_z))
+        _assert_oracle_values(eta, (t * eta, t * eta * q_x, p_pass), rate + p_pass * f * binary_entropy(q_z))
 
 
 _RHO = optimal_attack_state(0.05, 0.08, 0.02, 1.0)
@@ -518,8 +550,8 @@ def test_closed_form_and_oracle_return_finite_values_or_raise_value_errors(point
             continue
         if name == "keyrate_general":
             # A rate needs outcome gains of 0 or in the normal range: fewer bits are noise.
-            a = t * (1.0 + result.delta) / 2.0
-            assert not result.feasible or all(g == 0.0 or abs(g) >= _MIN_GAIN for g in (a, p_pass - a)), (a, p_pass)
+            gains = _gains(p_pass, t * eta, eta)
+            assert not result.feasible or all(g == 0.0 or abs(g) >= _MIN_GAIN for g in gains), (gains, p_pass)
             # An infeasible result has no rate and no lambda, but its delta.
             result = (result.delta,) if not result.feasible else (result.rate, result.delta, result.lam)
         elif name == "minimize":

@@ -11,11 +11,13 @@ from bb84_mismatch import (
     binary_entropy,
     build_gamma_set,
     channel_G,
+    effective_phase_error,
     eigenvalues_check,
     error_correction_leak,
     gamma_expectations,
     gradient,
     ignorance_term,
+    keyrate_general,
     kkt_orthogonality_check,
     minimize,
     objective,
@@ -256,6 +258,21 @@ def test_minimize_accepts_the_boundary_point_that_keyrate_general_rates():
     assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 3e-16
 
 
+def test_a_negative_gain_within_the_floor_of_lambda_admits_no_state():
+    # At eta = 1e-10, delta = 1.01 leaves the outcome-1 gain b = -2.5e-13 and
+    # lambda = -5e-13, which lambda's absolute floor of 1e-12 admits alone:
+    # keyrate_general then rated it -p_pass*h(0.05). The state these values
+    # fix has diagonal entries near -0.0013.
+    eta, t, p_pass = 1e-10, 0.5, 0.5025
+    result = keyrate_general(0.05, 0.5, eta, t, p_pass)
+    assert (result.feasible, result.rate) == (False, None)
+    with pytest.raises(FeasibilityError, match="admit no PSD state"):
+        minimize(build_gamma_set(eta), (t * eta, t * eta * 0.5, p_pass))
+    for call in (ignorance_term, effective_phase_error):
+        with pytest.raises(ValueError, match="admit no PSD state"):
+            call(0.5, eta, t, p_pass)
+
+
 def test_kkt_residual_small_at_attack_state():
     for eta in (0.3, 0.5, 1.0):
         rho = optimal_attack_state(0.05, 0.05, 0.0, 1.0)
@@ -283,8 +300,9 @@ def test_eigenvalue_formula_checks():
     # At q_z = 1 the parameters are read off the block's middle entries.
     for eta, delta in ((0.5, 0.02), (1.0, 0.0)):
         rho = optimal_attack_state(1.0, 0.05, delta, 0.7)
-        got = verifier._extract_attack_parameters(photon_block(rho), eta)
-        np.testing.assert_allclose(got[:4], (1.0, 0.05, delta, 0.7), atol=1e-15)
+        qz, qx, t, gains = verifier._extract_attack_parameters(photon_block(rho), eta)
+        expected = (1.0, 0.05, 0.7, 0.7 * (1.0 + delta) / 2.0, eta * 0.7 * (1.0 - delta) / 2.0)
+        np.testing.assert_allclose((qz, qx, t, *gains), expected, atol=1e-15)
         assert eigenvalues_check(rho, eta)
     assert eigenvalues_check(optimal_attack_state(0.0, 0.05, 0.0, 1.0), 0.5)
     assert eigenvalues_check(optimal_attack_state(0.05, 0.05, 0.0, 1.0), 0.5)
