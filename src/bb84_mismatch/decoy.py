@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, TruncationError, _require_in
-from .keyrates import KeyRateResult, _coherence, _coherence_grad, _consistent, _require_f_ec, detection_imbalance
+from .keyrates import KeyRateResult, _admits, _coherence, _coherence_grad, _require_f_ec, detection_imbalance
 from .linalg import binary_entropy
 
 INTENSITIES = ("s", "d1", "d2")
@@ -340,14 +340,14 @@ def _singles_rate(q1_0, q1_1, q, eta, ec_term):
     closed form's value kernel ``keyrates._coherence``, elementwise over arrays.
 
     Returns (rate, lambda_of_q), both nan where the point is infeasible: no
-    detections, or a phase-error argument ``keyrates._consistent`` rejects.
+    detections, or a phase-error argument ``keyrates._admits`` rejects.
     ``ec_term`` is the full error-correction leakage, already multiplied by
     its gain.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = q1_0 + q1_1 / eta
         p_pass, _, lam_q, clamped, h = _coherence(q1_0, q1_1, t, q, eta)
-        ok = _consistent(lam_q, p_pass, t, q)
+        ok = _admits(lam_q, p_pass, t, q, 0.0)
         rate = p_pass * h - ec_term
     return np.where(ok, rate, np.nan), np.where(ok, clamped, np.nan)
 

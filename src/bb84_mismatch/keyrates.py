@@ -9,7 +9,7 @@ same form at gains (eta1*t/2, eta*t/2), x = eta1*t*q_x and mismatch eta/eta1.
 Its first term is the relative entropy of coherence of the block
 [[a, y/2], [y/2, b]], y^2 = eta*(t-2x)^2, with eigenvalues p*lambda and
 p*(1 - lambda): ``_coherence_grad`` gives its partials, whose chain rules are
-the decoy corner test and the discard slope, and ``_admissible`` judges gains.
+the decoy corner test and the discard slope, and ``_admits`` judges feasibility.
 
 Rates are in bits per channel use and may be negative; callers decide
 whether to clamp. The error-correction term h(q_z) can be scaled by an
@@ -28,10 +28,7 @@ from .errors import ConfigError, NoKeyError, _require_in
 from .linalg import _h, binary_entropy
 
 # No rate where the smaller outcome gain is subnormal: its few bits make the rate noise.
-_MIN_GAIN, _MAX = sys.float_info.min, sys.float_info.max
-# Inputs on the feasibility boundary have lambda = 0 exactly; their own rounding
-# (of delta, of q_x) can put lambda near -1e-15, beyond the allowance at s/p ~ 1.
-_LAM_FLOOR = 1e-12
+_MIN_GAIN = sys.float_info.min
 
 @dataclass(frozen=True)
 class KeyRateResult:
@@ -137,13 +134,11 @@ def _gains(p_pass, rate, eta):
 
 
 def feasible(q_x, delta):
-    """Whether a PSD state compatible with (q_x, delta) exists, elementwise.
-
-    True iff 1 - sqrt(1 - delta^2) <= 2*q_x <= 1 + sqrt(1 - delta^2); |delta| > 1
-    is always infeasible.
-    """
-    root = np.sqrt(abs(1.0 - delta * delta))  # the abs only alters points that |delta| <= 1 rejects
-    return (abs(delta) <= 1.0) & (1.0 - root <= 2.0 * q_x) & (2.0 * q_x <= 1.0 + root)
+    """Whether a PSD state compatible with (q_x, delta) exists, elementwise: ``_admits``
+    at the eta = 1 gains ((1 + delta)/2, (1 - delta)/2), given, t = 1 and x = q_x. In exact
+    arithmetic, |delta| <= 1 and 1 - sqrt(1 - delta^2) <= 2*q_x <= 1 + sqrt(1 - delta^2)."""
+    p, lam = _lam((1.0 + delta) / 2.0, (1.0 - delta) / 2.0, 1.0, q_x, 1.0)
+    return _admits(lam, p, 1.0, q_x, 0.0)
 
 
 def _lam(a, b, t, x, eta):
@@ -158,7 +153,7 @@ def _coherence(a, b, t, x, eta):
     """(p, a/p, lambda, lambda clamped at 0, h(a/p) - h(clamped lambda)): the
     value of the module docstring's formula per pass rate, elementwise, with
     a + b of the broadcast shape. Unchecked: ``_h`` reads an argument beyond
-    [0, 1] as its nearer end, and ``_consistent`` judges lambda."""
+    [0, 1] as its nearer end, and ``_admits`` judges lambda."""
     p, lam = _lam(a, b, t, x, eta)
     arg, clamped = np.divide(a, p), np.maximum(lam, 0.0)
     h_arg, h_lam = _h(np.array((arg, clamped)))  # one call for both halves the overhead
@@ -211,20 +206,29 @@ def _coherence_grad(a, b, w, r, ew, er):
     return partials, allowances
 
 
-def _consistent(lam, p, t, x):
-    """Whether the value path's lambda = 1/2 - r/(2p) is consistent, elementwise:
-    with r within 6u*s (u = 2^-53, s = p + t + 2x) it is within 2^-51*scale,
-    scale = s/p, and consistent where finite and at least
-    -max(_LAM_FLOOR, 2^-51*scale), a bound capped so that -inf always fails."""
-    bound = np.minimum(np.maximum(_LAM_FLOOR, 2.0**-51 * np.divide(p + t + 2.0 * x, p)), _MAX)
-    return lam >= -bound
+def _admits(lam, p, t, x, span):
+    """Whether observations admit a PSD state, elementwise: the one feasibility
+    rule of the rates, the oracle and the attack state. It tests lambda (``_lam``)
+    at pass rate p, transparency t and x-error gain x against lambda >= -allowance,
+    allowance = 2^-51*(s + span)/p, s = p + t + 2x. With u = 2^-53, 2^-51*s/p is
+    the value path's rounding: at exact gains r is within 6u*s, so lambda is
+    within 3u*s/p and its own roundings. 2^-51*span/p is how finely the inputs
+    fix the outcome-0 gain: span is 0 where the gains are given, and
+    ``_admissible``'s where ``_gains`` derives them. Taken as
+    p*lambda + 2^-51*(s + span) >= 0, which p = 0, nan and -inf fail without a division."""
+    return lam * p + 2.0**-51 * (p + t + 2.0 * x + span) >= 0.0
 
 
-def _admissible(lam, a, b, t, x, eta):
-    """The rule of the general rate, ``ignorance_term`` and ``minimize``: ``_consistent``, whose floor admits a
-    gain near -1e-12*p (|delta| > 1), and gains of ``_gains`` above -8u*t/(1 - eta), twice their rounding, u = 2^-53."""
-    floor = -(2.0**-50) * t
-    return (a * (1.0 - eta) >= floor) & (b * (1.0 - eta) >= floor) & _consistent(lam, a + b, t, x)
+def _admissible(lam, a, p, t, x, eta):
+    """``_admits`` at a of ``_gains`` and p = a + b: the rule of the general rate,
+    ``ignorance_term`` and ``minimize``. p_pass and t*eta are known to u*t each
+    and a's roundings add 2u*t, so a - b is known to 5u*t/(1 - eta) and p to u*t
+    (inside the value path's part). That moves p*lambda by |a - b|/(2r) times it,
+    and r = p(1 - 2*lambda) >= p(1 - lambda) where the rule decides (lambda <= 0):
+    span = t*|a - b|/((1 - eta)p(1 - lambda)) gives 4u*span against 2.5u*span.
+    At eta = 1, a = t/2 is exact and span is 0."""
+    span = t * abs(2.0 * a - p) * (eta < 1.0) / ((1.0 - eta + (eta == 1.0)) * (p - lam * p))
+    return _admits(lam, p, t, x, span)
 
 
 def _checked_lam(p_pass, rate, t, x, eta):
@@ -236,7 +240,7 @@ def _checked_lam(p_pass, rate, t, x, eta):
     a, b = _gains(p_pass, rate, eta)
     with np.errstate(divide="ignore", invalid="ignore"):  # gains that cancel to p = 0 give lambda -inf or nan
         p, lam = _lam(a, b, t, x, eta)
-        if not _admissible(lam, a, b, t, x, eta):
+        if not _admissible(lam, a, p, t, x, eta):
             raise ValueError(f"phase-error argument {lam} at gains ({a}, {b}): the observations admit no PSD state")
     return a, p, lam
 
@@ -447,8 +451,8 @@ def _rates(method: str, q_z, q_x, eta, t: float = 1.0, f_ec: float = 1.0, p_pass
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # delta can overflow, p cancel to 0
             extra, bad = _imbalance(p_pass, t, eta)
             (a, b), x = _gains(p_pass, t * eta, eta), t * q_x
-            _, _, raw, clamped, h = _coherence(a, b, t, x, eta)
-            ok = ~bad & _admissible(raw, a, b, t, x, eta) & ~_subnormal(a) & ~_subnormal(b)
+            p, _, raw, clamped, h = _coherence(a, b, t, x, eta)
+            ok = ~bad & _admissible(raw, a, p, t, x, eta) & ~_subnormal(a) & ~_subnormal(b)
         lam[ok] = clamped[ok]
         rate[ok] = p_pass * (h[ok] - f_ec * binary_entropy(q_z[ok]))
     else:

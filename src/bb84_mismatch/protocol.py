@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
+from .keyrates import feasible
 from .linalg import require_hermitian
 
 PHOTON_DIM = 4
@@ -114,29 +115,20 @@ def attack_block(q_z: float, q_x: float, delta: float, t: float = 1.0) -> np.nda
     return t * block
 
 
-def optimal_attack_state(
-    q_z: float,
-    q_x: float,
-    delta: float,
-    t: float = 1.0,
-    check_feasibility: bool = True,
-) -> np.ndarray:
+def optimal_attack_state(q_z: float, q_x: float, delta: float, t: float = 1.0) -> np.ndarray:
     """The 6x6 state achieving the key-rate minimum for the given observations.
 
     Raises:
         ValueError: if delta lies outside [-1, 1] or another argument is out
             of range.
-        FeasibilityError: if (q_x, delta) violate the existence condition
-            2*q_x >= 1 - sqrt(1 - delta^2) (no PSD state matches the
-            observations). Pass ``check_feasibility=False`` to build the
-            indefinite matrix anyway, e.g. for boundary scans.
+        FeasibilityError: where ``keyrates.feasible(q_x, delta)`` is False:
+            no PSD state matches the observations. ``attack_block`` builds
+            the photon block unchecked, e.g. for boundary scans.
     """
     _require_in("delta", delta, -1.0, 1.0)
     _require_in("q_z", q_z, 0.0, 1.0)
     _require_in("q_x", q_x, 0.0, 1.0)
     _require_in("t", t, 0.0, 1.0, open_lo=True)
-    if check_feasibility and (1.0 - 2.0 * q_x) ** 2 > 1.0 - delta**2 + 1e-15:
-        raise FeasibilityError(
-            f"no PSD state exists for q_x = {q_x}, delta = {delta}: 2*q_x >= 1 - sqrt(1 - delta^2) is violated"
-        )
+    if not feasible(q_x, delta):
+        raise FeasibilityError(f"no PSD state exists for q_x = {q_x}, delta = {delta}: |1 - 2*q_x| > sqrt(1 - delta^2)")
     return _embed(attack_block(q_z, q_x, delta, t), t)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, _require_in
-from .keyrates import _check_ranges, _checked_lam, _lam
+from .keyrates import _admissible, _check_ranges, _checked_lam, _lam
 from .linalg import _log2_on_support, _relative_entropy, _require_psd, binary_entropy, require_hermitian
 from .protocol import _GAMMA_CONST, _GAMMA_LINEAR, ALICE_BITS, BOB_BITS, GammaSet, photon_block
 
@@ -45,6 +45,8 @@ _BOB_BIT_SUMS = BOB_BITS[:, None] + BOB_BITS[None, :]
 # Relative eigenvalue noise floor separating a state's support face from
 # projection round-off in the stationarity residual.
 _FACE_CUTOFF = 1e-7
+# Largest gap ``eigenvalues_check`` allows between the spectrum and its closed form.
+_EIGEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,8 @@ def _extract_attack_parameters(block: np.ndarray, eta: float):
     return qz, qx, t, (float(diag[0] + diag[2]), float(eta * (diag[1] + diag[3])))
 
 
-def eigenvalues_check(rho_bar: np.ndarray, eta: float, tol: float = 1e-10) -> bool:
-    """Whether the spectrum of G(rho_bar) matches its closed form.
+def eigenvalues_check(rho_bar: np.ndarray, eta: float) -> bool:
+    """Whether the spectrum of G(rho_bar) matches its closed form within ``_EIGEN_TOL``.
 
     The expected eigenvalues are {(1-q_z)*lam_pm, q_z*lam_pm} with
     lam_minus = p * lambda and lam_plus = p - lam_minus, where lambda and
@@ -200,7 +202,7 @@ def eigenvalues_check(rho_bar: np.ndarray, eta: float, tol: float = 1e-10) -> bo
     p, lam = _lam(a, b, t, t * qx, eta)
     lam_minus = p * lam
     expected = np.sort(np.outer((1.0 - qz, qz), (lam_minus, p - lam_minus)).ravel())
-    return bool(np.max(np.abs(actual - expected)) <= tol)
+    return bool(np.max(np.abs(actual - expected)) <= _EIGEN_TOL)
 
 
 def error_correction_leak(rho_bar: np.ndarray, eta: float) -> float:
@@ -246,7 +248,7 @@ def _face_kkt_residual(eta: float, w: np.ndarray, V: np.ndarray) -> float:
     keep = w[0] > _FACE_CUTOFF * max(float(w[0][-1]), 1e-300)
     if not keep.any():
         raise FeasibilityError(f"largest state eigenvalue {float(w[0][-1]):.3g} is at most 1e-307: the state underflows")
-    stack, _, projector, _ = _SOLVES[eta == 1.0]
+    stack, _, projector = _SOLVES[eta == 1.0]
     grad = _gradient(eta, w, V)
     if keep.all():
         return float(np.linalg.norm(grad.reshape(16) @ projector))
@@ -269,8 +271,8 @@ _BASIS_AT_ONE = np.array([np.eye(4), _J])
 _STACK = np.array([_GAMMA_LINEAR[0], _GAMMA_LINEAR[1], _GAMMA_CONST[2]])
 
 
-def _solve(stack: np.ndarray, basis: np.ndarray, kappa: float):
-    """(stack, rho map, residual projector, PSD allowance per unit t) of
+def _solve(stack: np.ndarray, basis: np.ndarray):
+    """(stack, rho map, residual projector) of
     Tr(stack_i rho) = v_i on the span of ``basis``: rho = v @ rho map, with
     M = (S^T S)^-1 S^T for the integer S_ik = Tr(stack_i basis_k) from integer
     row operations and one division per row, required to give M S = I exactly.
@@ -279,8 +281,7 @@ def _solve(stack: np.ndarray, basis: np.ndarray, kappa: float):
     entries are multiples of 1/4, and R = R^T, R R = R and R vec(stack_i) = 0
     are required exactly. With the rank k that M S = I proves, the last shows
     that the stack spans what the basis spans. All of it is ``einsum`` on
-    exact dyadic numbers, with no BLAS or LAPACK call at import. The
-    allowance is 8 * eps * kappa, kappa = cond(S) (``minimize``)."""
+    exact dyadic numbers, with no BLAS or LAPACK call at import."""
     system, k = np.einsum("iab,kab->ik", stack, basis), len(basis)
     aug = np.concatenate([np.einsum("ik,il->kl", system, system), system.T], axis=1)
     for j in range(k):  # fraction-free Gauss-Jordan on [S^T S | S^T], S^T S positive definite
@@ -295,11 +296,11 @@ def _solve(stack: np.ndarray, basis: np.ndarray, kappa: float):
     if not (np.array_equal(projector, projector.T) and np.array_equal(squared, projector) and not removed.any()):
         raise RuntimeError(f"basis {flat.tolist()} gives no exact projector that removes the stack")
     rho_map = np.einsum("ki,kab->iab", inverse, basis).reshape(len(stack), 16)
-    return stack, rho_map, projector, 8.0 * np.finfo(float).eps * kappa
+    return stack, rho_map, projector
 
 
-# Keyed by eta == 1; kappa to two decimals.
-_SOLVES = {False: _solve(_STACK, _BASIS, 3.01), True: _solve(_GAMMA_CONST + _GAMMA_LINEAR, _BASIS_AT_ONE, 3.23)}
+# Keyed by eta == 1.
+_SOLVES = {False: _solve(_STACK, _BASIS), True: _solve(_GAMMA_CONST + _GAMMA_LINEAR, _BASIS_AT_ONE)}
 
 
 def minimize(gammas: GammaSet, values) -> MinimizationReport:
@@ -343,14 +344,15 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     objective there, ``iterations`` is 0, ``constraint_residuals`` are
     recomputed from ``gammas``, and ``kkt_residual`` is the stationarity
     residual of ``kkt_orthogonality_check``. ``converged`` holds iff every
-    residual is at most 1e-8 and the smallest eigenvalue of ``rho_star`` is
-    at least -8 * eps * kappa * t, with eps the float64 machine epsilon.
-    The allowance: with u = eps/2, the solve's values are within 3u relative
-    of those the inputs fix (one division for t and gamma_2/eta, at most
-    three roundings for a), so the coefficients c are within (3 kappa + 2) u
-    times |c| <= 0.6 t; as each basis matrix has norm 1, rho's eigenvalues
-    move by at most sqrt(3) times that, below 12 u t, and ``eigh`` on entries
-    of size t adds a few eps * t: well inside 16 u kappa t >= 48 u t.
+    residual is at most 1e-8 and the least eigenvalue mu of G(rho_star), from
+    the same ``eigh``, passes the pre-check's ``keyrates._admissible`` as
+    lambda = 2(mu + 2^-48*s)/p, s = p + t + 2x. G(rho) = D rho D, D diagonal
+    and invertible, is PSD iff rho is, and its blocks have eigenvalues
+    p*lambda/2 and p(1 - lambda)/2. With u = 2^-53, 2^-48*s is twice what
+    separates mu from p*lambda/2: the value path's rounding (2u*s), the state's
+    outcome-1 gain eta(t - a) against p_pass - a (2.5u*s), the entries' and
+    weights' roundings (3u*s) and ``eigh``'s, a few eps*|G| <= 8u*s. So every
+    input the pre-check admits gives ``converged``.
 
     Raises:
         FeasibilityError: if ``values`` is not three finite numbers, its
@@ -374,23 +376,23 @@ def minimize(gammas: GammaSet, values) -> MinimizationReport:
     eta = float(gammas.gamma1[0, 0].real)
     try:
         t, x = rate / eta, error_rate / eta
-        gain = _checked_lam(p_pass, rate, t, x, eta)[0]
+        gain, p, _ = _checked_lam(p_pass, rate, t, x, eta)
     except (ValueError, ZeroDivisionError) as exc:
         raise FeasibilityError(str(exc)) from exc
 
     ops = _GAMMA_CONST + eta * _GAMMA_LINEAR
     if not np.array_equal(gammas.as_list(), ops):
         raise ValueError(f"gammas are not build_gamma_set({eta})'s operators, on whose symmetry the solve rests")
-    _, rho_map, _, allowance = _SOLVES[eta == 1.0]
-    rho = np.dot(values if eta == 1.0 else (t, x, gain), rho_map).reshape(4, 4)
+    rho = np.dot(values if eta == 1.0 else (t, x, gain), _SOLVES[eta == 1.0][1]).reshape(4, 4)
 
     residuals = np.abs(np.einsum("iab,ba->i", ops, rho) - values)
     g, w, V = _spectra(rho, eta)
+    lam = 2.0 * (w[1][0] + 2.0**-48 * (p + t + 2.0 * x)) / p
     return MinimizationReport(
         rho_star=rho,
         f_star=_objective(g, w, V),
         iterations=0,
-        converged=bool(residuals.max() <= 1e-8 and w[0][0] >= -allowance * t),
+        converged=bool(residuals.max() <= 1e-8 and _admissible(lam, gain, p, t, x, eta)),
         constraint_residuals=residuals,
         kkt_residual=_face_kkt_residual(eta, w, V),
     )

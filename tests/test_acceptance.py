@@ -38,6 +38,7 @@ from bb84_mismatch import (
     eigenvalues_check,
 )
 from bb84_mismatch.decoy import ChannelModel, DecoyConfig, poisson_pmf
+from bb84_mismatch.protocol import attack_block
 from bb84_mismatch.verifier import _BASIS, _BASIS_AT_ONE
 
 h = binary_entropy
@@ -240,7 +241,7 @@ def test_criterion_6_eigenvalue_formula():
                     if eta == 1.0 and delta != 0.0:
                         continue
                     rho = optimal_attack_state(qz, qx, delta, 1.0)
-                    ok = ok and eigenvalues_check(rho, eta, tol=1e-10)
+                    ok = ok and eigenvalues_check(rho, eta)
     report(
         "criterion 6 (eigenvalue formula)",
         ok,
@@ -347,8 +348,7 @@ def test_criterion_10_feasibility_boundary():
         target = (1.0 - math.sqrt(1.0 - delta**2)) / 2.0
 
         def min_eig(q_x):
-            rho = optimal_attack_state(0.05, q_x, delta, 1.0, check_feasibility=False)
-            return float(np.linalg.eigvalsh(photon_block(rho)).min())
+            return float(np.linalg.eigvalsh(attack_block(0.05, q_x, delta, 1.0)).min())
 
         lo, hi = 0.0, 0.5
         assert min_eig(lo) < 0.0 < min_eig(hi)

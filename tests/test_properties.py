@@ -29,6 +29,7 @@ from bb84_mismatch import (  # noqa: E402
     effective_phase_error,
     eigenvalues_check,
     error_correction_leak,
+    feasible,
     gradient,
     ignorance_term,
     keyrate_balanced,
@@ -49,9 +50,9 @@ from bb84_mismatch import (  # noqa: E402
 )
 from bb84_mismatch.cli import _sweep_rates, main  # noqa: E402
 from bb84_mismatch.decoy import _ec_term  # noqa: E402
-from bb84_mismatch.keyrates import _MIN_GAIN, _common_loss, _gains, _lam  # noqa: E402
+from bb84_mismatch.keyrates import _MIN_GAIN, _admissible, _common_loss, _gains, _lam  # noqa: E402
 from bb84_mismatch.protocol import GammaSet  # noqa: E402
-from bb84_mismatch.verifier import _SOLVES  # noqa: E402
+from edge_corpus import edge_corpus  # noqa: E402
 
 METHODS = ("balanced", "discard_optimized", "fung1", "fung2")
 SWEEP_METHODS = METHODS + ("general", "penalty_ratio")
@@ -220,47 +221,81 @@ def _oracle_point(draw):
 @seed(20261018)
 @settings(max_examples=400, deadline=None)
 @given(_oracle_point())
+# Lower-edge states whose least eigenvalue minimize's former allowance of
+# 8*eps*kappa*t rejected after its pre-check had admitted the inputs.
+@example((0.9992524965526236, 0.75, 0.6, 0.09999999999999998))
+@example((0.993044464620526, 0.75, -0.76, 0.17503846381456156))
 def test_minimize_attains_the_closed_form_over_the_domain(point):
-    """|f* - ignorance_term| <= 2^-45*t off the q_x edge, and ignorance_term
-    raises exactly where minimize does.
+    """|f* - ignorance_term| <= 2^-45*t off the q_x edge, ignorance_term
+    raises exactly where minimize does, which is exactly where the rule
+    ``keyrates._admissible`` rejects the closed form's lambda, and every
+    state minimize returns is ``converged``.
 
     Both read the outcome-0 gain of ``keyrates._gains``, so off the edge the
     gap is the rounding of eigh and of the logarithms. On the edge the float
-    inputs can leave the closed form's lambda below 0, by up to
-    ``_LAM_FLOOR`` as 1 - eta -> 0, where p_pass carries delta only through
-    t*(1 - eta)*delta/2. The closed form reads such a lambda as 0. The solved
-    state keeps the eigenvalue p*lambda/2 < 0 in each of its two blocks, and
-    the objective's sum of w*log2(w) over positive eigenvalues drops it, so
+    inputs can leave the closed form's lambda below 0, by up to the rule's
+    allowance, which grows as 1 - eta -> 0, where p_pass carries delta only
+    through t*(1 - eta)*delta/2. The closed form reads such a lambda as 0.
+    The solved state keeps the eigenvalue p*lambda/2 < 0 in each of its two
+    blocks, and the objective's sum of w*log2(w) over positive eigenvalues
+    drops it, so
     f* - F = p(1 - lambda)log2(p(1 - lambda)/2) - p*log2(p/2)
            = -p|lambda|log2(2/p) + p(1 + |lambda|)log2(1 + |lambda|),
-    at most p|lambda|(log2(2/p) + 2) in size, as p <= t <= 1: the objective's
-    own sensitivity at lambda = 0.
-
-    ``converged`` is the solved state's PSD test: its least eigenvalue, that
-    of the state the values fix, (t - hypot(2a - t, t - 2x))/4, must be at
-    least the solve's allowance 8*eps*kappa*t below 0. The test requires
-    ``converged`` where that eigenvalue is within half the allowance, which
-    covers every lambda at rounding level, and its failure beyond twice it;
-    in between, rounding decides.
+    at most p|lambda|(log2(2/p) + 2) in size, as p <= t <= 1 and |lambda| <= 1:
+    the objective's own sensitivity at lambda = 0.
     """
     eta, t, delta, q_x = point
     p_pass = t * ((1.0 + eta) / 2.0 + delta * (1.0 - eta) / 2.0)
+    a, b = _gains(p_pass, t * eta, eta)
+    p, lam = _lam(a, b, t, t * q_x, eta)
     try:
         report = minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass))
     except FeasibilityError:
+        assert not _admissible(lam, a, p, t, t * q_x, eta)
         with pytest.raises(ValueError):
             ignorance_term(q_x, eta, t, p_pass)
         return
-    a, b = _gains(p_pass, t * eta, eta)
-    p, lam = _lam(a, b, t, t * q_x, eta)
-    least, allowance = (t - math.hypot(2.0 * a - t, t - 2.0 * t * q_x)) / 4.0, _SOLVES[eta == 1.0][-1] * t
-    if least >= -allowance / 2.0:
-        assert report.converged
-    elif least < -2.0 * allowance:
-        assert not report.converged
+    assert _admissible(lam, a, p, t, t * q_x, eta)
+    assert report.converged
     assert report.constraint_residuals.max() <= 1e-14
     edge = p * max(-lam, 0.0) * (math.log2(2.0 / p) + 2.0)
     assert abs(report.f_star - ignorance_term(q_x, eta, t, p_pass)) <= 2.0**-45 * t + edge
+
+
+def test_one_feasibility_rule_decides_every_entry_point_on_the_q_x_edge():
+    """On 2,000 draws of the q_x-edge corpus (``edge_corpus``) the entry
+    points that ask whether a PSD state matches the observations agree, as
+    they all read ``keyrates._admits``: ``feasible`` with
+    ``optimal_attack_state``, ``keyrate_general``'s rate with ``minimize``'s
+    ``converged``, ``ignorance_term``'s raise with ``minimize``'s, and
+    ``feasible`` with ``keyrate_general`` wherever 1 - eta >= 1e-3. Closer to
+    eta = 1 the pass rate no longer fixes the outcome-0 gain that delta gives
+    ``feasible``, so the last pair may differ."""
+    disagree = {"attack": [], "converged": [], "raises": [], "rate": []}
+    for eta, t, delta, q_x, p_pass in edge_corpus(20261022, 2000):
+        feasible_here = bool(feasible(q_x, delta))
+        try:
+            optimal_attack_state(0.05, q_x, delta, t)
+            attack = True
+        except FeasibilityError:
+            attack = False
+        rate = keyrate_general(0.05, q_x, eta, t, p_pass).rate is not None
+        try:
+            report = minimize(build_gamma_set(eta), (t * eta, t * eta * q_x, p_pass))
+            returned, converged = True, report.converged
+        except FeasibilityError:
+            returned = converged = False
+        try:
+            ignorance_term(q_x, eta, t, p_pass)
+            closed_form = True
+        except ValueError:
+            closed_form = False
+        pairs = {"attack": (feasible_here, attack), "converged": (rate, converged), "raises": (closed_form, returned),
+                 "rate": (feasible_here, rate if 1.0 - eta >= 1e-3 else feasible_here)}
+        for name, (x, y) in pairs.items():
+            if x != y:
+                disagree[name].append((eta, t, delta, q_x))
+    assert disagree == {"attack": [], "converged": [], "raises": [], "rate": []}
 
 
 @seed(20261031)

@@ -9,6 +9,7 @@ from bb84_mismatch import (
     optimal_attack_state,
     photon_block,
 )
+from bb84_mismatch.protocol import attack_block
 
 
 def test_gamma_matrices_entries():
@@ -137,8 +138,7 @@ def test_attack_state_minimum_eigenvalue_sign_change():
     target = (1.0 - np.sqrt(1.0 - delta**2)) / 2.0
 
     def min_eig(q_x):
-        rho = optimal_attack_state(0.05, q_x, delta, 1.0, check_feasibility=False)
-        return np.linalg.eigvalsh(photon_block(rho)).min()
+        return np.linalg.eigvalsh(attack_block(0.05, q_x, delta, 1.0)).min()
 
     lo, hi = 0.0, 0.5
     assert min_eig(lo) < 0 < min_eig(hi)

@@ -561,7 +561,7 @@ def test_solve_runs_on_the_model_operators_and_inverts_exactly():
         assert np.array_equal(np.array(gammas, dtype=float), build_gamma_set(eta).as_list())
         e = Fraction(eta)
         expected = gammas if eta == 1.0 else [gammas[0] / e, gammas[1] / e, (gammas[2] - gammas[0]) / (1 - e)]
-        stack, rho_map, _, _ = verifier._SOLVES[eta == 1.0]
+        stack, rho_map, _ = verifier._SOLVES[eta == 1.0]
         assert [Fraction(x) for x in stack.ravel()] == list(np.ravel(expected))
         basis = verifier._BASIS_AT_ONE if eta == 1.0 else verifier._BASIS
         system = np.einsum("iab,kab->ik", stack, basis)
@@ -575,7 +575,7 @@ def test_kkt_projector_is_exact_and_removes_exactly_the_stack_span():
     # complement of the basis (unit vectors off every support, and differences
     # of two unit vectors within one support).
     for ideal, basis in ((False, verifier._BASIS), (True, verifier._BASIS_AT_ONE)):
-        stack, _, R, _ = verifier._SOLVES[ideal]
+        stack, _, R = verifier._SOLVES[ideal]
         quarters = 4.0 * R
         assert np.array_equal(quarters, np.round(quarters)) and set(quarters.ravel()) <= {-2, -1, 0, 2, 3, 4}
         assert np.array_equal(R, R.T) and np.array_equal(R @ R, R)
@@ -607,7 +607,7 @@ def test_solve_refuses_a_basis_without_an_exact_projector_onto_the_stack_span():
     for last in (np.diag([0.0, 1, 0, 0]), np.diag([1.0, 1, 0, 1])):
         basis = np.array([*verifier._BASIS[:2], last])
         with pytest.raises(RuntimeError, match="no exact projector"):
-            verifier._solve(verifier._STACK, basis, 3.01)
+            verifier._solve(verifier._STACK, basis)
 
 
 def test_theorem_by_symmetry_without_the_oracle():

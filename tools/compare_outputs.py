@@ -8,7 +8,10 @@ case whose exit code, stdout or stderr differs between the trees, over:
 
 - the benchmark's ``sweep`` and ``decoy`` inputs of seeds 1-10, 30 of each
   per seed, read from the repository's ``bench/workloads.py``;
-- ``verify`` and ``verify --perturb 0.01``;
+- ``verify``, ``verify --perturb 0.01`` and ``verify --eta 0.999999999999``;
+- 20 ``rate`` invocations on points of the q_x-edge corpus in
+  ``tests/edge_corpus.py`` with 1 - eta >= 1e-3, so that a feasibility flip
+  at the edge shows as a differing case;
 - the golden invocations listed in ``tests/golden/cases.json``.
 
 Each tree runs every case in-process, in one fresh interpreter that imports
@@ -25,6 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS, PER_SEED = range(1, 11), 30
+
+sys.path.insert(0, str(ROOT / "tests"))
+from edge_corpus import edge_corpus  # noqa: E402
 
 # The golden cases of tests/test_cli.py: (file name, argument list) pairs.
 GOLDEN = [argv for _, argv in json.loads((ROOT / "tests" / "golden" / "cases.json").read_text())]
@@ -61,6 +67,19 @@ print(json.dumps([argv for w in ("sweep", "decoy") for s in seeds for argv in wo
 """
 
 
+def _edge_rates(count: int = 20, seed: int = 20261022) -> list[list[str]]:
+    """``rate`` argument lists at the first ``count`` points of the q_x-edge
+    corpus with 1 - eta >= 1e-3."""
+    cases = []
+    for eta, t, _, q_x, p_pass in edge_corpus(seed, 10 * count):
+        if 1.0 - eta >= 1e-3:
+            values = zip(("qz", "qx", "eta", "t", "p-pass"), (0.05, q_x, eta, t, p_pass))
+            cases.append(["rate", *(arg for name, v in values for arg in (f"--{name}", repr(v)))])
+            if len(cases) == count:
+                break
+    return cases
+
+
 def _run(script: str, src: Path, *args: str):
     done = subprocess.run(
         [sys.executable, "-c", script, str(src), str(ROOT / "bench"), *args], capture_output=True, text=True
@@ -80,7 +99,7 @@ def main(argv: list[str]) -> int:
         return 2
     parent, child = (Path(a).resolve() for a in argv)
     cases = _run(_INPUTS, parent, json.dumps([SEEDS.start, SEEDS.stop]), str(PER_SEED))
-    cases += [["verify"], ["verify", "--perturb", "0.01"], *GOLDEN]
+    cases += [["verify"], ["verify", "--perturb", "0.01"], ["verify", "--eta", "0.999999999999"], *_edge_rates(), *GOLDEN]
     for name, src in (("parent", parent), ("child", child)):
         print(f"{name} src lines: {_lines(src)}")
     before, after = (_run(_WORKER, src, json.dumps(cases)) for src in (parent, child))
